@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Search-throughput benchmark: serial vs memoized vs parallel vs batched.
+"""Search-throughput benchmark: serial vs memoized vs batched vs surrogate.
 
 Runs the same fixed-seed bi-level search five ways —
 
@@ -10,7 +10,6 @@ Runs the same fixed-seed bi-level search five ways —
   process-wide memo, so this mode measures *cross-run* amortization
   (its ``mapper_hit_rate`` must be > 0; it was pinned at 0.0 while the
   memo's lifetime was one explorer);
-* ``parallel``    — ``--workers`` processes on top of the caches;
 * ``batched``     — one process, vectorized generation evaluation
   (``GAConfig.batched``), caches cleared before each repeat so the
   reported speedup is cold-path against ``serial_cold``;
@@ -49,7 +48,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_search.py --smoke
     PYTHONPATH=src python benchmarks/bench_search.py \
-        --workload cifar10 --population 24 --generations 12 --workers 4
+        --workload cifar10 --population 24 --generations 12
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ def _bench_mode(workload: str, setup: str, config: GAConfig,
 
     ``clear_each_repeat=True`` makes every repeat cold (baseline and
     batched modes); ``False`` clears once, so later repeats measure the
-    warm process-wide caches (memoized and parallel modes).
+    warm process-wide caches (memoized and batched_warm modes).
     """
     _configure_caches(enabled=caches)
     _clear_caches()
@@ -155,7 +154,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--population", type=int, default=24)
     parser.add_argument("--generations", type=int, default=12)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--repeats", type=int, default=2,
                         help="timed runs per mode; fastest is reported")
     parser.add_argument("--min-batched-speedup", type=float, default=None,
@@ -180,7 +178,6 @@ def main(argv: Optional[list] = None) -> int:
     base = dict(population_size=args.population,
                 generations=args.generations, seed=args.seed)
     serial_cfg = GAConfig(**base)
-    parallel_cfg = GAConfig(**base, workers=args.workers)
     batched_cfg = GAConfig(**base, batched=True)
 
     print(f"benchmarking {args.workload} ({args.setup} space), "
@@ -193,9 +190,6 @@ def main(argv: Optional[list] = None) -> int:
         repeats=args.repeats, clear_each_repeat=True)
     modes["memoized"] = _bench_mode(
         args.workload, args.setup, serial_cfg, caches=True,
-        repeats=args.repeats, clear_each_repeat=False)
-    modes["parallel"] = _bench_mode(
-        args.workload, args.setup, parallel_cfg, caches=True,
         repeats=args.repeats, clear_each_repeat=False)
     modes["batched"] = _bench_mode(
         args.workload, args.setup, batched_cfg, caches=True,
@@ -243,7 +237,6 @@ def main(argv: Optional[list] = None) -> int:
         "modes": {name: result.stats.as_dict()
                   for name, result in modes.items()},
         "speedup_memoized": speedup("memoized"),
-        "speedup_parallel": speedup("parallel"),
         "speedup_batched": speedup("batched"),
         "speedup_batched_warm": speedup("batched_warm"),
         "surrogate_identical_best": surrogate_identical,
@@ -262,8 +255,6 @@ def main(argv: Optional[list] = None) -> int:
               f"layer hits {stats.layer_cost_hit_rate:6.1%}  "
               f"mapper hits {stats.mapper_hit_rate:6.1%}")
     print(f"  speedup: memoized {report['speedup_memoized']:.2f}x, "
-          f"parallel {report['speedup_parallel']:.2f}x "
-          f"({args.workers} workers), "
           f"batched {report['speedup_batched']:.2f}x "
           f"(warm {report['speedup_batched_warm']:.2f}x)")
     print(f"  identical best across exact modes: {identical_best}")

@@ -215,23 +215,18 @@ class CampaignWorker:
         Injectable run executor (tests); defaults to the same
         :func:`~repro.campaign.runner.execute_search` the
         single-process runner uses.
-    search_workers:
-        ``GAConfig.workers`` per search (result-neutral).
     """
 
     def __init__(self, spec: CampaignSpec, store_path, *,
                  worker_id: Optional[str] = None,
                  config: Optional[FleetConfig] = None,
                  execute: Optional[Callable[[RunKey], Tuple[Any, Any]]] = None,
-                 search_workers: Optional[int] = None,
                  on_progress: Optional[Callable[[str, StoredRun], None]] = None,
                  ) -> None:
         self.spec = spec
         self.store_path = str(store_path)
         self.worker_id = worker_id or default_worker_id()
         self.config = config or FleetConfig()
-        self.search_workers = (spec.workers if search_workers is None
-                               else search_workers)
         self._execute = execute or self._default_execute
         self.on_progress = on_progress
 
@@ -239,7 +234,7 @@ class CampaignWorker:
         delay = float(os.environ.get(RUN_DELAY_ENV, "0") or 0.0)
         if delay > 0:
             time.sleep(delay)  # chaos-harness crash window
-        return execute_search(key, workers=self.search_workers)
+        return execute_search(key)
 
     # -- the loop ------------------------------------------------------------
 

@@ -22,11 +22,7 @@ The runner is the crash-safety half of the subsystem.  Its contract:
   pathological candidate inside any run times out into a penalty
   instead of stalling the fleet.
 
-Within each run, evaluation parallelism reuses the existing
-generation-synchronous worker pool (:mod:`repro.explore.parallel`) via
-``GAConfig.workers`` — results are bit-identical to serial execution,
-which is why the worker count is not part of the run's content hash.
-
+Each run's search evaluates its GA generations in-process.
 Multi-process execution of *whole runs* lives one level up in
 :mod:`repro.campaign.fleet`, which shares :func:`execute_search` with
 this runner — the fleet's claim/heartbeat protocol changes who runs
@@ -60,8 +56,7 @@ from repro.workloads import zoo
 logger = logging.getLogger(__name__)
 
 
-def execute_search(key: RunKey, workers: int = 1,
-                   ) -> Tuple[AuTSolution, Optional[SearchResult]]:
+def execute_search(key: RunKey) -> Tuple[AuTSolution, Optional[SearchResult]]:
     """One full CHRYSALIS search for one run key.
 
     The single execution path shared by the in-process
@@ -79,8 +74,7 @@ def execute_search(key: RunKey, workers: int = 1,
         environments=key.resolve_environments(),
         ga_config=GAConfig(population_size=key.population,
                            generations=key.generations,
-                           seed=key.seed,
-                           workers=workers),
+                           seed=key.seed),
         candidate_time_budget_s=key.candidate_time_budget_s,
     )
     solution = tool.generate()
@@ -215,9 +209,6 @@ class CampaignRunner:
     store:
         Where results persist; reusing the same store is what makes the
         campaign resumable.
-    workers:
-        Override of the spec's per-search worker-process count
-        (result-neutral, so it does not change run identities).
     max_runs:
         Execute at most this many runs this invocation, then return
         (the remaining runs stay pending for the next invocation — also
@@ -233,14 +224,12 @@ class CampaignRunner:
     """
 
     def __init__(self, spec: CampaignSpec, store: ResultStore,
-                 workers: Optional[int] = None,
                  max_runs: Optional[int] = None,
                  max_attempts: Optional[int] = None,
                  on_progress: Optional[Callable[[RunOutcome], None]] = None,
                  ) -> None:
         self.spec = spec
         self.store = store
-        self.workers = spec.workers if workers is None else workers
         self.max_runs = max_runs
         self.max_attempts = (spec.max_attempts if max_attempts is None
                              else max_attempts)
@@ -343,18 +332,17 @@ class CampaignRunner:
         the expensive part while keeping the store/resume protocol
         intact.
         """
-        return execute_search(key, workers=self.workers)
+        return execute_search(key)
 
 
 def run_campaign(spec: CampaignSpec, store_path,
-                 workers: Optional[int] = None,
                  max_runs: Optional[int] = None,
                  max_attempts: Optional[int] = None,
                  on_progress: Optional[Callable[[RunOutcome], None]] = None,
                  ) -> CampaignProgress:
     """Convenience wrapper: open the store, run, close."""
     with ResultStore(store_path) as store:
-        runner = CampaignRunner(spec, store, workers=workers,
+        runner = CampaignRunner(spec, store,
                                 max_runs=max_runs, max_attempts=max_attempts,
                                 on_progress=on_progress)
         return runner.run()

@@ -14,8 +14,8 @@ a re-invoked campaign resumes instead of re-running.
 Hashes cover exactly the inputs that can change a search's *result*
 (workload, setup, environments, objective, GA budget, seed, candidate
 time budget).  Execution details that are guaranteed result-neutral —
-worker-process count, store path — stay out, so the same run computed
-serially or in parallel lands on the same row.
+retry cap, store path, which fleet worker ran it — stay out, so the same
+run lands on the same row whoever computes it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,15 @@ from repro.explore.objectives import Objective, ObjectiveKind
 _SPEC_SCHEMA_VERSION = 1
 
 _SETUPS = ("existing", "future")
+
+#: Every key :meth:`CampaignSpec.from_dict` reads; anything else is a typo
+#: or a removed option and is rejected rather than silently dropped.
+_SPEC_KEYS = frozenset({
+    "schema_version", "name", "workloads", "objectives", "scenarios",
+    "setups", "environments", "seeds", "ga", "candidate_time_budget_s",
+    "max_attempts", "generator",
+})
+_GA_KEYS = frozenset({"population", "generations"})
 
 
 def expand_grid(axes: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
@@ -255,7 +264,6 @@ class CampaignSpec:
     seeds: Tuple[int, ...] = (0,)
     population: int = 12
     generations: int = 8
-    workers: int = 1
     candidate_time_budget_s: Optional[float] = None
     #: Execution policy, not run identity: how many times a failing run
     #: is attempted (by any runner or fleet worker) before it becomes
@@ -283,8 +291,6 @@ class CampaignSpec:
             raise ConfigurationError("population must be at least 2")
         if self.generations < 1:
             raise ConfigurationError("generations must be at least 1")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be at least 1")
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
         for setup in self.setups:
@@ -358,8 +364,7 @@ class CampaignSpec:
             "scenarios": list(self.scenarios),
             "seeds": list(self.seeds),
             "ga": {"population": self.population,
-                   "generations": self.generations,
-                   "workers": self.workers},
+                   "generations": self.generations},
             "max_attempts": self.max_attempts,
         }
         if self.candidate_time_budget_s is not None:
@@ -379,6 +384,7 @@ class CampaignSpec:
                 f"unsupported campaign-spec schema version {version!r} "
                 f"(expected {_SPEC_SCHEMA_VERSION})"
             )
+        _reject_unknown_keys(data, _SPEC_KEYS)
         try:
             name = data["name"]
             workloads = data["workloads"]
@@ -386,6 +392,9 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"campaign spec is missing field {missing}") from None
         ga = data.get("ga", {})
+        if not isinstance(ga, Mapping):
+            raise ConfigurationError("campaign-spec 'ga' must be an object")
+        _reject_unknown_keys(ga, _GA_KEYS, prefix="ga.")
         budget = data.get("candidate_time_budget_s")
         generator = data.get("generator")
         return cls(
@@ -400,7 +409,6 @@ class CampaignSpec:
             seeds=tuple(int(s) for s in data.get("seeds", (0,))),
             population=int(ga.get("population", 12)),
             generations=int(ga.get("generations", 8)),
-            workers=int(ga.get("workers", 1)),
             candidate_time_budget_s=None if budget is None else float(budget),
             max_attempts=int(data.get("max_attempts", 3)),
             generator=(None if generator is None
@@ -427,3 +435,18 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"cannot read campaign spec {path}: {error}") from None
         return cls.from_json(text)
+
+
+def _reject_unknown_keys(data: Mapping[str, Any], known: frozenset,
+                         prefix: str = "") -> None:
+    """Raise :class:`ConfigurationError` naming every key not in ``known``."""
+    unknown = sorted(str(key) for key in data if key not in known)
+    if not unknown:
+        return
+    message = (
+        f"unknown campaign-spec key(s) "
+        f"{', '.join(repr(prefix + key) for key in unknown)}; expected "
+        f"{', '.join(repr(prefix + key) for key in sorted(known))}")
+    if not prefix and _GA_KEYS.intersection(unknown):
+        message += " (population and generations go under 'ga')"
+    raise ConfigurationError(message)

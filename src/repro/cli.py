@@ -245,7 +245,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         objective=_build_objective(args),
         ga_config=GAConfig(population_size=args.population,
                            generations=args.generations, seed=args.seed,
-                           workers=args.workers, batched=args.batched),
+                           batched=args.batched),
         surrogate=surrogate,
         surrogate_model=surrogate_model,
     )
@@ -327,7 +327,6 @@ def _campaign_run(args: argparse.Namespace) -> int:
     with ResultStore(args.store) as store:
         runner = CampaignRunner(
             spec, store,
-            workers=args.workers,
             max_runs=args.max_runs,
             max_attempts=args.max_attempts,
             on_progress=lambda outcome: print(
@@ -374,7 +373,6 @@ def _campaign_worker(args: argparse.Namespace) -> int:
         spec, args.store,
         worker_id=args.worker_id,
         config=_fleet_config(args),
-        search_workers=args.workers,
     )
     print(f"worker {worker.worker_id}: joining campaign {spec.name} "
           f"on {args.store}", flush=True)
@@ -679,13 +677,9 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--population", type=int, default=12)
     search.add_argument("--generations", type=int, default=8)
     search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--workers", type=int, default=1,
-                        help="worker processes for genome evaluation "
-                             "(1 = serial; N > 1 gives identical results)")
     search.add_argument("--batched", action="store_true",
                         help="vectorized in-process generation evaluation "
-                             "(identical results; mutually exclusive with "
-                             "--workers > 1)")
+                             "(identical results)")
     search.add_argument("--surrogate", action="store_true",
                         help="surrogate-guided search: a learned model "
                              "triages each generation and only the top "
@@ -752,8 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument("spec", help="campaign spec JSON (see docs/CAMPAIGNS.md)")
     crun.add_argument("--store", default="campaign.sqlite",
                       help="SQLite result store; reuse it to resume")
-    crun.add_argument("--workers", type=int, default=None,
-                      help="override the spec's per-search worker count")
     crun.add_argument("--max-runs", type=int, default=None,
                       help="stop after this many runs (resume later)")
     crun.add_argument("--max-attempts", type=int, default=None,
@@ -799,8 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_fleet_args(cworker)
     cworker.add_argument("--worker-id", default=None,
                          help="fleet-unique worker name (default: host:pid)")
-    cworker.add_argument("--workers", type=int, default=None,
-                         help="override the spec's per-search worker count")
 
     cstatus = csub.add_parser(
         "status", help="completion counts of the stored campaigns")

@@ -81,10 +81,6 @@ class _LayerCostCache:
         self.misses = 0
         self._size = 0
         self._maps: Dict[tuple, Dict[tuple, LayerCost]] = {}
-        #: When a list, every organic insert is appended as a
-        #: ``(prefix, key, cost)`` entry — the journal parallel workers
-        #: drain per genome so the parent can merge their work back.
-        self.journal: Optional[list] = None
 
     def map_for(self, prefix: tuple) -> Dict[tuple, "LayerCost"]:
         """The per-prefix entry dict (created on first use)."""
@@ -93,18 +89,11 @@ class _LayerCostCache:
             entries = self._maps[prefix] = {}
         return entries
 
-    def insert(self, prefix: tuple, entries: Dict[tuple, "LayerCost"],
-               key: tuple, cost: "LayerCost", record: bool = True) -> None:
-        """Insert one entry; journal it; flush if the bound is exceeded.
-
-        ``record=False`` is the seeding/merge path: entries shipped in
-        from another process must not re-enter this process's journal,
-        or workers would echo their seed back to the parent forever.
-        """
+    def insert(self, entries: Dict[tuple, "LayerCost"], key: tuple,
+               cost: "LayerCost") -> None:
+        """Insert one entry; flush if the bound is exceeded."""
         entries[key] = cost
         self._size += 1
-        if record and self.journal is not None:
-            self.journal.append((prefix, key, cost))
         if self._size > self.maxsize:
             self._flush()
 
@@ -149,74 +138,6 @@ def clear_layer_cost_cache() -> None:
 def layer_cost_cache_stats() -> Tuple[int, int]:
     """``(hits, misses)`` of the process-wide layer-cost cache."""
     return _LAYER_COST_CACHE.hits, _LAYER_COST_CACHE.misses
-
-
-def start_layer_cost_journal() -> None:
-    """Record every subsequent insert (worker-process hook).
-
-    Parallel workers keep the journal on for their whole lifetime and
-    drain it per genome, shipping the entries home inside the
-    :class:`~repro.explore.stats.GenomeOutcome`.
-    """
-    _LAYER_COST_CACHE.journal = []
-
-
-def drain_layer_cost_journal() -> Tuple[tuple, ...]:
-    """Return and clear the recorded inserts, keeping recording on."""
-    journal = _LAYER_COST_CACHE.journal
-    if not journal:
-        return ()
-    entries = tuple(journal)
-    journal.clear()
-    return entries
-
-
-def snapshot_layer_cost_entries() -> Tuple[tuple, ...]:
-    """Every cached entry as ``(prefix, key, cost)`` tuples.
-
-    Used to pre-seed worker processes at pool creation so a warm parent
-    cache (e.g. a second search in the same process) is not re-missed
-    once per worker.
-    """
-    cache = _LAYER_COST_CACHE
-    return tuple(
-        (prefix, key, cost)
-        for prefix, entries in cache._maps.items()
-        for key, cost in entries.items()
-    )
-
-
-def seed_layer_cost_cache(entries: Sequence[tuple]) -> None:
-    """Insert-if-absent without touching the hit/miss counters."""
-    cache = _LAYER_COST_CACHE
-    if not cache.enabled:
-        return
-    for prefix, key, cost in entries:
-        entry_map = cache.map_for(prefix)
-        if key not in entry_map:
-            cache.insert(prefix, entry_map, key, cost, record=False)
-
-
-def merge_layer_cost_entries(entries: Sequence[tuple]) -> int:
-    """Merge journal entries shipped back from a worker.
-
-    Returns how many of them the parent cache *already held* — each of
-    those was a genuine miss in the worker's private cache but would
-    have been a hit in a serial run, so the caller reclassifies exactly
-    that many misses as hits.  Merging outcomes in submission order
-    makes parallel hit/miss totals equal the serial run's, key for key.
-    """
-    cache = _LAYER_COST_CACHE
-    already_present = 0
-    if not cache.enabled:
-        return already_present
-    for prefix, key, cost in entries:
-        entry_map = cache.map_for(prefix)
-        if key in entry_map:
-            already_present += 1
-        else:
-            cache.insert(prefix, entry_map, key, cost, record=False)
-    return already_present
 
 
 @dataclass(frozen=True)
@@ -304,14 +225,14 @@ class DataflowCostModel:
                  checkpoint: CheckpointModel) -> None:
         self.hardware = hardware
         self.checkpoint = checkpoint
-        #: Hashable identity shared by every model built on the same
-        #: hardware/checkpoint pair — resolved once, here, to the cache
-        #: bucket for that prefix so the per-call hit path never hashes
-        #: the hardware config again.  Tile costs do not depend on the
-        #: light environment, so the prefix deliberately omits it:
-        #: models for different environments share entries.
-        self._cache_prefix = (hardware.cache_key(), checkpoint)
-        self._cache_map = _LAYER_COST_CACHE.map_for(self._cache_prefix)
+        #: The cache bucket of the hardware/checkpoint pair every model
+        #: built on it shares — resolved once, here, so the per-call hit
+        #: path never hashes the hardware config again.  Tile costs do
+        #: not depend on the light environment, so the prefix
+        #: deliberately omits it: models for different environments
+        #: share entries.
+        self._cache_map = _LAYER_COST_CACHE.map_for(
+            (hardware.cache_key(), checkpoint))
 
     # -- public API -----------------------------------------------------------
 
@@ -334,7 +255,7 @@ class DataflowCostModel:
             return cost
         cache.misses += 1
         cost = self._layer_cost_uncached(layer, mapping.clamped(layer))
-        cache.insert(self._cache_prefix, self._cache_map, key, cost)
+        cache.insert(self._cache_map, key, cost)
         return cost
 
     def _layer_cost_profiled(self, layer: Layer,
@@ -364,7 +285,7 @@ class DataflowCostModel:
             return cost
         cache.misses += 1
         cost = self._layer_cost_uncached(layer, mapping.clamped(layer))
-        cache.insert(self._cache_prefix, self._cache_map, key, cost)
+        cache.insert(self._cache_map, key, cost)
         registry.histogram("cost.layer_cost.miss_seconds").observe(
             _time.perf_counter() - start)
         return cost
@@ -421,7 +342,7 @@ class DataflowCostModel:
             batch = LayerCostBatch(self.hardware, self.checkpoint, layer,
                                    [key[1].clamped(layer) for key in order])
             for key, cost in zip(order, batch.layer_costs()):
-                cache.insert(self._cache_prefix, self._cache_map, key, cost)
+                cache.insert(self._cache_map, key, cost)
                 for i in pending[key]:
                     results[i] = cost
         return results

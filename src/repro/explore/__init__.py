@@ -8,8 +8,8 @@
 * :mod:`repro.explore.mapper_search` — SW-level per-layer mapping
   optimisation (the GAMMA-like inner search);
 * :mod:`repro.explore.bilevel` — the bi-level HW/SW strategy of §III-C;
-* :mod:`repro.explore.parallel` — process-parallel generation
-  evaluation (opt-in via ``GAConfig.workers``);
+* :mod:`repro.explore.batch_eval` — vectorized in-process generation
+  evaluation (opt-in via ``GAConfig.batched``);
 * :mod:`repro.explore.stats` — throughput / cache observability;
 * :mod:`repro.explore.baselines` — the six ablated methods of Table VI;
 * :mod:`repro.explore.random_search` / :mod:`repro.explore.grid` —
@@ -24,7 +24,6 @@ from repro.explore.ga import GeneticAlgorithm, GAConfig
 from repro.explore.grid import GridSearch
 from repro.explore.mapper_search import MappingOptimizer
 from repro.explore.objectives import Objective, ObjectiveKind
-from repro.explore.parallel import ParallelGenomeEvaluator
 from repro.explore.pareto import ParetoPoint, pareto_front
 from repro.explore.random_search import RandomSearch
 from repro.explore.space import DesignSpace, ParameterSpec
@@ -42,7 +41,6 @@ __all__ = [
     "MappingOptimizer",
     "Objective",
     "ObjectiveKind",
-    "ParallelGenomeEvaluator",
     "ParameterSpec",
     "ParetoPoint",
     "RandomSearch",

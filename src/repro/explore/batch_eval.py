@@ -96,8 +96,7 @@ class VectorizedGenomeEvaluator:
 
     Satisfies the :class:`~repro.explore.ga.BatchEvaluator` protocol.
     In-process: the shared layer-cost cache and mapper memo are used
-    directly, so no journaling/merge-back is needed (unlike
-    :class:`~repro.explore.parallel.ParallelGenomeEvaluator`).
+    directly.
     """
 
     def __init__(self, explorer: "BilevelExplorer") -> None:
@@ -122,9 +121,6 @@ class VectorizedGenomeEvaluator:
             outcomes = self._compute_outcomes(genomes)
         return [self.explorer.apply_outcome(genome, outcome)
                 for genome, outcome in zip(genomes, outcomes)]
-
-    def close(self) -> None:
-        """Protocol parity with the process-pool evaluator (no-op)."""
 
     # -- one generation ----------------------------------------------------------
 

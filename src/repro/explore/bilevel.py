@@ -20,8 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dataflow.cost_model import (layer_cost_cache_stats,
-                                       merge_layer_cost_entries)
+from repro.dataflow.cost_model import layer_cost_cache_stats
 from repro.dataflow.mapping import LayerMapping
 from repro.design import AuTDesign
 from repro.energy.environment import LightEnvironment
@@ -36,13 +35,13 @@ from repro.errors import (
 )
 from repro.explore.failures import FailureLog, FailureRecord, describe_genome
 from repro.explore.ga import GAConfig, GAHistory, GeneticAlgorithm, genome_key
-from repro.explore.mapper_search import MappingOptimizer, merge_mapper_entries
+from repro.explore.mapper_search import MappingOptimizer
 from repro.explore.objectives import Objective
 from repro.explore.pareto import ParetoPoint
 from repro.explore.space import DesignSpace, Genome
 from repro.explore.stats import GenomeOutcome, SearchStats
 from repro.hardware.checkpoint import CheckpointModel
-from repro.obs.state import merge_snapshot, span
+from repro.obs.state import span
 from repro.sim.evaluator import ChrysalisEvaluator
 from repro.sim.metrics import InferenceMetrics
 from repro.workloads.network import Network
@@ -148,10 +147,9 @@ class BilevelExplorer:
     def compute_outcome(self, genome: Genome) -> GenomeOutcome:
         """Evaluate one genome without touching shared search state.
 
-        This is the function worker processes run: every side effect the
-        serial path would have applied (failure records, Pareto points,
-        cache warming) is returned as data for :meth:`apply_outcome` to
-        replay in deterministic order.
+        Every side effect on the search (failure records, Pareto points,
+        counter deltas, the design cache) is returned as data for
+        :meth:`apply_outcome` to apply in deterministic order.
         """
         with span("search.genome"):
             return self._compute_outcome(genome)
@@ -174,7 +172,7 @@ class BilevelExplorer:
         except ChrysalisError as error:
             # Non-candidate library errors were historically absorbed by
             # the GA layer; absorbing them here keeps the serial and
-            # parallel paths byte-identical.
+            # batched paths byte-identical.
             failure = self._failure(genome, error, stage="hw-fitness")
             design = None
         else:
@@ -211,33 +209,12 @@ class BilevelExplorer:
 
     def apply_outcome(self, genome: Genome, outcome: GenomeOutcome) -> float:
         """Fold one evaluation's side effects back into the search."""
-        if outcome.obs is not None:
-            # Merge-on-return: graft the worker's spans under the
-            # currently-open span (ga.generation) and add its metrics.
-            merge_snapshot(outcome.obs)
         self.stats.hw_evaluations += 1
         self.stats.eval_seconds += outcome.eval_seconds
-        mapper_hits = outcome.mapper_hits
-        mapper_misses = outcome.mapper_misses
-        layer_hits = outcome.layer_cost_hits
-        layer_misses = outcome.layer_cost_misses
-        if outcome.layer_cost_entries:
-            # Merge the worker's cache journal.  Entries the parent
-            # already held were worker-local misses that a serial run
-            # would have scored as hits; because outcomes are applied in
-            # submission order, reclassifying them pins the parallel
-            # hit/miss totals to the serial run's, key for key.
-            reclassified = merge_layer_cost_entries(outcome.layer_cost_entries)
-            layer_hits += reclassified
-            layer_misses -= reclassified
-        if outcome.mapper_entries:
-            reclassified = merge_mapper_entries(outcome.mapper_entries)
-            mapper_hits += reclassified
-            mapper_misses -= reclassified
-        self.stats.mapper_hits += mapper_hits
-        self.stats.mapper_misses += mapper_misses
-        self.stats.layer_cost_hits += layer_hits
-        self.stats.layer_cost_misses += layer_misses
+        self.stats.mapper_hits += outcome.mapper_hits
+        self.stats.mapper_misses += outcome.mapper_misses
+        self.stats.layer_cost_hits += outcome.layer_cost_hits
+        self.stats.layer_cost_misses += outcome.layer_cost_misses
         if outcome.failure is not None:
             self.failures.records.append(outcome.failure)
             logger.warning("absorbed %s for candidate %s: %s",
@@ -245,12 +222,6 @@ class BilevelExplorer:
                            outcome.failure.message)
         if outcome.design is not None:
             self._design_cache[genome_key(genome)] = outcome.design
-            # Warm the projection memo too (insert-if-absent): belt and
-            # braces for outcomes whose journal was unavailable.
-            self.mapper.memo_fill(
-                (outcome.design.energy, outcome.design.inference),
-                outcome.design.mappings,
-            )
         if outcome.point is not None:
             self.evaluated.append(ParetoPoint(
                 values=outcome.point, payload=outcome.design,
@@ -317,7 +288,7 @@ class BilevelExplorer:
         """
         self.evaluated = []
         self.failures = FailureLog()
-        self.stats = SearchStats(workers=self.ga_config.workers)
+        self.stats = SearchStats()
 
     def run(self) -> SearchResult:
         with span("search.run", network=self.network.name,
@@ -329,15 +300,9 @@ class BilevelExplorer:
 
         Subclasses override this to interpose on generation evaluation
         (the surrogate-guided explorer wraps the evaluator returned
-        here); the default selection is workers > 1 -> process pool,
-        ``batched`` -> vectorized sweeps, else serial.
+        here); the default is vectorized sweeps when ``batched`` is set,
+        else the serial loop.
         """
-        if self.ga_config.workers > 1:
-            # Imported lazily: parallel.py imports this module.
-            from repro.explore.parallel import ParallelGenomeEvaluator
-
-            return ParallelGenomeEvaluator(self,
-                                           workers=self.ga_config.workers)
         if self.ga_config.batched:
             # Imported lazily: batch_eval.py imports this module.
             from repro.explore.batch_eval import VectorizedGenomeEvaluator
@@ -380,9 +345,6 @@ class BilevelExplorer:
                 f"{self.network.name!r} under "
                 f"{self.objective.kind.value!r}{detail}"
             ) from None
-        finally:
-            if batch_evaluator is not None:
-                batch_evaluator.close()
         best_genome, best_score = self._finalize_best(best_genome, best_score)
         if not self.objective.is_compliant_score(best_score):
             raise SearchError(

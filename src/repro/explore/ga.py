@@ -57,17 +57,10 @@ class GAConfig:
     mutation_rate: float = 0.4
     mutation_scale: float = 0.3
     seed: int = 0
-    #: Worker processes for fitness evaluation.  1 = serial (default);
-    #: N > 1 evaluates each generation's uncached genomes concurrently
-    #: (generation-synchronous, so results are identical to serial).
-    workers: int = 1
     #: Vectorized in-process evaluation: each generation's uncached
     #: genomes are priced as one numpy sweep
     #: (:class:`repro.explore.batch_eval.VectorizedGenomeEvaluator`),
-    #: bit-identical to the scalar path.  Mutually exclusive with
-    #: ``workers > 1`` — the sweep already amortizes what the pool
-    #: parallelizes, and combining them would interleave two different
-    #: cache-accounting protocols.
+    #: bit-identical to the scalar path.
     batched: bool = False
 
     def __post_init__(self) -> None:
@@ -81,12 +74,6 @@ class GAConfig:
         if not 0 <= self.elite_count < self.population_size:
             raise ConfigurationError(
                 "elite_count outside [0, population_size)")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be at least 1")
-        if self.batched and self.workers > 1:
-            raise ConfigurationError(
-                "batched evaluation is in-process; use batched=True with "
-                "workers=1, or workers>1 without batched")
 
 
 class BatchEvaluator(Protocol):
@@ -94,7 +81,7 @@ class BatchEvaluator(Protocol):
 
     ``evaluate_many`` must return one lower-is-better fitness per
     genome, in order (``math.inf`` for penalized candidates).  See
-    :class:`repro.explore.parallel.ParallelGenomeEvaluator`.
+    :class:`repro.explore.batch_eval.VectorizedGenomeEvaluator`.
     """
 
     def evaluate_many(self, genomes: List[Genome]) -> List[float]:
@@ -134,7 +121,7 @@ class GeneticAlgorithm:
         #: log to aggregate across search layers (the bi-level explorer
         #: does) or read this run-local one afterwards.
         self.failures = failure_log if failure_log is not None else FailureLog()
-        #: Optional batch evaluator (e.g. a process pool).  When given,
+        #: Optional batch evaluator (e.g. vectorized sweeps).  When given,
         #: each generation's *uncached* genomes are handed over in one
         #: call; the evaluator owns error absorption for that path.
         self.batch_evaluator = batch_evaluator
@@ -238,7 +225,7 @@ class GeneticAlgorithm:
         next_pop = list(ranked[:cfg.elite_count])
         # Breed the full generation first (the RNG stream only depends
         # on the parent population), then evaluate it as one batch so a
-        # parallel evaluator can fan the uncached genomes out.
+        # batch evaluator can price the uncached genomes together.
         children: List[Genome] = []
         while len(next_pop) + len(children) < cfg.population_size:
             parent_a = self._select(population)

@@ -98,8 +98,8 @@ class SurrogateConfig:
 class _SurrogatePruningEvaluator:
     """The batch evaluator the guided explorer hands the GA.
 
-    Wraps the explorer's regular evaluator (vectorized, pooled, or the
-    serial loop) and decides, per generation, which genomes reach it.
+    Wraps the explorer's regular evaluator (vectorized or the serial
+    loop) and decides, per generation, which genomes reach it.
     """
 
     def __init__(self, explorer: "SurrogateGuidedExplorer", inner) -> None:
@@ -122,10 +122,6 @@ class _SurrogatePruningEvaluator:
                 explorer.maybe_refit(self._generation)
             return scores
         return self._evaluate_pruned(genomes)
-
-    def close(self) -> None:
-        if self.inner is not None:
-            self.inner.close()
 
     # -- internals -----------------------------------------------------------
 

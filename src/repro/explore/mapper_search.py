@@ -63,8 +63,8 @@ class _MapperMemo:
     the projection key was fine, but each run built a fresh explorer
     (and the GA deduplicates identical genomes before fitness), so no
     realistic population ever probed a warm dict.  Process scope makes
-    repeat runs — the memoized bench mode, campaign re-runs, warm
-    workers — actually hit.
+    repeat runs — the memoized bench mode, campaign re-runs — actually
+    hit.
     """
 
     def __init__(self, maxsize: int = 8192) -> None:
@@ -74,11 +74,6 @@ class _MapperMemo:
         self.misses = 0
         self._size = 0
         self._maps: dict = {}
-        #: When a list, every organic insert is appended as
-        #: ``(prefix, key, mappings)`` — drained per genome by parallel
-        #: workers, merged back by the parent (same protocol as the
-        #: layer-cost cache journal).
-        self.journal: Optional[list] = None
 
     def map_for(self, prefix: tuple) -> dict:
         entries = self._maps.get(prefix)
@@ -86,13 +81,10 @@ class _MapperMemo:
             entries = self._maps[prefix] = {}
         return entries
 
-    def insert(self, prefix: tuple, entries: dict, key: tuple,
-               mappings: Optional[Tuple[LayerMapping, ...]],
-               record: bool = True) -> None:
+    def insert(self, entries: dict, key: tuple,
+               mappings: Optional[Tuple[LayerMapping, ...]]) -> None:
         entries[key] = mappings
         self._size += 1
-        if record and self.journal is not None:
-            self.journal.append((prefix, key, mappings))
         if self._size > self.maxsize:
             self._flush()
 
@@ -142,62 +134,6 @@ def mapper_memo_stats() -> Tuple[int, int]:
     return _MAPPER_MEMO.hits, _MAPPER_MEMO.misses
 
 
-def start_mapper_journal() -> None:
-    """Record every subsequent insert (worker-process hook)."""
-    _MAPPER_MEMO.journal = []
-
-
-def drain_mapper_journal() -> Tuple[tuple, ...]:
-    """Return and clear the recorded inserts, keeping recording on."""
-    journal = _MAPPER_MEMO.journal
-    if not journal:
-        return ()
-    entries = tuple(journal)
-    journal.clear()
-    return entries
-
-
-def snapshot_mapper_entries() -> Tuple[tuple, ...]:
-    """Every memo entry as ``(prefix, key, mappings)`` tuples."""
-    memo = _MAPPER_MEMO
-    return tuple(
-        (prefix, key, mappings)
-        for prefix, entries in memo._maps.items()
-        for key, mappings in entries.items()
-    )
-
-
-def seed_mapper_memo(entries: Sequence[tuple]) -> None:
-    """Insert-if-absent without touching the hit/miss counters."""
-    memo = _MAPPER_MEMO
-    if not memo.enabled:
-        return
-    for prefix, key, mappings in entries:
-        entry_map = memo.map_for(prefix)
-        if key not in entry_map:
-            memo.insert(prefix, entry_map, key, mappings, record=False)
-
-
-def merge_mapper_entries(entries: Sequence[tuple]) -> int:
-    """Merge worker journal entries; return how many were already held.
-
-    Mirror of :func:`repro.dataflow.cost_model.merge_layer_cost_entries`:
-    the return value is the number of worker misses a serial run would
-    have scored as hits, so the caller reclassifies exactly that many.
-    """
-    memo = _MAPPER_MEMO
-    already_present = 0
-    if not memo.enabled:
-        return already_present
-    for prefix, key, mappings in entries:
-        entry_map = memo.map_for(prefix)
-        if key in entry_map:
-            already_present += 1
-        else:
-            memo.insert(prefix, entry_map, key, mappings, record=False)
-    return already_present
-
-
 class MappingOptimizer:
     """Optimises per-layer mappings for a fixed hardware configuration."""
 
@@ -216,9 +152,8 @@ class MappingOptimizer:
         #: Everything that changes what :meth:`optimize` returns —
         #: resolved to this optimizer's memo bucket once, so the per
         #: -genome probe is a single dict lookup.
-        self._memo_prefix = (self.network, self.environments, self.styles,
-                             self.checkpoint)
-        self._memo_map = _MAPPER_MEMO.map_for(self._memo_prefix)
+        self._memo_map = _MAPPER_MEMO.map_for(
+            (self.network, self.environments, self.styles, self.checkpoint))
 
     # -- public API -----------------------------------------------------------
 
@@ -258,8 +193,7 @@ class MappingOptimizer:
         if not _MAPPER_MEMO.enabled:
             return
         if key not in self._memo_map:
-            _MAPPER_MEMO.insert(self._memo_prefix, self._memo_map, key,
-                                mappings)
+            _MAPPER_MEMO.insert(self._memo_map, key, mappings)
 
     def optimize(self, energy: EnergyDesign,
                  inference: InferenceDesign

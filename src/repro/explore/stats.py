@@ -1,25 +1,24 @@
 """Throughput observability for the bi-level search.
 
 The explorer calls the analytical cost model millions of times, so the
-PR that made evaluation parallel and memoized also has to make its
-effect *visible*: :class:`SearchStats` aggregates evaluation counts,
-cache hit/miss counters and per-stage wall-clock so that
+caches that make it affordable also have to make their effect
+*visible*: :class:`SearchStats` aggregates evaluation counts, cache
+hit/miss counters and per-stage wall-clock so that
 ``SearchResult.summary()``, the CLI and ``benchmarks/bench_search.py``
 can all report the same numbers.
 
-:class:`GenomeOutcome` is the marshalable result of evaluating one HW
-genome.  It exists so the evaluation itself can run in a worker process
-(:mod:`repro.explore.parallel`) while the explorer in the parent process
-replays the side effects — Pareto points, failure records, cache warming
-— in deterministic submission order.  The serial path uses the exact
-same compute/apply split, which is what makes serial and parallel runs
-bit-identical.
+:class:`GenomeOutcome` is the result of evaluating one HW genome as
+data.  Evaluation (``BilevelExplorer.compute_outcome`` or a vectorized
+sweep in :mod:`repro.explore.batch_eval`) produces it; the explorer then
+applies the side effects — Pareto points, failure records, counter
+deltas — in generation order.  The serial and batched paths share this
+compute/apply split, which is what makes their runs bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.design import AuTDesign
 from repro.explore.failures import FailureRecord
@@ -55,7 +54,6 @@ class SearchStats:
     hw_evaluations: int = 0
     eval_seconds: float = 0.0
     search_seconds: float = 0.0
-    workers: int = 1
     mapper_hits: int = 0
     mapper_misses: int = 0
     layer_cost_hits: int = 0
@@ -92,7 +90,6 @@ class SearchStats:
     def render(self) -> str:
         """Multi-line human-readable block for CLI / summary output."""
         lines = [
-            f"workers     : {self.workers}",
             f"throughput  : {self.evals_per_second:.2f} evals/s "
             f"({self.hw_evaluations} evals in {self.search_seconds:.3f} s)",
             f"mapper cache: {self.mapper_hits} hit(s) / "
@@ -121,7 +118,6 @@ class SearchStats:
             "hw_evaluations": self.hw_evaluations,
             "eval_seconds": self.eval_seconds,
             "search_seconds": self.search_seconds,
-            "workers": self.workers,
             "evals_per_second": self.evals_per_second,
             "mapper_hits": self.mapper_hits,
             "mapper_misses": self.mapper_misses,
@@ -141,13 +137,14 @@ class SearchStats:
 
 @dataclass
 class GenomeOutcome:
-    """Everything one genome evaluation produced, in marshalable form.
+    """Everything one genome evaluation produced, as data.
 
     ``design`` is the lowered design when the score is finite (it doubles
-    as the Pareto-point payload and warms the parent's caches);
+    as the Pareto-point payload and fills the explorer's design cache);
     ``failure`` is the absorbed candidate failure, if any.  The cache
-    counters are *deltas* accumulated during this evaluation — worker
-    processes keep local caches, so only deltas aggregate correctly.
+    counters are *deltas* accumulated during this evaluation: a
+    vectorized sweep attributes a whole generation's cache activity to
+    one outcome, so only the deltas' sum is meaningful.
     """
 
     score: float
@@ -160,15 +157,3 @@ class GenomeOutcome:
     layer_cost_hits: int = 0
     layer_cost_misses: int = 0
     design_cache_hits: int = 0
-    #: Journal entries a worker process's caches recorded while this
-    #: genome evaluated — ``(prefix, key, value)`` tuples the parent
-    #: merges back (and uses to reclassify worker-local misses that a
-    #: serial run would have scored as hits).  Empty for in-process
-    #: evaluation, where the caches are already shared.
-    layer_cost_entries: Tuple[tuple, ...] = ()
-    mapper_entries: Tuple[tuple, ...] = ()
-    #: Observability snapshot of the evaluation when it ran in a worker
-    #: process with observability on (``None`` otherwise, so the common
-    #: disabled path adds no pickle weight).  The parent merges it via
-    #: :func:`repro.obs.state.merge_snapshot`.
-    obs: Optional[Dict[str, Any]] = None

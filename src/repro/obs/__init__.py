@@ -8,9 +8,9 @@ instrumentation across the stack):
   histograms whose exact counts survive bounded memory
   (:mod:`repro.obs.registry`);
 * **run-scoped spans** — ``with span("ga.generation", gen=i): ...`` —
-  nestable, timed, exception-tagging, propagated across
-  ``ProcessPoolExecutor`` workers by merge-on-return
-  (:mod:`repro.obs.spans`, :mod:`repro.obs.state`);
+  nestable, timed, exception-tagging, with each run scope folded into
+  its enclosing scope on exit (:mod:`repro.obs.spans`,
+  :mod:`repro.obs.state`);
 * **profiling hooks** — opt-in per-phase timing for controller
   stepping, cost-model queries (cache hit/miss latency split), the
   mapper inner search, and campaign runs;

@@ -19,8 +19,7 @@ report (see ``docs/OBSERVABILITY.md`` for the naming conventions):
 Instruments are interned: ``registry.counter("x")`` always returns the
 same object, so hot paths can resolve an instrument once and update a
 plain attribute afterwards.  :meth:`MetricsRegistry.merge` folds a
-snapshot produced by another process (a worker) into this registry —
-the propagation half of the span/metric merge-on-return protocol.
+snapshot (for example a closing run scope's) into this registry.
 """
 
 from __future__ import annotations

@@ -14,11 +14,10 @@ so a whole campaign run yields a tree like::
                 cost.plan
 
 The :class:`SpanRecorder` owns one such forest per run scope.  It is
-deliberately *not* thread-safe: CHRYSALIS parallelism is process-based,
-and cross-process propagation works by **merge-on-return** — a worker
-records into its own recorder, ships :meth:`SpanRecorder.as_dict`
-payloads back with its result, and the parent grafts them under its
-currently-open span (:meth:`SpanRecorder.merge`).
+deliberately *not* thread-safe: CHRYSALIS parallelism is process-based
+(campaign fleet workers each record their own runs).  A closing run
+scope grafts its forest under the enclosing scope's currently-open span
+(:meth:`SpanRecorder.merge`).
 
 Memory is bounded: after ``max_spans`` materialised spans the recorder
 stops allocating nodes and only counts what it dropped
@@ -130,10 +129,10 @@ class SpanRecorder:
     def current(self) -> Optional[SpanNode]:
         return self._stack[-1] if self._stack else None
 
-    # -- merge-on-return -----------------------------------------------------
+    # -- merging -------------------------------------------------------------
 
     def merge(self, payload: Optional[Dict[str, Any]]) -> None:
-        """Graft a worker's :meth:`as_dict` forest under the open span."""
+        """Graft an :meth:`as_dict` forest under the open span."""
         if not payload:
             return
         nodes = [SpanNode.from_dict(data) for data in payload.get("roots", ())]

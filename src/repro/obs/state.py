@@ -21,13 +21,11 @@ cost model's cache hit/miss latency split, mapper inner-search timing).
 Run scoping
 -----------
 
-:func:`run_scope` isolates one run (a campaign run, one worker task)
-into a fresh registry + recorder, yields a handle whose
+:func:`run_scope` isolates one run (for example a campaign run) into a
+fresh registry + recorder, yields a handle whose
 :meth:`RunScope.snapshot` is the run's self-contained observability
-blob, and on exit folds the child data back into the enclosing scope so
-outer aggregates keep seeing everything.  This is also the worker half
-of the merge-on-return protocol: a worker snapshots its scope, ships
-the dict with its result, and the parent calls :func:`merge_snapshot`.
+blob, and on exit folds the child data back into the enclosing scope
+(via :func:`merge_snapshot`) so outer aggregates keep seeing everything.
 """
 
 from __future__ import annotations
@@ -97,7 +95,7 @@ def snapshot() -> Dict[str, Any]:
 
 
 def merge_snapshot(payload: Optional[Dict[str, Any]]) -> None:
-    """Fold a worker's / child scope's snapshot into the current scope.
+    """Fold a child scope's snapshot into the current scope.
 
     Spans graft under the currently-open span; metrics aggregate.
     """

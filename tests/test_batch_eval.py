@@ -14,7 +14,6 @@ import pytest
 from repro import evaluate, evaluate_batch
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
-from repro.errors import ConfigurationError
 from repro.explore.bilevel import BilevelExplorer
 from repro.explore.ga import GAConfig
 from repro.explore.batch_eval import VectorizedGenomeEvaluator
@@ -186,10 +185,6 @@ class TestBatchedSearchIdentity:
         result = make_explorer(batched=True).run()
         assert "batched" in result.summary()
 
-    def test_batched_excludes_workers(self):
-        with pytest.raises(ConfigurationError):
-            GAConfig(batched=True, workers=2)
-
 
 class TestMapperMemoLifetime:
     def test_memo_survives_explorer_turnover(self):
@@ -258,7 +253,6 @@ class TestBatchedMapperMemo:
         batched = make_explorer(batched=True)
         evaluator = VectorizedGenomeEvaluator(batched)
         scores = evaluator.evaluate_many([genome, dict(genome)])
-        evaluator.close()
 
         assert scores == [first, second]
         assert mapper_memo_stats() == serial_stats

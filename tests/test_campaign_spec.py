@@ -1,6 +1,7 @@
 """Tests for campaign specs, grid expansion, and RunKey hashing."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.campaign.spec import (
     resolve_environments,
 )
 from repro.errors import ConfigurationError
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestExpandGrid:
@@ -164,13 +167,41 @@ class TestCampaignSpec:
         with pytest.raises(ConfigurationError, match="objective or scenario"):
             self._spec(objectives=(), scenarios=())
 
-    def test_worker_count_not_in_hash(self):
-        # Serial and parallel evaluation are bit-identical, so the
-        # worker count must not change run identities.
-        serial = self._spec(workers=1).expand()
-        parallel = self._spec(workers=4).expand()
-        assert [k.run_hash for k in serial] == \
-            [k.run_hash for k in parallel]
+
+class TestSpecKeys:
+    """``from_dict`` rejects keys it does not read instead of dropping them."""
+
+    BASE = {"name": "keys", "workloads": ["har"],
+            "objectives": [{"kind": "lat*sp"}], "environments": ["indoor"],
+            "seeds": [0, 1]}
+
+    def test_unknown_top_level_key_rejected(self):
+        # GA sizes at the top level used to be dropped silently, so the
+        # run quietly used the default 12 x 8 budget.
+        data = dict(self.BASE, population=4, generations=2)
+        with pytest.raises(ConfigurationError,
+                           match="'generations', 'population'.*under 'ga'"):
+            CampaignSpec.from_dict(data)
+
+    def test_unknown_ga_key_rejected(self):
+        data = dict(self.BASE, ga={"populaton": 4})
+        with pytest.raises(ConfigurationError, match="'ga.populaton'"):
+            CampaignSpec.from_dict(data)
+
+    def test_ga_workers_rejected(self):
+        data = dict(self.BASE, ga={"population": 4, "workers": 1})
+        with pytest.raises(ConfigurationError, match="'ga.workers'"):
+            CampaignSpec.from_dict(data)
+
+    def test_ga_must_be_an_object(self):
+        with pytest.raises(ConfigurationError, match="'ga' must be"):
+            CampaignSpec.from_dict(dict(self.BASE, ga=[4, 2]))
+
+    @pytest.mark.parametrize("name", ["campaign_spec.json",
+                                      "trace_campaign.json"])
+    def test_example_specs_load(self, name):
+        spec = CampaignSpec.from_path(EXAMPLES / name)
+        assert CampaignSpec.from_json(spec.to_json()) == spec
 
 
 class TestParetoObjective:

@@ -77,7 +77,6 @@ class TestGeneticAlgorithm:
         {"generations": 0},
         {"tournament_size": 0},
         {"elite_count": 16},
-        {"workers": 0},
     ])
     def test_bad_config(self, kwargs):
         # Malformed hyper-parameters are a configuration mistake, not a

@@ -7,6 +7,10 @@ via PEP 562 shims that warn exactly once per process and name their
 canonical new home.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -76,6 +80,17 @@ class TestSurface:
         listing = dir(repro)
         for name in DEPRECATED:
             assert name in listing
+
+    def test_import_does_not_load_multiprocessing(self):
+        # GA generations are evaluated in-process; importing the package
+        # must not pay for multiprocessing (~16 ms and ~1.4 MB per process).
+        script = ("import sys, repro, repro.explore, repro.campaign; "
+                  "print('multiprocessing' in sys.modules)")
+        src = pathlib.Path(repro.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.strip() == "False"
 
 
 class TestShims:
