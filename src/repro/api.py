@@ -224,14 +224,14 @@ def evaluate_batch(designs: Sequence[AuTDesign],
                    environments: Optional[Sequence[LightEnvironment]] = None,
                    checkpoint: Optional[CheckpointModel] = None,
                    obs: bool = False) -> List[EvaluationReport]:
-    """Price many designs on one workload in one vectorized sweep.
+    """Price many designs on one workload in one call.
 
     The batched counterpart of :func:`evaluate` at analytical fidelity:
     designs sharing an accelerator configuration are priced together
-    (hardware built once, per-layer costs batched through numpy via
-    :class:`~repro.sim.analytical.BatchAnalyticalModel`), so a whole GA
-    population or Pareto front costs a handful of array sweeps instead
-    of ``N`` scalar evaluations.
+    through :class:`~repro.sim.analytical.BatchAnalyticalModel`
+    (hardware built once per group, repeated mappings served from the
+    layer-cost cache), so a whole GA population or Pareto front does
+    not pay for ``N`` separate hardware builds.
 
     Every report is **bit-identical** to ``evaluate(design, workload,
     fidelity="analytical", ...)`` for the same design — same averaged
@@ -325,13 +325,13 @@ def evaluate_many(requests: Sequence[EvalRequest],
     workload/environment context, this takes arbitrary mixed requests —
     different workloads, scenarios, checkpoint models — and partitions
     them into homogeneous groups, pricing each group through one
-    vectorized :func:`evaluate_batch` sweep.  Results come back in
+    :func:`evaluate_batch` call.  Results come back in
     request order and are bit-identical to calling
     ``evaluate(fidelity="analytical")`` per request.
 
     This is the pricing engine behind the evaluation service's
     micro-batcher (:mod:`repro.serve`): whatever mix of requests a
-    flush drains, each compatibility group costs one sweep.
+    flush drains, each compatibility group costs one batch call.
     """
     requests = list(requests)
     if not requests:
@@ -398,7 +398,7 @@ def serve(**config_knobs: Any):
     fields (``max_batch_size``, ``max_wait_ms``, ``max_queue``,
     ``default_deadline_s``, ``drain_timeout_s``).  Identical in-flight
     requests coalesce onto one evaluation, analytical requests
-    micro-batch through :func:`evaluate_many`'s vectorized sweeps, and
+    micro-batch through :func:`evaluate_many`'s grouped pricing, and
     responses stay bit-identical to :func:`evaluate` — see
     ``docs/SERVING.md``.
     """

@@ -30,14 +30,12 @@ import time as _time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.dataflow.directives import DataflowStyle
 from repro.dataflow.mapping import LayerMapping
 from repro.dataflow.tiling import halo_extent
 from repro.errors import ConfigurationError, MappingError
 from repro.hardware.accelerators import AcceleratorConfig
-from repro.hardware.checkpoint import CheckpointModel, CheckpointStrategy
+from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import OBS
 from repro.workloads.layers import Layer, LayerKind
 
@@ -302,50 +300,13 @@ class DataflowCostModel:
 
     def layer_cost_batch(self, layer: Layer,
                          mappings: Sequence[LayerMapping]) -> List[LayerCost]:
-        """Price many mappings of ``layer`` in one vectorized sweep.
+        """Price many mappings of ``layer``, in order.
 
-        Semantically ``[self.layer_cost(layer, m) for m in mappings]``
-        — same cache probes, same hit/miss accounting (a duplicate
-        later in the batch counts as the hit it would have been in the
-        scalar loop), and one :class:`LayerCostBatch` sweep plus a
-        single cache fill for whatever is missing.
+        Exactly ``[self.layer_cost(layer, m) for m in mappings]``: the
+        same cache probes and hit/miss counts, and the same float chain
+        (:meth:`_tile_cost` is the only implementation of Eqs. 4-6).
         """
-        mappings = list(mappings)
-        if not mappings:
-            return []
-        cache = _LAYER_COST_CACHE
-        if not cache.enabled:
-            batch = LayerCostBatch(self.hardware, self.checkpoint, layer,
-                                   [m.clamped(layer) for m in mappings])
-            return batch.layer_costs()
-        results: List[Optional[LayerCost]] = [None] * len(mappings)
-        order: List[tuple] = []  # first-occurrence keys to compute
-        pending: Dict[tuple, List[int]] = {}
-        for i, mapping in enumerate(mappings):
-            key = (layer, mapping)
-            cost = self._cache_map.get(key)
-            if cost is not None:
-                cache.hits += 1
-                results[i] = cost
-                continue
-            slots = pending.get(key)
-            if slots is None:
-                cache.misses += 1
-                pending[key] = [i]
-                order.append(key)
-            else:
-                # Batch-internal duplicate: the scalar loop would hit
-                # the entry its first occurrence had just inserted.
-                cache.hits += 1
-                slots.append(i)
-        if order:
-            batch = LayerCostBatch(self.hardware, self.checkpoint, layer,
-                                   [key[1].clamped(layer) for key in order])
-            for key, cost in zip(order, batch.layer_costs()):
-                cache.insert(self._cache_map, key, cost)
-                for i in pending[key]:
-                    results[i] = cost
-        return results
+        return [self.layer_cost(layer, mapping) for mapping in mappings]
 
     # -- internals ----------------------------------------------------------------
 
@@ -511,203 +472,3 @@ class DataflowCostModel:
             raise MappingError(f"unsupported layer kind {layer.kind!r}")
 
         return in_elems * bpe, w_elems * bpe, out_elems * bpe
-
-
-class LayerCostBatch:
-    """All requested tilings of one layer priced as one numpy sweep.
-
-    This mirrors :meth:`DataflowCostModel._tile_cost` operation for
-    operation.  The integer geometry — tile shapes, tensor volumes,
-    operand split, per-style flags — is enumerated per mapping in plain
-    Python (exact by construction); the floating-point cost chain then
-    runs once over float64 arrays.  Elementwise ``+ * / max min ceil``
-    on float64 are IEEE-754-identical to the equivalent CPython float
-    ops when applied in the same order, which this class is careful to
-    do, so every materialized :class:`LayerCost` equals the scalar
-    oracle bit for bit.  (Fields the scalar path leaves as Python ints,
-    e.g. ``nvm_read_bytes``, come back as floats of equal value.)
-
-    ``mappings`` must already be clamped to ``layer`` — the cache-aware
-    callers clamp before dispatching, exactly like the scalar path.
-    """
-
-    def __init__(self, hardware: AcceleratorConfig,
-                 checkpoint: CheckpointModel, layer: Layer,
-                 mappings: Sequence[LayerMapping]) -> None:
-        self.hardware = hardware
-        self.checkpoint = checkpoint
-        self.layer = layer
-        self.mappings = list(mappings)
-        self._sweep()
-
-    def __len__(self) -> int:
-        return len(self.mappings)
-
-    def _sweep(self) -> None:
-        hw = self.hardware
-        layer = self.layer
-        n = len(self.mappings)
-        split = DataflowCostModel._split_operands
-        tensor_bytes = DataflowCostModel._tile_tensor_bytes
-        is_embedding = layer.kind is LayerKind.EMBEDDING
-
-        # --- per-mapping integer geometry (plain Python, exact) ------------
-        macs_i = [0] * n
-        active_i = [0] * n
-        self.n_tiles = [0] * n
-        in_b = np.empty(n)
-        w_b = np.empty(n)
-        out_b = np.empty(n)
-        resident = np.empty(n)
-        s0 = np.empty(n)
-        s1 = np.empty(n)
-        s0_out = np.zeros(n, dtype=bool)
-        s1_out = np.zeros(n, dtype=bool)
-        penalty = np.empty(n)
-        reduction = np.zeros(n, dtype=bool)
-        spill_out = np.zeros(n, dtype=bool)  # not OUTPUT_STATIONARY
-        multi = np.zeros(n, dtype=bool)  # n_tiles > 1
-
-        for i, mapping in enumerate(self.mappings):
-            tile_dims = mapping.tile_dims(layer)
-            macs_i[i] = 0 if is_embedding else math.prod(tile_dims.values())
-            ib, wb, ob = tensor_bytes(layer, mapping, tile_dims)
-            in_b[i], w_b[i], out_b[i] = ib, wb, ob
-            spatial_extent = tile_dims[mapping.spatial_dim]
-            active_i[i] = max(1, min(hw.pes.n_pes, spatial_extent))
-            res, streaming = split(mapping.style, ib, wb, ob)
-            resident[i] = res
-            (name0, size0), (name1, size1) = streaming
-            s0[i], s1[i] = size0, size1
-            s0_out[i] = name0 == "out"
-            s1_out[i] = name1 == "out"
-            penalty[i] = hw.traffic_penalty(mapping.style)
-            n_tiles = mapping.effective_n_tiles(layer)
-            self.n_tiles[i] = n_tiles
-            multi[i] = n_tiles > 1
-            reduction[i] = mapping.tile_dim == "C" and n_tiles > 1
-            spill_out[i] = mapping.style is not DataflowStyle.OUTPUT_STATIONARY
-
-        macs = np.array(macs_i, dtype=np.float64)
-        active = np.array(active_i, dtype=np.float64)
-        n_tiles_f = np.array(self.n_tiles, dtype=np.float64)
-        self.macs = macs_i
-        self.active_pes = active_i
-
-        # --- VM <-> PE reuse analysis --------------------------------------
-        streaming_bytes = s0 + s1
-        cache_budget = (_RESIDENT_CACHE_SHARE * active) * hw.pes.cache_bytes_per_pe
-        n_sub = np.maximum(1.0, np.ceil(resident / np.maximum(cache_budget, 1.0)))
-        vm_traffic = (resident + n_sub * streaming_bytes) * penalty
-
-        # --- NVM traffic ----------------------------------------------------
-        nvm_read = in_b + w_b
-        nvm_write = out_b.copy()
-        nvm_read = nvm_read + np.where(reduction, out_b, 0.0)
-        vm_capacity = float(hw.vm.size_bytes)
-        for sizes, is_out in ((s0, s0_out), (s1, s1_out)):
-            extra = np.where((sizes > vm_capacity) & (n_sub > 1.0),
-                             sizes * (n_sub - 1.0), 0.0)
-            nvm_read = nvm_read + extra
-            nvm_write = nvm_write + np.where(is_out, extra, 0.0)
-        vm_traffic = vm_traffic + np.where(
-            spill_out, (out_b * np.maximum(0.0, n_sub - 1.0)) * 2.0, 0.0)
-
-        # --- times ------------------------------------------------------------
-        compute_time = macs / (active * hw.pes.macs_per_second_per_pe)
-        vm_tech = hw.vm.technology
-        nvm_tech = hw.nvm.technology
-        io_time = (
-            nvm_read / nvm_tech.read_bandwidth
-            + nvm_write / nvm_tech.write_bandwidth
-            + vm_traffic / vm_tech.read_bandwidth
-        )
-        if hw.overlapped_io:
-            latency = np.maximum(compute_time, io_time)
-        else:
-            latency = compute_time + io_time
-
-        # --- energies ----------------------------------------------------------
-        bpe = layer.bytes_per_element
-        compute_energy = macs * hw.pes.mac_energy
-        if layer.kind is LayerKind.POOL:
-            compute_energy = compute_energy * _POOL_OP_ENERGY_SCALE
-        compute_energy = compute_energy + (
-            (3.0 * macs) * bpe) * hw.pes.cache_access_energy_per_byte
-        vm_energy = vm_traffic * (
-            vm_tech.read_energy_per_byte + hw.noc_energy_per_byte
-        )
-        nvm_energy = (nvm_read * nvm_tech.read_energy_per_byte
-                      + nvm_write * nvm_tech.write_energy_per_byte)
-        static_energy = hw.static_power * latency
-
-        # --- checkpointing ----------------------------------------------------
-        ckpt = self.checkpoint
-        total_bytes = in_b + w_b + out_b
-        working_set = np.minimum(total_bytes, vm_capacity)
-        ckpt_bytes = ckpt.header_bytes + ckpt.live_fraction * working_set
-        if ckpt.strategy is CheckpointStrategy.JIT:
-            jit_bytes = ckpt.header_bytes + working_set
-            ckpt_energy = ckpt.exception_rate * (
-                jit_bytes * ckpt.nvm.write_energy_per_byte
-                + jit_bytes * ckpt.nvm.read_energy_per_byte)
-        else:
-            ckpt_energy = (1.0 + ckpt.exception_rate) * (
-                ckpt_bytes * ckpt.nvm.write_energy_per_byte
-                + ckpt_bytes * ckpt.nvm.read_energy_per_byte)
-        ckpt_time = (1.0 + ckpt.exception_rate) * (
-            ckpt_bytes / ckpt.nvm.write_bandwidth
-            + ckpt_bytes / ckpt.nvm.read_bandwidth)
-        ckpt_bytes = np.where(multi, ckpt_bytes, 0.0)
-        ckpt_energy = np.where(multi, ckpt_energy, 0.0)
-        ckpt_time = np.where(multi, ckpt_time, 0.0)
-
-        # --- published arrays ---------------------------------------------
-        self.compute_time = compute_time
-        self.io_time = io_time
-        self.latency = latency
-        self.compute_energy = compute_energy
-        self.vm_energy = vm_energy
-        self.nvm_read_bytes = nvm_read
-        self.nvm_write_bytes = nvm_write
-        self.nvm_energy = nvm_energy
-        self.static_energy = static_energy
-        self.working_set_bytes = working_set
-        self.checkpoint_bytes = ckpt_bytes
-        self.checkpoint_energy = ckpt_energy
-        self.checkpoint_time = ckpt_time
-        self.fits_vm = total_bytes <= vm_capacity
-        # TileCost.energy / .total_time / LayerCost.energy, same
-        # left-associated order as the scalar properties.
-        self.tile_energy = (compute_energy + vm_energy + nvm_energy
-                            + static_energy + ckpt_energy)
-        self.total_time = latency + ckpt_time
-        self.layer_energy = n_tiles_f * self.tile_energy
-        self.busy_time = n_tiles_f * self.total_time
-
-    def layer_costs(self) -> List[LayerCost]:
-        """Materialize one :class:`LayerCost` per mapping, in order."""
-        name = self.layer.name
-        costs = []
-        for i in range(len(self.mappings)):
-            tile = TileCost(
-                macs=self.macs[i],
-                active_pes=self.active_pes[i],
-                compute_time=float(self.compute_time[i]),
-                io_time=float(self.io_time[i]),
-                latency=float(self.latency[i]),
-                compute_energy=float(self.compute_energy[i]),
-                vm_energy=float(self.vm_energy[i]),
-                nvm_read_bytes=float(self.nvm_read_bytes[i]),
-                nvm_write_bytes=float(self.nvm_write_bytes[i]),
-                nvm_energy=float(self.nvm_energy[i]),
-                static_energy=float(self.static_energy[i]),
-                working_set_bytes=float(self.working_set_bytes[i]),
-                checkpoint_bytes=float(self.checkpoint_bytes[i]),
-                checkpoint_energy=float(self.checkpoint_energy[i]),
-                checkpoint_time=float(self.checkpoint_time[i]),
-                fits_vm=bool(self.fits_vm[i]),
-            )
-            costs.append(LayerCost(layer_name=name, n_tiles=self.n_tiles[i],
-                                   tile=tile))
-        return costs

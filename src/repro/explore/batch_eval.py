@@ -2,8 +2,8 @@
 
 :class:`VectorizedGenomeEvaluator` plugs into
 :class:`~repro.explore.ga.GeneticAlgorithm` as its ``batch_evaluator``
-(``GAConfig.batched``) and prices each generation's uncached genomes as
-numpy sweeps instead of one-candidate-at-a-time Python:
+(``GAConfig.batched``) and evaluates each generation's uncached genomes
+together instead of one candidate at a time:
 
 * genomes are grouped by their :class:`InferenceDesign` projection, so
   hardware is built once per distinct accelerator configuration;
@@ -16,21 +16,22 @@ numpy sweeps instead of one-candidate-at-a-time Python:
   the layer, not on the energy design);
 * per generation, Eq. 8 feasibility and the first-feasible /
   lowest-energy selection run as boolean/argmin array operations over
-  ``genomes x rungs``;
+  ``genomes x rungs``, on :class:`~repro.sim.analytical.CycleBudget`
+  values;
 * whole-design pricing goes through
   :class:`~repro.sim.analytical.BatchAnalyticalModel`, one call per
   environment for the entire generation, followed by the paper's
   first-infeasible-environment averaging protocol per genome.
 
-Bit-identity contract: scores, lowered designs, Pareto points, failure
-records and mapper hit/miss accounting are exactly what the serial
-scalar path produces for the same genomes — the selection mirrors the
-scalar scan's iteration order and strict-``<`` tie-breaking, and every
-float chain reuses either pure-Python arithmetic or the (bit-exact)
-batched models.  The scalar path stays available as the oracle: any
-:class:`~repro.errors.ChrysalisError` escaping the vectorized machinery
-drops the affected genomes back to ``BilevelExplorer.compute_outcome``
-(counted in ``SearchStats.scalar_fallbacks``).
+This is a different mapper algorithm over the same pricing code, not a
+second copy of it: scores, lowered designs, Pareto points, failure
+records and mapper hit/miss accounting are exactly what the serial path
+produces for the same genomes, because the selection follows the scalar
+scan's iteration order and strict-``<`` tie-breaking.  The scalar path
+stays the fallback: any :class:`~repro.errors.ChrysalisError` escaping
+the vectorized machinery drops the affected genomes back to
+``BilevelExplorer.compute_outcome`` (counted in
+``SearchStats.scalar_fallbacks``).
 
 Layer-cost cache *totals* differ from the serial mode by design: the
 rung tables price whole ladders up front (a superset of the rungs the
@@ -58,7 +59,7 @@ from repro.explore.space import Genome
 from repro.explore.stats import GenomeOutcome
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import span
-from repro.sim.analytical import BatchAnalyticalModel
+from repro.sim.analytical import BatchAnalyticalModel, CycleBudget
 from repro.sim.evaluator import _average_metrics
 from repro.sim.metrics import InferenceMetrics
 from repro.workloads.layers import Layer
@@ -84,7 +85,6 @@ class _RungTable:
     """
 
     mappings: List[LayerMapping]
-    costs: List[LayerCost]
     tile_energy: np.ndarray
     tile_time: np.ndarray
     score: np.ndarray
@@ -92,7 +92,7 @@ class _RungTable:
 
 
 class VectorizedGenomeEvaluator:
-    """Prices GA generations as numpy sweeps; scalar-oracle-identical.
+    """Evaluates GA generations together; same results as the serial path.
 
     Satisfies the :class:`~repro.explore.ga.BatchEvaluator` protocol.
     In-process: the shared layer-cost cache and mapper memo are used
@@ -177,8 +177,8 @@ class VectorizedGenomeEvaluator:
                     mappings_by_index.pop(i, None)
                     fallback.append(i)
 
-        # 3. Lower the mappable genomes and price them — one batched
-        # analytical sweep per environment over the whole generation.
+        # 3. Lower the mappable genomes and price them — one
+        # BatchAnalyticalModel call per environment for the generation.
         with_design: List[int] = []
         designs: Dict[int, "AuTDesign"] = {}
         for i in sorted(mappings_by_index):
@@ -369,22 +369,12 @@ class VectorizedGenomeEvaluator:
         """
         tables = self._tables_for(inference)
         count = len(designs)
-        n_env = len(self.environments)
-        stored = np.empty(count)
-        buck = np.empty(count)
-        net = np.empty((n_env, count))
-        for g, design in enumerate(designs):
-            energy = design.energy
-            pmic = energy.pmic
-            # Pure Python on purpose: the ** must be CPython's pow for
-            # bit-identity with AnalyticalModel's properties.
-            stored[g] = 0.5 * energy.capacitance_f * (
-                pmic.v_on**2 - pmic.v_off**2)
-            buck[g] = pmic.buck_efficiency
-            leak = energy.k_cap * energy.capacitance_f * pmic.v_on**2
-            for e, environment in enumerate(self.environments):
-                p_eh = energy.build_panel().power(environment.k_eh)
-                net[e, g] = pmic.charge_power(p_eh) - leak
+        budgets = [[CycleBudget.of(design.energy, environment)
+                    for design in designs]
+                   for environment in self.environments]
+        stored = np.array([budget.stored for budget in budgets[0]])
+        buck = np.array([budget.buck for budget in budgets[0]])
+        net = np.array([[budget.net for budget in row] for row in budgets])
 
         results: List[Optional[List[LayerMapping]]] = [
             [] for _ in range(count)]
@@ -397,9 +387,10 @@ class VectorizedGenomeEvaluator:
             tile_time = table.tile_time[None, :]
             tile_energy = table.tile_energy[None, :]
             feasible = np.ones((count, rungs), dtype=bool)
-            for e in range(n_env):
+            for env_net in net:
+                # CycleBudget.fits over genomes x rungs.
                 available = (stored[:, None] + np.maximum(
-                    net[e][:, None] * tile_time, 0.0)) * buck[:, None]
+                    env_net[:, None] * tile_time, 0.0)) * buck[:, None]
                 feasible &= tile_energy <= available
             best_score = np.full(count, math.inf)
             best_rung = np.full(count, -1, dtype=np.int64)
@@ -471,7 +462,6 @@ class VectorizedGenomeEvaluator:
             scores.append(total / len(self.environments))
         return _RungTable(
             mappings=mappings,
-            costs=costs,
             tile_energy=np.array([cost.tile.energy for cost in costs]),
             tile_time=np.array([cost.tile.total_time for cost in costs]),
             score=np.array(scores),

@@ -130,7 +130,6 @@ class BilevelExplorer:
         # run builds a fresh explorer, so the memo died with it.
         self._mapper_hits = 0
         self._mapper_misses = 0
-        self._design_cache_hits = 0
 
     # -- fitness ---------------------------------------------------------------
 
@@ -355,7 +354,6 @@ class BilevelExplorer:
             )
         design = self._design_cache.get(genome_key(best_genome))
         if design is not None:
-            self._design_cache_hits += 1
             self.stats.design_cache_hits += 1
         else:
             design = self.lower_genome(best_genome)

@@ -58,9 +58,9 @@ class GAConfig:
     mutation_scale: float = 0.3
     seed: int = 0
     #: Vectorized in-process evaluation: each generation's uncached
-    #: genomes are priced as one numpy sweep
+    #: genomes are evaluated together
     #: (:class:`repro.explore.batch_eval.VectorizedGenomeEvaluator`),
-    #: bit-identical to the scalar path.
+    #: bit-identical to the serial path.
     batched: bool = False
 
     def __post_init__(self) -> None:

@@ -40,7 +40,7 @@ class SearchStats:
       genome key (e.g. the winner re-lowering at the end of ``run()``);
     * ``batched_*`` — work routed through the vectorized population
       evaluator (``GAConfig.batched``): sweeps is the number of
-      generation-sized numpy passes, genomes how many candidates they
+      generation-sized batched passes, genomes how many candidates they
       priced, and ``scalar_fallbacks`` how many candidates dropped back
       to the scalar oracle path (errors, or re-pricing one at a time);
     * ``surrogate_*`` — work routed through the surrogate-guided
@@ -156,4 +156,3 @@ class GenomeOutcome:
     mapper_misses: int = 0
     layer_cost_hits: int = 0
     layer_cost_misses: int = 0
-    design_cache_hits: int = 0

@@ -13,7 +13,7 @@ Each request also carries a *group* key: the request key minus the
 design.  Requests sharing a group are mutually batchable — same
 workload, same environment set, same checkpoint model, analytical
 fidelity — so the micro-batcher can price a whole group through
-:func:`repro.api.evaluate_batch`'s vectorized sweep in one call.
+:func:`repro.api.evaluate_batch` in one call.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ economics server-side:
   batcher (``max_batch_size`` / ``max_wait_ms``).  Each flush groups
   analytical requests by compatibility class (same workload,
   environments, checkpoint) and prices every group through one
-  vectorized :func:`repro.api.evaluate_batch` sweep, so a flush of N
-  compatible requests costs roughly one sweep, not N evaluations.
+  :func:`repro.api.evaluate_batch` call, so a flush of N compatible
+  requests builds each accelerator's hardware once, not N times.
 * **Admission control** — the queue is bounded (``max_queue``); when it
   is full new requests are shed with
   :class:`~repro.errors.ServiceOverloadError` instead of growing an

@@ -11,6 +11,13 @@ The analytical model prices a full design point without stepping time:
 * feasibility from Eq. 8, with :meth:`AnalyticalModel.min_feasible_n_tiles`
   realising the Eq. 9 lower bound constructively.
 
+Each equation has one implementation: :class:`CycleBudget` holds
+Eqs. 1-3 and 8 for one energy design in one environment, and
+:func:`price_plan` is Eq. 7.  :class:`AnalyticalModel` prices one
+design with them; :class:`BatchAnalyticalModel` prices many, building
+hardware once per accelerator.  ``tests/test_pricing_golden.py`` pins
+their outputs.
+
 It is the inner-loop scorer of the explorer; the step simulator
 (:mod:`repro.sim.engine`) validates its fidelity in integration tests.
 """
@@ -18,19 +25,123 @@ It is the inner-loop scorer of the explorer; the step simulator
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from repro.dataflow.cost_model import DataflowCostModel, LayerCost
+from repro.dataflow.cost_model import DataflowCostModel, LayerCost, TileCost
 from repro.dataflow.mapping import LayerMapping
-from repro.design import AuTDesign
+from repro.design import AuTDesign, EnergyDesign
 from repro.energy.environment import LightEnvironment
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import OBS, span
 from repro.sim.metrics import EnergyBreakdown, InferenceMetrics
 from repro.workloads.layers import Layer
 from repro.workloads.network import Network
+
+
+@dataclass(frozen=True)
+class CycleBudget:
+    """Eqs. 1-3 of one energy design in one environment, plus the Eq. 8
+    check they feed."""
+
+    p_eh: float  # harvested power, W (Eq. 1)
+    leak: float  # capacitor leakage at the on-threshold, W (Eq. 2 x U)
+    net: float  # power actually accumulating in storage, W
+    stored: float  # 1/2 C (U_on^2 - U_off^2), J
+    buck: float  # buck-converter efficiency
+    chain: float  # boost x buck efficiency
+
+    @classmethod
+    def of(cls, energy: EnergyDesign,
+           environment: LightEnvironment) -> "CycleBudget":
+        pmic = energy.pmic
+        capacitance = energy.capacitance_f
+        p_eh = energy.build_panel().power(environment.k_eh)
+        leak = energy.k_cap * capacitance * pmic.v_on**2
+        return cls(
+            p_eh=p_eh,
+            leak=leak,
+            net=pmic.charge_power(p_eh) - leak,
+            stored=0.5 * capacitance * (pmic.v_on**2 - pmic.v_off**2),
+            buck=pmic.buck_efficiency,
+            chain=pmic.boost_efficiency * pmic.buck_efficiency,
+        )
+
+    def available(self, execution_time: float = 0.0) -> float:
+        """Rail-side energy available in one energy cycle, J (Eq. 3).
+
+        ``1/2 C (U_on^2 - U_off^2)`` through the buck, plus whatever is
+        harvested (minus leakage) during ``execution_time``.
+        """
+        return (self.stored + max(self.net * execution_time, 0.0)) * self.buck
+
+    def fits(self, tile: TileCost) -> bool:
+        """Eq. 8: one tile must fit one energy cycle (incl. its harvest)."""
+        return tile.energy <= self.available(tile.total_time)
+
+
+def price_plan(plan: Sequence[LayerCost],
+               budget: CycleBudget) -> InferenceMetrics:
+    """Eq. 7: end-to-end metrics of a priced plan; marks infeasibility.
+
+    An energy design whose losses eat its whole harvest is infeasible
+    before any layer is read, so callers may skip pricing the plan.
+    """
+    if budget.net <= 0.0:
+        return InferenceMetrics.infeasible(
+            "leakage and PMIC losses consume the entire harvest"
+        )
+    breakdown = EnergyBreakdown()
+    busy_time = 0.0
+    for cost in plan:
+        if not budget.fits(cost.tile):
+            return InferenceMetrics.infeasible(
+                f"layer {cost.layer_name!r}: one tile exceeds the "
+                f"energy cycle (Eq. 8) with N_tile={cost.n_tiles}"
+            )
+        breakdown.compute += cost.compute_energy
+        breakdown.vm += cost.n_tiles * cost.tile.vm_energy
+        breakdown.nvm += cost.n_tiles * cost.tile.nvm_energy
+        breakdown.static += cost.static_energy
+        breakdown.checkpoint += cost.checkpoint_energy
+        busy_time += cost.busy_time
+
+    rail_energy = breakdown.total
+    # Warm-start energy balance (matching the step simulator): the
+    # inference begins with one energy cycle banked in the capacitor;
+    # harvesting continues throughout execution; whatever is still
+    # missing must be recharged between tiles.
+    effective_power = budget.p_eh * budget.chain - budget.leak * budget.buck
+    if effective_power <= 0.0:
+        return InferenceMetrics.infeasible(
+            "effective charge power is non-positive"
+        )
+    banked = budget.available(0.0)
+    missing = rail_energy - banked - effective_power * busy_time
+    charge_time = max(missing, 0.0) / effective_power
+    e2e_latency = busy_time + charge_time
+    # Steady-state repetition period: between runs the bank must be
+    # restored too, so every joule — banked or not — is re-harvested.
+    sustained_period = max(rail_energy / effective_power, busy_time)
+
+    # E_eh is accounted over the sustained period (one full charge-
+    # and-execute cycle) so that system efficiency E_infer/E_eh is
+    # comparable across designs and bounded by the chain efficiency.
+    harvested = budget.p_eh * sustained_period
+    breakdown.cap_leakage = budget.leak * sustained_period
+    breakdown.conversion = harvested * (1.0 - budget.chain)
+
+    n_tiles_total = sum(cost.n_tiles for cost in plan)
+    return InferenceMetrics(
+        e2e_latency=e2e_latency,
+        busy_time=busy_time,
+        charge_time=charge_time,
+        energy=breakdown,
+        harvested_energy=harvested,
+        power_cycles=max(n_tiles_total, 1),
+        exceptions=0,
+        sustained_period=sustained_period,
+    )
 
 
 class AnalyticalModel:
@@ -48,37 +159,29 @@ class AnalyticalModel:
             nvm=self.hardware.nvm.technology
         )
         self.cost_model = DataflowCostModel(self.hardware, self.checkpoint)
+        #: Eqs. 1-3, derived once: every Eq. 8 probe of the mapper reads it.
+        self.budget = CycleBudget.of(design.energy, environment)
 
     # -- energy-side closed forms (Eqs. 1-3) ---------------------------------
 
     @property
     def p_eh(self) -> float:
         """Harvested power, W (Eq. 1)."""
-        return self.design.energy.build_panel().power(self.environment.k_eh)
+        return self.budget.p_eh
 
     @property
     def leak_power(self) -> float:
         """Capacitor leakage power at the on-threshold, W (Eq. 2 x U)."""
-        energy = self.design.energy
-        return energy.k_cap * energy.capacitance_f * energy.pmic.v_on**2
+        return self.budget.leak
 
     @property
     def net_charge_power(self) -> float:
         """Power actually accumulating in storage, W."""
-        pmic = self.design.energy.pmic
-        return pmic.charge_power(self.p_eh) - self.leak_power
+        return self.budget.net
 
     def available_cycle_energy(self, execution_time: float = 0.0) -> float:
-        """Rail-side energy available in one energy cycle, J (Eq. 3).
-
-        ``1/2 C (U_on^2 - U_off^2)`` through the buck, plus whatever is
-        harvested (minus leakage) during ``execution_time``.
-        """
-        energy = self.design.energy
-        pmic = energy.pmic
-        stored = 0.5 * energy.capacitance_f * (pmic.v_on**2 - pmic.v_off**2)
-        topping = self.net_charge_power * execution_time
-        return (stored + max(topping, 0.0)) * pmic.buck_efficiency
+        """Rail-side energy available in one energy cycle, J (Eq. 3)."""
+        return self.budget.available(execution_time)
 
     # -- inference-side closed forms (Eqs. 4-6) -------------------------------------
 
@@ -95,8 +198,7 @@ class AnalyticalModel:
 
     def tile_feasible(self, cost: LayerCost) -> bool:
         """Eq. 8: one tile must fit one energy cycle (incl. its harvest)."""
-        tile = cost.tile
-        return tile.energy <= self.available_cycle_energy(tile.total_time)
+        return self.budget.fits(cost.tile)
 
     def min_feasible_n_tiles(self, layer: Layer,
                              mapping: LayerMapping) -> Optional[int]:
@@ -159,85 +261,22 @@ class AnalyticalModel:
             return self._evaluate()
 
     def _evaluate(self) -> InferenceMetrics:
-        if self.net_charge_power <= 0.0:
-            return InferenceMetrics.infeasible(
-                "leakage and PMIC losses consume the entire harvest"
-            )
-        plan = self.plan()
-        breakdown = EnergyBreakdown()
-        busy_time = 0.0
-        for cost in plan:
-            if not self.tile_feasible(cost):
-                return InferenceMetrics.infeasible(
-                    f"layer {cost.layer_name!r}: one tile exceeds the "
-                    f"energy cycle (Eq. 8) with N_tile={cost.n_tiles}"
-                )
-            breakdown.compute += cost.compute_energy
-            breakdown.vm += cost.n_tiles * cost.tile.vm_energy
-            breakdown.nvm += cost.n_tiles * cost.tile.nvm_energy
-            breakdown.static += cost.static_energy
-            breakdown.checkpoint += cost.checkpoint_energy
-            busy_time += cost.busy_time
-
-        pmic = self.design.energy.pmic
-        rail_energy = breakdown.total
-        # Warm-start energy balance (matching the step simulator): the
-        # inference begins with one energy cycle banked in the capacitor;
-        # harvesting continues throughout execution; whatever is still
-        # missing must be recharged between tiles.
-        chain_efficiency = pmic.boost_efficiency * pmic.buck_efficiency
-        effective_power = (self.p_eh * chain_efficiency
-                           - self.leak_power * pmic.buck_efficiency)
-        if effective_power <= 0.0:
-            return InferenceMetrics.infeasible(
-                "effective charge power is non-positive"
-            )
-        banked = self.available_cycle_energy(0.0)
-        missing = rail_energy - banked - effective_power * busy_time
-        charge_time = max(missing, 0.0) / effective_power
-        e2e_latency = busy_time + charge_time
-        # Steady-state repetition period: between runs the bank must be
-        # restored too, so every joule — banked or not — is re-harvested.
-        sustained_period = max(rail_energy / effective_power, busy_time)
-
-        # E_eh is accounted over the sustained period (one full charge-
-        # and-execute cycle) so that system efficiency E_infer/E_eh is
-        # comparable across designs and bounded by the chain efficiency.
-        harvested = self.p_eh * sustained_period
-        breakdown.cap_leakage = self.leak_power * sustained_period
-        breakdown.conversion = harvested * (1.0 - chain_efficiency)
-
-        n_tiles_total = sum(cost.n_tiles for cost in plan)
-        return InferenceMetrics(
-            e2e_latency=e2e_latency,
-            busy_time=busy_time,
-            charge_time=charge_time,
-            energy=breakdown,
-            harvested_energy=harvested,
-            power_cycles=max(n_tiles_total, 1),
-            exceptions=0,
-            sustained_period=sustained_period,
-        )
+        # A design that cannot charge is rejected by price_plan before
+        # it reads the plan, so price no layer for it.
+        plan = self.plan() if self.budget.net > 0.0 else []
+        return price_plan(plan, self.budget)
 
 
 class BatchAnalyticalModel:
-    """Prices N ``(design, workload)`` pairs in one vectorized sweep.
+    """Prices N ``(design, workload)`` pairs bound to one environment.
 
     One instance is bound to a ``(network, environment)`` pair and
     evaluates many :class:`AuTDesign` candidates at once: hardware is
     built once per distinct :class:`InferenceDesign`, every layer's tile
-    costs are priced by a single
+    costs go through one
     :meth:`~repro.dataflow.cost_model.DataflowCostModel.layer_cost_batch`
-    call per group, and the Eq. 7 energy balance runs as elementwise
-    numpy arithmetic over the whole batch.
-
-    Bit-identity contract: for every design the returned
-    :class:`InferenceMetrics` equals ``AnalyticalModel(design, ...)
-    .evaluate()`` exactly — the float chains mirror the scalar code
-    operation for operation (same order, same masking semantics), every
-    ``**``-bearing per-design scalar is computed in pure Python before
-    entering an array, and the three infeasibility branches fire in the
-    scalar model's check order with the scalar model's messages.
+    call per group, and each design is priced by :func:`price_plan`,
+    the same Eq. 7 that :meth:`AnalyticalModel.evaluate` runs.
     """
 
     def __init__(self, network: Network, environment: LightEnvironment,
@@ -249,12 +288,11 @@ class BatchAnalyticalModel:
     # -- plan construction -----------------------------------------------------
 
     def plans(self, designs: Sequence[AuTDesign]) -> List[List[LayerCost]]:
-        """Per-layer costs for each design, via grouped batch pricing.
+        """Per-layer costs for each design, grouped by accelerator.
 
-        Designs sharing an :class:`InferenceDesign` share hardware and a
-        cost model; their per-layer mappings are priced together, so the
-        layer-cost cache sees exactly one probe per distinct key (the
-        "single memo-cache fill" the batched search mode relies on).
+        Designs sharing an :class:`InferenceDesign` share one hardware
+        build and one cost model, so a mapping repeated across the group
+        is priced once and then hits the layer-cost cache.
         """
         plans: List[Optional[List[LayerCost]]] = [None] * len(designs)
         groups: dict = {}
@@ -279,15 +317,13 @@ class BatchAnalyticalModel:
                 plans[index] = row
         return plans  # type: ignore[return-value]
 
-    # -- whole-inference evaluation (Eq. 7, batched) -----------------------------
+    # -- whole-inference evaluation (Eq. 7) -----------------------------------
 
     def evaluate_many(
         self, designs: Sequence[AuTDesign]
     ) -> List[InferenceMetrics]:
         """One :class:`InferenceMetrics` per design, in order."""
         designs = list(designs)
-        if not designs:
-            return []
         return self.evaluate_plans(designs, self.plans(designs))
 
     def evaluate_plans(
@@ -295,122 +331,10 @@ class BatchAnalyticalModel:
         designs: Sequence[AuTDesign],
         plans: Sequence[Sequence[LayerCost]],
     ) -> List[InferenceMetrics]:
-        """Vectorized Eq. 7 over pre-priced plans (one per design)."""
-        n = len(designs)
-        if n == 0:
-            return []
-        k_eh = self.environment.k_eh
-        # Per-design energy-side scalars stay in pure Python: the ``**``
-        # in leak/stored must be CPython's pow to match the scalar path.
-        p_eh_list, leak_list, net_list = [], [], []
-        stored_list, buck_list, chain_list, effective_list = [], [], [], []
-        for design in designs:
-            energy = design.energy
-            pmic = energy.pmic
-            p_eh = energy.build_panel().power(k_eh)
-            leak = energy.k_cap * energy.capacitance_f * pmic.v_on**2
-            net = pmic.charge_power(p_eh) - leak
-            stored = 0.5 * energy.capacitance_f * (
-                pmic.v_on**2 - pmic.v_off**2)
-            chain = pmic.boost_efficiency * pmic.buck_efficiency
-            effective = p_eh * chain - leak * pmic.buck_efficiency
-            p_eh_list.append(p_eh)
-            leak_list.append(leak)
-            net_list.append(net)
-            stored_list.append(stored)
-            buck_list.append(pmic.buck_efficiency)
-            chain_list.append(chain)
-            effective_list.append(effective)
-        p_eh = np.array(p_eh_list)
-        leak = np.array(leak_list)
-        net = np.array(net_list)
-        stored = np.array(stored_list)
-        buck = np.array(buck_list)
-        chain = np.array(chain_list)
-        effective = np.array(effective_list)
-
-        # Eq. 8 per layer + breakdown accumulation, in network order.
-        # Each term is the exact Python expression the scalar loop adds
-        # (LayerCost fields are already Python floats), gathered into an
-        # array and accumulated with the same left-to-right order.
-        bad_layer = np.full(n, -1, dtype=np.int64)
-        compute = np.zeros(n)
-        vm = np.zeros(n)
-        nvm = np.zeros(n)
-        static = np.zeros(n)
-        ckpt = np.zeros(n)
-        busy = np.zeros(n)
-        for layer_index in range(len(self.network)):
-            costs = [plan[layer_index] for plan in plans]
-            tile_energy = np.array([c.tile.energy for c in costs])
-            tile_time = np.array([c.tile.total_time for c in costs])
-            # available_cycle_energy(tile_time), elementwise.
-            available = (stored + np.maximum(net * tile_time, 0.0)) * buck
-            infeasible_here = ~(tile_energy <= available) & (bad_layer < 0)
-            if infeasible_here.any():
-                bad_layer[infeasible_here] = layer_index
-            compute = compute + np.array([c.compute_energy for c in costs])
-            vm = vm + np.array(
-                [c.n_tiles * c.tile.vm_energy for c in costs])
-            nvm = nvm + np.array(
-                [c.n_tiles * c.tile.nvm_energy for c in costs])
-            static = static + np.array([c.static_energy for c in costs])
-            ckpt = ckpt + np.array([c.checkpoint_energy for c in costs])
-            busy = busy + np.array([c.busy_time for c in costs])
-
-        # rail = breakdown.total with cap_leakage/conversion still zero;
-        # mirrors (compute + vm + nvm) + (static + checkpoint + 0 + 0).
-        rail = (compute + vm + nvm) + (static + ckpt)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            banked = (stored + np.maximum(net * 0.0, 0.0)) * buck
-            missing = rail - banked - effective * busy
-            charge = np.maximum(missing, 0.0) / effective
-            e2e = busy + charge
-            sustained = np.maximum(rail / effective, busy)
-            harvested = p_eh * sustained
-            cap_leakage = leak * sustained
-            conversion = harvested * (1.0 - chain)
-
-        metrics: List[InferenceMetrics] = []
-        for i in range(n):
-            if net[i] <= 0.0:
-                metrics.append(InferenceMetrics.infeasible(
-                    "leakage and PMIC losses consume the entire harvest"
-                ))
-                continue
-            if bad_layer[i] >= 0:
-                cost = plans[i][bad_layer[i]]
-                metrics.append(InferenceMetrics.infeasible(
-                    f"layer {cost.layer_name!r}: one tile exceeds the "
-                    f"energy cycle (Eq. 8) with N_tile={cost.n_tiles}"
-                ))
-                continue
-            if effective[i] <= 0.0:
-                metrics.append(InferenceMetrics.infeasible(
-                    "effective charge power is non-positive"
-                ))
-                continue
-            breakdown = EnergyBreakdown(
-                compute=float(compute[i]),
-                vm=float(vm[i]),
-                nvm=float(nvm[i]),
-                static=float(static[i]),
-                checkpoint=float(ckpt[i]),
-                cap_leakage=float(cap_leakage[i]),
-                conversion=float(conversion[i]),
-            )
-            n_tiles_total = sum(cost.n_tiles for cost in plans[i])
-            metrics.append(InferenceMetrics(
-                e2e_latency=float(e2e[i]),
-                busy_time=float(busy[i]),
-                charge_time=float(charge[i]),
-                energy=breakdown,
-                harvested_energy=float(harvested[i]),
-                power_cycles=max(n_tiles_total, 1),
-                exceptions=0,
-                sustained_period=float(sustained[i]),
-            ))
-        return metrics
+        """Eq. 7 over pre-priced plans (one per design)."""
+        return [price_plan(plan, CycleBudget.of(design.energy,
+                                                self.environment))
+                for design, plan in zip(designs, plans)]
 
 
 def _next_tile_count(n: int, bound: int) -> int:

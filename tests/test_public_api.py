@@ -81,11 +81,15 @@ class TestSurface:
         for name in DEPRECATED:
             assert name in listing
 
-    def test_import_does_not_load_multiprocessing(self):
-        # GA generations are evaluated in-process; importing the package
-        # must not pay for multiprocessing (~16 ms and ~1.4 MB per process).
-        script = ("import sys, repro, repro.explore, repro.campaign; "
-                  "print('multiprocessing' in sys.modules)")
+    @pytest.mark.parametrize("module", ["multiprocessing", "numpy"])
+    def test_import_does_not_load(self, module):
+        # GA generations are evaluated in-process (no multiprocessing,
+        # ~16 ms and ~1.4 MB per process), and pricing is plain Python
+        # (numpy loads only for --batched search, the surrogate and
+        # guided search).
+        script = ("import sys, repro, repro.explore, repro.campaign, "
+                  "repro.api, repro.serve, repro.cli; "
+                  f"print({module!r} in sys.modules)")
         src = pathlib.Path(repro.__file__).resolve().parent.parent
         out = subprocess.run([sys.executable, "-c", script],
                              capture_output=True, text=True, check=True,
