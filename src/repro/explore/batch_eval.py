@@ -7,17 +7,17 @@ together instead of one candidate at a time:
 
 * genomes are grouped by their :class:`InferenceDesign` projection, so
   hardware is built once per distinct accelerator configuration;
-* the SW-level mapping search is replaced by a per-layer *rung table* —
-  every ``(style, tile_dim, spatial_dim, N_tile)`` candidate the scalar
-  :class:`~repro.explore.mapper_search.MappingOptimizer` could ever
-  visit, priced once per hardware via
-  :meth:`~repro.dataflow.cost_model.DataflowCostModel.layer_cost_batch`
-  and reused across generations (the candidate ladder only depends on
-  the layer, not on the energy design);
-* per generation, Eq. 8 feasibility and the first-feasible /
-  lowest-energy selection run as boolean/argmin array operations over
-  ``genomes x rungs``, on :class:`~repro.sim.analytical.CycleBudget`
-  values;
+* the SW-level mapping search runs once per group over lazy *rung
+  tables*: each ``(style, tile_dim, spatial_dim)`` combo has a ladder
+  of ``N_tile`` candidates (it depends only on the layer, so it is
+  built once per evaluator by :func:`_ladder`) and, per accelerator,
+  the prefix of that ladder priced so far.  The group's designs walk
+  each ladder together; a rung is priced with
+  :meth:`~repro.dataflow.cost_model.DataflowCostModel.layer_cost` the
+  first time any design reaches it, and each design retires at its
+  first rung that fits one energy cycle (Eq. 8, checked by
+  :class:`~repro.sim.analytical.CycleBudget`).  Priced prefixes are
+  kept across generations;
 * whole-design pricing goes through
   :class:`~repro.sim.analytical.BatchAnalyticalModel`, one call per
   environment for the entire generation, followed by the paper's
@@ -33,10 +33,10 @@ the vectorized machinery drops the affected genomes back to
 ``BilevelExplorer.compute_outcome`` (counted in
 ``SearchStats.scalar_fallbacks``).
 
-Layer-cost cache *totals* differ from the serial mode by design: the
-rung tables price whole ladders up front (a superset of the rungs the
-lazy scalar scan visits) and then reuse them without re-probing, so the
-batched mode reports far fewer cache events for the same search.
+Layer-cost cache misses equal the serial mode's: a rung is priced when
+the first design reaches it, where the scalar scan would first price it
+too.  Hits still differ: a rung already in the table is read from it
+without probing the cache, so the batched mode reports fewer hits.
 """
 
 from __future__ import annotations
@@ -44,12 +44,9 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.dataflow.cost_model import (DataflowCostModel, LayerCost,
+from repro.dataflow.cost_model import (DataflowCostModel,
                                        layer_cost_cache_stats)
 from repro.dataflow.mapping import LayerMapping
 from repro.errors import ChrysalisError, EvaluationTimeout, MappingError
@@ -71,24 +68,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class _RungTable:
-    """Every mapping candidate of one layer on one hardware, priced.
-
-    ``slices`` delimits one ``(style, tile_dim, spatial_dim)`` combo per
-    entry, in the scalar scan's iteration order (styles outer, dim pairs
-    inner); within a combo the rungs follow the scalar geometric ladder
-    (primary ``N_tile`` doubling, then the secondary-dimension split).
-    ``score`` is the combo-selection score of each rung — the mean
-    layer energy over the configured environments, accumulated exactly
-    like ``MappingOptimizer._mean_energy``.
-    """
-
-    mappings: List[LayerMapping]
-    tile_energy: np.ndarray
-    tile_time: np.ndarray
-    score: np.ndarray
-    slices: List[Tuple[int, int]]
+#: The priced prefix of one combo's ladder on one accelerator: per rung,
+#: its tile energy, tile time and combo-selection score (the mean layer
+#: energy over the environments, accumulated like
+#: ``MappingOptimizer._mean_energy``); ``None`` marks a rung that raised
+#: :class:`MappingError`, past which no scan goes.
+_Prefix = List[Optional[Tuple[float, float, float]]]
 
 
 class VectorizedGenomeEvaluator:
@@ -106,10 +91,18 @@ class VectorizedGenomeEvaluator:
         self._seed_mappings = tuple(
             LayerMapping.default(layer) for layer in self.network
         )
-        #: Rung tables keyed by :class:`InferenceDesign` — one list of
-        #: per-layer tables per distinct hardware, reused across
-        #: generations.
-        self._tables: Dict[object, List[_RungTable]] = {}
+        #: Per layer, one ladder per (style, dims) combo in the scalar
+        #: scan's order; accelerator-independent.
+        mapper = explorer.mapper
+        self._ladders = [
+            [_ladder(mapper, layer.dims(), style, tile_dim, spatial_dim)
+             for style in mapper.styles
+             for tile_dim, spatial_dim in mapper._dim_pairs(layer)]
+            for layer in self.network]
+        #: Per distinct hardware (keyed by :class:`InferenceDesign`): its
+        #: cost model and, per layer and combo, the priced prefix.
+        self._tables: Dict[object, Tuple[DataflowCostModel,
+                                         List[List[_Prefix]]]] = {}
 
     # -- BatchEvaluator protocol ---------------------------------------------
 
@@ -156,7 +149,7 @@ class VectorizedGenomeEvaluator:
             keys[i] = (design.energy, design.inference)
 
         # 2. Group by hardware and resolve mappings (memo probe + one
-        # vectorized mapper sweep per group of unseen projections).
+        # shared mapper scan per group of unseen projections).
         groups: Dict[object, List[int]] = {}
         for i in range(n):
             if seeded[i] is not None:
@@ -303,7 +296,7 @@ class VectorizedGenomeEvaluator:
         assert all(outcome is not None for outcome in outcomes)
         return outcomes  # type: ignore[return-value]
 
-    # -- SW-level search, vectorized ------------------------------------------
+    # -- SW-level search, one scan per hardware group -------------------------
 
     def _resolve_group(self, inference: object, indices: List[int],
                        seeded: List[Optional["AuTDesign"]],
@@ -358,115 +351,90 @@ class VectorizedGenomeEvaluator:
 
     def _scan(self, inference: object, designs: List["AuTDesign"]
               ) -> List[Optional[Tuple[LayerMapping, ...]]]:
-        """Best mapping per layer per design — the vectorized optimizer.
+        """Best mapping per layer per design — the scalar scan, shared.
 
         Equivalent to ``MappingOptimizer.optimize`` for every design:
-        per layer, a rung is usable when Eq. 8 holds in *every*
-        environment; within each (style, dims) combo the first feasible
-        ladder rung wins; across combos the lowest mean energy wins with
-        strict-``<`` (first combo in scan order on ties).  A layer with
-        no usable rung makes the design unmappable (``None``).
+        per layer, each (style, dims) combo offers its first ladder rung
+        that fits one energy cycle in every environment, and across
+        combos the lowest mean energy wins with strict ``<`` (first
+        combo in scan order on ties).  A combo ends at a rung that
+        raises :class:`MappingError`; a layer with no usable rung makes
+        the design unmappable (``None``) and skips its later layers.
+
+        Eq. 8 is checked in the environment with the least ``net``
+        only: ``stored`` and ``buck`` do not depend on the environment,
+        and no float operation of Eq. 3 decreases as ``net`` grows for
+        ``t >= 0``, so a tile that fits there fits everywhere.
         """
-        tables = self._tables_for(inference)
-        count = len(designs)
-        budgets = [[CycleBudget.of(design.energy, environment)
-                    for design in designs]
-                   for environment in self.environments]
-        stored = np.array([budget.stored for budget in budgets[0]])
-        buck = np.array([budget.buck for budget in budgets[0]])
-        net = np.array([[budget.net for budget in row] for row in budgets])
+        cost_model, tables = self._tables_for(inference)
+        available = [min((CycleBudget.of(design.energy, environment)
+                          for environment in self.environments),
+                         key=lambda budget: budget.net).available
+                     for design in designs]
+        rows: List[List[LayerMapping]] = [[] for _ in designs]
+        live = list(range(len(designs)))
+        for layer, ladders, prefixes in zip(self.network, self._ladders,
+                                            tables):
+            if not live:
+                break
+            best_score = [math.inf] * len(designs)
+            best: List[Optional[LayerMapping]] = [None] * len(designs)
+            for ladder, prefix in zip(ladders, prefixes):
+                waiting = live
+                for rung, mapping in enumerate(ladder):
+                    if rung == len(prefix):
+                        prefix.append(self._price(cost_model, layer,
+                                                  mapping))
+                    entry = prefix[rung]
+                    if entry is None:
+                        break
+                    energy, seconds, score = entry
+                    still = []
+                    for g in waiting:
+                        if energy <= available[g](seconds):  # Eq. 8
+                            if score < best_score[g]:
+                                best_score[g], best[g] = score, mapping
+                        else:
+                            still.append(g)
+                    waiting = still
+                    if not waiting:
+                        break
+            live = [g for g in live if best[g] is not None]
+            for g in live:
+                rows[g].append(best[g])
+        # A row cut short met a layer with no usable rung: unmappable.
+        return [tuple(row) if len(row) == len(self._ladders) else None
+                for row in rows]
 
-        results: List[Optional[List[LayerMapping]]] = [
-            [] for _ in range(count)]
-        for table in tables:
-            rungs = len(table.mappings)
-            if rungs == 0:
-                # No valid (style, dims) combo at all: the layer is
-                # unmappable on this hardware for every energy design.
-                return [None] * count
-            tile_time = table.tile_time[None, :]
-            tile_energy = table.tile_energy[None, :]
-            feasible = np.ones((count, rungs), dtype=bool)
-            for env_net in net:
-                # CycleBudget.fits over genomes x rungs.
-                available = (stored[:, None] + np.maximum(
-                    env_net[:, None] * tile_time, 0.0)) * buck[:, None]
-                feasible &= tile_energy <= available
-            best_score = np.full(count, math.inf)
-            best_rung = np.full(count, -1, dtype=np.int64)
-            for start, end in table.slices:
-                window = feasible[:, start:end]
-                usable = window.any(axis=1)
-                if not usable.any():
-                    continue
-                first = np.argmax(window, axis=1) + start
-                score = np.where(usable, table.score[first], math.inf)
-                better = score < best_score
-                best_score = np.where(better, score, best_score)
-                best_rung = np.where(better, first, best_rung)
-            for g in range(count):
-                row = results[g]
-                if row is None:
-                    continue
-                rung = int(best_rung[g])
-                if rung < 0:
-                    results[g] = None
-                else:
-                    row.append(table.mappings[rung])
-        return [tuple(row) if row is not None else None for row in results]
+    def _price(self, cost_model: DataflowCostModel, layer: Layer,
+               mapping: LayerMapping
+               ) -> Optional[Tuple[float, float, float]]:
+        """One rung's prefix entry (see :data:`_Prefix`)."""
+        try:
+            cost = cost_model.layer_cost(layer, mapping)
+        except MappingError as error:
+            logger.debug("skipping %s %s/%s on %s: %s", mapping.style.value,
+                         mapping.tile_dim, mapping.spatial_dim, layer.name,
+                         error)
+            return None
+        total = 0.0  # _mean_energy's accumulation, verbatim
+        for _ in self.environments:
+            total += cost.energy
+        return (cost.tile.energy, cost.tile.total_time,
+                total / len(self.environments))
 
-    def _tables_for(self, inference: object) -> List[_RungTable]:
-        tables = self._tables.get(inference)
-        if tables is None:
+    def _tables_for(self, inference: object
+                    ) -> Tuple[DataflowCostModel, List[List[_Prefix]]]:
+        entry = self._tables.get(inference)
+        if entry is None:
             hardware = inference.build()  # type: ignore[attr-defined]
             checkpoint = self.explorer.checkpoint or CheckpointModel(
                 nvm=hardware.nvm.technology
             )
-            cost_model = DataflowCostModel(hardware, checkpoint)
-            tables = [self._build_table(cost_model, layer)
-                      for layer in self.network]
-            self._tables[inference] = tables
-        return tables
-
-    def _build_table(self, cost_model: DataflowCostModel,
-                     layer: Layer) -> _RungTable:
-        """Price every candidate the scalar scan could visit, once."""
-        mapper = self.explorer.mapper
-        dims = layer.dims()
-        mappings: List[LayerMapping] = []
-        costs: List[LayerCost] = []
-        slices: List[Tuple[int, int]] = []
-        for style in mapper.styles:
-            for tile_dim, spatial_dim in mapper._dim_pairs(layer):
-                # Pricing errors are n_tiles-independent (style/layer
-                # geometry), so one failure invalidates the whole combo
-                # — the same corner _best_for_layer skips.
-                try:
-                    ladder = _ladder(mapper, dims, style, tile_dim,
-                                     spatial_dim)
-                    priced = cost_model.layer_cost_batch(layer, ladder)
-                except MappingError as error:
-                    logger.debug(
-                        "skipping %s %s/%s on %s: %s", style.value,
-                        tile_dim, spatial_dim, layer.name, error)
-                    continue
-                start = len(mappings)
-                mappings.extend(ladder)
-                costs.extend(priced)
-                slices.append((start, len(mappings)))
-        scores: List[float] = []
-        for cost in costs:
-            total = 0.0  # _mean_energy's accumulation, verbatim
-            for _ in range(len(self.environments)):
-                total += cost.energy
-            scores.append(total / len(self.environments))
-        return _RungTable(
-            mappings=mappings,
-            tile_energy=np.array([cost.tile.energy for cost in costs]),
-            tile_time=np.array([cost.tile.total_time for cost in costs]),
-            score=np.array(scores),
-            slices=slices,
-        )
+            entry = self._tables[inference] = (
+                DataflowCostModel(hardware, checkpoint),
+                [[[] for _ in ladders] for ladders in self._ladders])
+        return entry
 
 
 def _ladder(mapper, dims: Dict[str, int], style, tile_dim: str,

@@ -30,8 +30,9 @@ class SearchStats:
 
     Cache semantics:
 
-    * ``layer_cost_*`` — the process-wide LRU over
-      ``(hardware, checkpoint, layer, mapping)`` tile costs
+    * ``layer_cost_*`` — the process-wide cache of
+      ``(hardware, checkpoint, layer, mapping)`` tile costs, flushed
+      whole when it overflows
       (:func:`repro.dataflow.cost_model.layer_cost_cache_stats`);
     * ``mapper_*`` — the process-wide memo of whole SW-level mapping
       searches, keyed by the canonical ``(EnergyDesign,

@@ -12,6 +12,7 @@ import math
 import pytest
 
 from repro import evaluate, evaluate_batch
+from repro.dataflow.cost_model import clear_layer_cost_cache
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
 from repro.explore.bilevel import BilevelExplorer
@@ -144,11 +145,11 @@ class TestEvaluateBatchAPI:
 SMALL_GA = dict(population_size=6, generations=3, seed=11)
 
 
-def make_explorer(**overrides):
+def make_explorer(space=DesignSpace.existing_aut, **overrides):
     params = dict(SMALL_GA, **overrides)
     return BilevelExplorer(
         network=zoo.har_cnn(),
-        space=DesignSpace.existing_aut(),
+        space=space(),
         objective=Objective.lat_sp(),
         ga_config=GAConfig(**params),
     )
@@ -166,15 +167,31 @@ def assert_results_equal(a, b):
             == [(r.candidate, r.family, r.stage) for r in b.failures.records])
 
 
+#: The existing-AuT search above, and the future-AuT search of the
+#: pricing golden file, where nearly every genome is its own accelerator.
+SEARCHES = {
+    "existing_aut": {},
+    "future_aut": dict(space=DesignSpace.future_aut, population_size=6,
+                       generations=2, seed=7),
+}
+
+
 class TestBatchedSearchIdentity:
-    def test_batched_search_matches_serial(self):
-        serial = make_explorer().run()
-        clear_mapper_memo()  # both runs probe the process-wide memo cold
-        batched = make_explorer(batched=True).run()
+    @pytest.mark.parametrize("setup", sorted(SEARCHES))
+    def test_batched_search_matches_serial(self, setup):
+        # Both runs start from cold caches: the batched scan must price
+        # exactly the rungs the serial scan prices (equal misses).
+        clear_layer_cost_cache()
+        serial = make_explorer(**SEARCHES[setup]).run()
+        clear_mapper_memo()
+        clear_layer_cost_cache()
+        batched = make_explorer(batched=True, **SEARCHES[setup]).run()
         assert_results_equal(serial, batched)
         assert serial.stats.hw_evaluations == batched.stats.hw_evaluations
         assert serial.stats.mapper_hits == batched.stats.mapper_hits
         assert serial.stats.mapper_misses == batched.stats.mapper_misses
+        assert (serial.stats.layer_cost_misses
+                == batched.stats.layer_cost_misses)
         assert batched.stats.batched_sweeps > 0
         assert batched.stats.batched_genomes > 0
         assert batched.stats.scalar_fallbacks == 0

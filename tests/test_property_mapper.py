@@ -1,13 +1,23 @@
 """Property-based tests for the SW-level mapping optimizer."""
 
+import random
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dataflow.cost_model import DataflowCostModel
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
+from repro.errors import MappingError
+from repro.explore.batch_eval import VectorizedGenomeEvaluator
+from repro.explore.bilevel import BilevelExplorer
 from repro.explore.mapper_search import MappingOptimizer
+from repro.explore.objectives import Objective
+from repro.explore.space import DesignSpace
 from repro.hardware.accelerators import AcceleratorFamily
-from repro.sim.analytical import AnalyticalModel
+from repro.sim.analytical import AnalyticalModel, CycleBudget
+from repro.units import uF
 from repro.workloads import zoo
 
 panels = st.floats(min_value=2.0, max_value=30.0)
@@ -66,3 +76,87 @@ def test_larger_capacitor_never_needs_more_tiles(panel, name):
     large_tiles = sum(m.effective_n_tiles(l)
                       for m, l in zip(large, network))
     assert large_tiles <= small_tiles
+
+
+#: Leakage eats this harvester's whole income (net charge power < 0).
+STARVED = EnergyDesign(panel_area_cm2=0.05, capacitance_f=uF(10))
+energy_designs = st.one_of(
+    st.just(STARVED),
+    st.builds(EnergyDesign,
+              panel_area_cm2=st.floats(min_value=0.01, max_value=30.0),
+              capacitance_f=st.floats(min_value=-7.0, max_value=-2.0).map(
+                  lambda exponent: 10.0 ** exponent)),
+)
+_future = DesignSpace.future_aut()
+scan_hardwares = st.sampled_from([
+    InferenceDesign.msp430(),
+    InferenceDesign(family=AcceleratorFamily.TPU, n_pes=64,
+                    cache_bytes_per_pe=512),
+    _future.to_design(_future.sample(random.Random(5)), ()).inference,
+])
+environment_sets = st.sampled_from([
+    LightEnvironment.paper_environments(),
+    (LightEnvironment.indoor(),),
+])
+
+
+@given(energies=st.lists(energy_designs, min_size=1, max_size=5),
+       inference=scan_hardwares, name=st.sampled_from(["har", "kws"]),
+       environments=environment_sets,
+       rejected=st.sampled_from([None, 2, 4]))
+@settings(max_examples=40, deadline=None)
+def test_shared_scan_matches_optimizer(energies, inference, name,
+                                       environments, rejected):
+    """Energy designs scanned together on one accelerator by the
+    vectorized evaluator each get exactly the scalar optimizer's
+    mappings — ``None`` (unmappable) included — also when pricing
+    rejects every rung with ``rejected`` tiles: that rung ends its
+    combo, and the rungs before it still count."""
+    price = DataflowCostModel.layer_cost
+
+    def layer_cost(model, layer, mapping):
+        if mapping.n_tiles == rejected:
+            raise MappingError(f"n_tiles={rejected} rejected")
+        return price(model, layer, mapping)
+
+    network = zoo.workload_by_name(name)
+    explorer = BilevelExplorer(network, DesignSpace.existing_aut(),
+                               Objective.lat_sp(), environments=environments)
+    seeded = [AuTDesign.with_default_mappings(energy, inference, network)
+              for energy in energies]
+    optimizer = MappingOptimizer(network, environments)
+    with mock.patch.object(DataflowCostModel, "layer_cost", layer_cost):
+        scanned = VectorizedGenomeEvaluator(explorer)._scan(inference,
+                                                            seeded)
+        expected = [optimizer.optimize(energy, inference)
+                    for energy in energies]
+    assert scanned == expected
+
+
+def _budget(net, stored, buck):
+    return CycleBudget(p_eh=0.0, leak=0.0, net=net, stored=stored,
+                       buck=buck, chain=buck)
+
+
+@given(data=st.data(),
+       nets=st.lists(st.one_of(st.just(0.0),
+                               st.floats(min_value=-1e-2, max_value=1e-2)),
+                     min_size=1, max_size=4),
+       stored=st.floats(min_value=0.0, max_value=1e-2),
+       buck=st.floats(min_value=0.5, max_value=1.0),
+       seconds=st.one_of(st.just(0.0),
+                         st.floats(min_value=0.0, max_value=10.0)))
+@settings(max_examples=200, deadline=None)
+def test_least_net_budget_decides_eq8(data, nets, stored, buck, seconds):
+    """Budgets sharing ``stored`` and ``buck`` (as one energy design's
+    do across environments): Eq. 8 against the least ``net`` equals
+    Eq. 8 against every budget, on and off each budget's boundary."""
+    budgets = [_budget(net, stored, buck) for net in nets]
+    least = min(budgets, key=lambda budget: budget.net)
+    energy = data.draw(st.one_of(
+        st.floats(min_value=0.0, max_value=0.2),
+        st.sampled_from([budget.available(seconds) for budget in budgets]),
+    ))
+    assert ((energy <= least.available(seconds))
+            == all(energy <= budget.available(seconds)
+                   for budget in budgets))

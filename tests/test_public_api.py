@@ -84,11 +84,12 @@ class TestSurface:
     @pytest.mark.parametrize("module", ["multiprocessing", "numpy"])
     def test_import_does_not_load(self, module):
         # GA generations are evaluated in-process (no multiprocessing,
-        # ~16 ms and ~1.4 MB per process), and pricing is plain Python
-        # (numpy loads only for --batched search, the surrogate and
-        # guided search).
+        # ~16 ms and ~1.4 MB per process), and pricing and the batched
+        # search are plain Python (numpy loads only for the surrogate
+        # and guided search).
         script = ("import sys, repro, repro.explore, repro.campaign, "
-                  "repro.api, repro.serve, repro.cli; "
+                  "repro.api, repro.serve, repro.cli, "
+                  "repro.explore.batch_eval; "
                   f"print({module!r} in sys.modules)")
         src = pathlib.Path(repro.__file__).resolve().parent.parent
         out = subprocess.run([sys.executable, "-c", script],
