@@ -3,13 +3,14 @@
 
 Runs the same fixed-seed bi-level search five ways —
 
-* ``serial_cold`` — one process, every cache disabled and cleared
-  before *each* repeat: the honest scalar baseline;
-* ``memoized``    — one process, layer-cost cache + mapper memo on,
-  cleared once per mode — the second repeat runs against a warm
-  process-wide memo, so this mode measures *cross-run* amortization
-  (its ``mapper_hit_rate`` must be > 0; it was pinned at 0.0 while the
-  memo's lifetime was one explorer);
+* ``serial_cold`` — one process, the serial search with the layer-cost
+  cache and mapper memo on, both cleared before *each* repeat: the
+  scalar baseline, under the same cache rule as ``batched`` and
+  perfbench's search workloads;
+* ``memoized``    — the same, cleared once per mode — the second
+  repeat runs against a warm process-wide memo, so this mode measures
+  *cross-run* amortization (its ``mapper_hit_rate`` must be > 0; it was
+  pinned at 0.0 while the memo's lifetime was one explorer);
 * ``batched``     — one process, vectorized generation evaluation
   (``GAConfig.batched``), caches cleared before each repeat so the
   reported speedup is cold-path against ``serial_cold``;
@@ -40,9 +41,12 @@ count.  Both are recorded in the JSON (``surrogate_no_regression``,
 the runs where identity does happen to hold.
 
 Each mode is timed ``--repeats`` times and the fastest run is kept, so
-the reported speedups are about the code, not scheduler noise.  CI runs
-``--smoke --min-batched-speedup 8`` (a ~1 s budget) and archives the
-JSON as an artifact.
+the reported speedups are about the code, not scheduler noise.  The
+script also fails unless ``batched`` and ``serial_cold`` record the same
+``layer_cost_misses``: both scans must price exactly the same rungs, so
+a batched mapper that prices more than it reaches shows up as a count,
+not as a timing.  CI runs ``--smoke --min-batched-speedup 1`` (a ~1 s
+budget) and archives the JSON as an artifact.
 
 Usage::
 
@@ -59,26 +63,13 @@ import pathlib
 import sys
 from typing import Optional
 
-from repro.dataflow.cost_model import (clear_layer_cost_cache,
-                                       configure_layer_cost_cache)
+from repro.dataflow.cost_model import clear_layer_cost_cache
 from repro.explore.bilevel import BilevelExplorer, SearchResult
 from repro.explore.ga import GAConfig
-from repro.explore.mapper_search import (clear_mapper_memo,
-                                         configure_mapper_memo)
+from repro.explore.mapper_search import clear_mapper_memo
 from repro.explore.objectives import Objective
 from repro.explore.space import DesignSpace
 from repro.workloads import zoo
-
-
-def _configure_caches(enabled: bool) -> None:
-    """The layer-cost cache and mapper memo always switch together.
-
-    Asymmetric states were the source of the pre-PR-7 accounting bugs
-    (a warm layer cache under a cold mapper memo, and vice versa, make
-    the per-mode numbers incomparable).
-    """
-    configure_layer_cost_cache(enabled=enabled)
-    configure_mapper_memo(enabled=enabled)
 
 
 def _clear_caches() -> None:
@@ -121,16 +112,15 @@ def _run_surrogate_search(workload: str, setup: str,
 
 
 def _bench_mode(workload: str, setup: str, config: GAConfig,
-                caches: bool, repeats: int,
-                clear_each_repeat: bool,
+                repeats: int, clear_each_repeat: bool,
                 runner=_run_search) -> SearchResult:
     """Fastest of ``repeats`` runs (results are deterministic).
 
+    Every mode runs with the layer-cost cache and mapper memo on.
     ``clear_each_repeat=True`` makes every repeat cold (baseline and
     batched modes); ``False`` clears once, so later repeats measure the
     warm process-wide caches (memoized and batched_warm modes).
     """
-    _configure_caches(enabled=caches)
     _clear_caches()
     best: Optional[SearchResult] = None
     for index in range(repeats):
@@ -186,22 +176,21 @@ def main(argv: Optional[list] = None) -> int:
 
     modes = {}
     modes["serial_cold"] = _bench_mode(
-        args.workload, args.setup, serial_cfg, caches=False,
+        args.workload, args.setup, serial_cfg,
         repeats=args.repeats, clear_each_repeat=True)
     modes["memoized"] = _bench_mode(
-        args.workload, args.setup, serial_cfg, caches=True,
+        args.workload, args.setup, serial_cfg,
         repeats=args.repeats, clear_each_repeat=False)
     modes["batched"] = _bench_mode(
-        args.workload, args.setup, batched_cfg, caches=True,
+        args.workload, args.setup, batched_cfg,
         repeats=args.repeats, clear_each_repeat=True)
     modes["batched_warm"] = _bench_mode(
-        args.workload, args.setup, batched_cfg, caches=True,
+        args.workload, args.setup, batched_cfg,
         repeats=max(args.repeats, 2), clear_each_repeat=False)
     modes["surrogate"] = _bench_mode(
-        args.workload, args.setup, serial_cfg, caches=True,
+        args.workload, args.setup, serial_cfg,
         repeats=args.repeats, clear_each_repeat=True,
         runner=_run_surrogate_search)
-    _configure_caches(enabled=True)
     _clear_caches()
 
     reference = modes["serial_cold"]
@@ -291,6 +280,13 @@ def main(argv: Optional[list] = None) -> int:
         print("ERROR: warm batched mode recorded no mapper-memo hits "
               "(the vectorized evaluator is bypassing the process-wide "
               "memo)", file=sys.stderr)
+        failed = True
+    serial_misses = modes["serial_cold"].stats.layer_cost_misses
+    batched_misses = modes["batched"].stats.layer_cost_misses
+    if batched_misses != serial_misses:
+        print(f"ERROR: batched mode priced {batched_misses} layer-cost "
+              f"misses, serial_cold {serial_misses} (the two mapper "
+              f"scans no longer price the same rungs)", file=sys.stderr)
         failed = True
     if (args.min_batched_speedup is not None
             and report["speedup_batched"] < args.min_batched_speedup):
