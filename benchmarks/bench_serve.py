@@ -18,8 +18,7 @@ Two arms price the *same* request stream at each concurrency level —
 
 so the measured speedup isolates the serving architecture (coalescing +
 batching), not thread counts.  Both arms run with the process-wide
-caches *disabled* (the ``serial_cold`` discipline of
-``bench_search.py``): with them on, the baseline silently memoizes the
+caches *disabled*: with them on, the baseline silently memoizes the
 repeated designs through the layer-cost cache and the benchmark would
 compare caching against caching instead of measuring what the service
 adds for requests the caches don't already hold.  A fidelity check pins

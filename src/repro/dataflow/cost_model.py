@@ -56,11 +56,11 @@ class _LayerCostCache:
     """Process-local cache of :class:`LayerCost` results.
 
     The bi-level explorer re-prices identical ``(hardware, checkpoint,
-    layer, mapping)`` combinations millions of times: the SW-level
-    mapping scan queries one model per environment (tile costs are
-    environment-independent), and every genome sharing an inference
-    configuration repeats the whole scan.  :class:`LayerCost` is frozen,
-    so cached instances are safe to share.
+    layer, mapping)`` combinations many times: final pricing reads the
+    mappings the SW-level scan already priced, once per environment
+    (tile costs are environment-independent), and repeat searches and
+    fresh explorers revisit the same accelerators.  :class:`LayerCost`
+    is frozen, so cached instances are safe to share.
 
     The hit path must cost single-digit microseconds or it eats its own
     savings, so the structure is two-level: each
@@ -240,52 +240,32 @@ class DataflowCostModel:
         Entries are keyed by the *raw* mapping; clamping is
         deterministic, so two raw mappings that clamp to the same
         effective mapping simply occupy two entries with equal values.
+        In profile mode each call is timed into one histogram per
+        outcome — cache hit, cache miss, or cache disabled — so the
+        report can show the hit/miss latency split; otherwise the
+        clock is never read (the hit path is microseconds).
         """
-        if OBS.profile:
-            return self._layer_cost_profiled(layer, mapping)
+        profile = OBS.profile
+        start = _time.perf_counter() if profile else 0.0
         cache = _LAYER_COST_CACHE
-        if not cache.enabled:
-            return self._layer_cost_uncached(layer, mapping.clamped(layer))
-        key = (layer, mapping)
-        cost = self._cache_map.get(key)
-        if cost is not None:
-            cache.hits += 1
-            return cost
-        cache.misses += 1
-        cost = self._layer_cost_uncached(layer, mapping.clamped(layer))
-        cache.insert(self._cache_map, key, cost)
-        return cost
-
-    def _layer_cost_profiled(self, layer: Layer,
-                             mapping: LayerMapping) -> LayerCost:
-        """The profiling twin of :meth:`layer_cost`.
-
-        Same logic, plus a latency histogram per outcome — cache hit,
-        cache miss, or cache-disabled — so the report can show the
-        hit/miss latency split.  Kept out of the default path: the hit
-        path is microseconds and two ``perf_counter`` calls would be a
-        measurable tax.
-        """
-        registry = OBS.registry
-        cache = _LAYER_COST_CACHE
-        start = _time.perf_counter()
         if not cache.enabled:
             cost = self._layer_cost_uncached(layer, mapping.clamped(layer))
-            registry.histogram("cost.layer_cost.uncached_seconds").observe(
+            outcome = "cost.layer_cost.uncached_seconds"
+        else:
+            key = (layer, mapping)
+            cost = self._cache_map.get(key)
+            if cost is not None:
+                cache.hits += 1
+                outcome = "cost.layer_cost.hit_seconds"
+            else:
+                cache.misses += 1
+                cost = self._layer_cost_uncached(layer,
+                                                 mapping.clamped(layer))
+                cache.insert(self._cache_map, key, cost)
+                outcome = "cost.layer_cost.miss_seconds"
+        if profile:
+            OBS.registry.histogram(outcome).observe(
                 _time.perf_counter() - start)
-            return cost
-        key = (layer, mapping)
-        cost = self._cache_map.get(key)
-        if cost is not None:
-            cache.hits += 1
-            registry.histogram("cost.layer_cost.hit_seconds").observe(
-                _time.perf_counter() - start)
-            return cost
-        cache.misses += 1
-        cost = self._layer_cost_uncached(layer, mapping.clamped(layer))
-        cache.insert(self._cache_map, key, cost)
-        registry.histogram("cost.layer_cost.miss_seconds").observe(
-            _time.perf_counter() - start)
         return cost
 
     def _layer_cost_uncached(self, layer: Layer,

@@ -7,36 +7,26 @@ together instead of one candidate at a time:
 
 * genomes are grouped by their :class:`InferenceDesign` projection, so
   hardware is built once per distinct accelerator configuration;
-* the SW-level mapping search runs once per group over lazy *rung
-  tables*: each ``(style, tile_dim, spatial_dim)`` combo has a ladder
-  of ``N_tile`` candidates (it depends only on the layer, so it is
-  built once per evaluator by :func:`_ladder`) and, per accelerator,
-  the prefix of that ladder priced so far.  The group's designs walk
-  each ladder together; a rung is priced with
-  :meth:`~repro.dataflow.cost_model.DataflowCostModel.layer_cost` the
-  first time any design reaches it, and each design retires at its
-  first rung that fits one energy cycle (Eq. 8, checked by
-  :class:`~repro.sim.analytical.CycleBudget`).  Priced prefixes are
-  kept across generations;
+* the SW-level mapping search runs once per group:
+  :meth:`~repro.explore.mapper_search.MappingOptimizer.scan` walks the
+  group's energy designs through each ladder together, the same scan
+  the serial path runs for one design, with the same priced rungs;
 * whole-design pricing goes through
   :class:`~repro.sim.analytical.BatchAnalyticalModel`, one call per
   environment for the entire generation, followed by the paper's
   first-infeasible-environment averaging protocol per genome.
 
-This is a different mapper algorithm over the same pricing code, not a
-second copy of it: scores, lowered designs, Pareto points, failure
-records and mapper hit/miss accounting are exactly what the serial path
-produces for the same genomes, because the selection follows the scalar
-scan's iteration order and strict-``<`` tie-breaking.  The scalar path
-stays the fallback: any :class:`~repro.errors.ChrysalisError` escaping
-the vectorized machinery drops the affected genomes back to
-``BilevelExplorer.compute_outcome`` (counted in
-``SearchStats.scalar_fallbacks``).
+Scores, lowered designs, Pareto points, failure records and mapper
+hit/miss accounting are exactly what the serial path produces for the
+same genomes.  The scalar path stays the fallback: any
+:class:`~repro.errors.ChrysalisError` escaping the vectorized machinery
+drops the affected genomes back to ``BilevelExplorer.compute_outcome``
+(counted in ``SearchStats.scalar_fallbacks``).
 
-Layer-cost cache misses equal the serial mode's: a rung is priced when
-the first design reaches it, where the scalar scan would first price it
-too.  Hits still differ: a rung already in the table is read from it
-without probing the cache, so the batched mode reports fewer hits.
+Both paths run the explorer's mapper, so layer-cost cache misses are
+the serial mode's.  Hits can differ: whole-design pricing probes every
+design in every environment, where the serial path stops at a design's
+first infeasible environment.
 """
 
 from __future__ import annotations
@@ -46,34 +36,23 @@ import math
 import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.dataflow.cost_model import (DataflowCostModel,
-                                       layer_cost_cache_stats)
+from repro.dataflow.cost_model import layer_cost_cache_stats
 from repro.dataflow.mapping import LayerMapping
-from repro.errors import ChrysalisError, EvaluationTimeout, MappingError
+from repro.errors import ChrysalisError, EvaluationTimeout
 from repro.explore.bilevel import _CANDIDATE_ERRORS
 from repro.explore.mapper_search import mapper_memo_enabled
 from repro.explore.space import Genome
 from repro.explore.stats import GenomeOutcome
-from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import span
-from repro.sim.analytical import BatchAnalyticalModel, CycleBudget
+from repro.sim.analytical import BatchAnalyticalModel
 from repro.sim.evaluator import _average_metrics
 from repro.sim.metrics import InferenceMetrics
-from repro.workloads.layers import Layer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.design import AuTDesign
+    from repro.design import AuTDesign, InferenceDesign
     from repro.explore.bilevel import BilevelExplorer
 
 logger = logging.getLogger(__name__)
-
-
-#: The priced prefix of one combo's ladder on one accelerator: per rung,
-#: its tile energy, tile time and combo-selection score (the mean layer
-#: energy over the environments, accumulated like
-#: ``MappingOptimizer._mean_energy``); ``None`` marks a rung that raised
-#: :class:`MappingError`, past which no scan goes.
-_Prefix = List[Optional[Tuple[float, float, float]]]
 
 
 class VectorizedGenomeEvaluator:
@@ -91,18 +70,6 @@ class VectorizedGenomeEvaluator:
         self._seed_mappings = tuple(
             LayerMapping.default(layer) for layer in self.network
         )
-        #: Per layer, one ladder per (style, dims) combo in the scalar
-        #: scan's order; accelerator-independent.
-        mapper = explorer.mapper
-        self._ladders = [
-            [_ladder(mapper, layer.dims(), style, tile_dim, spatial_dim)
-             for style in mapper.styles
-             for tile_dim, spatial_dim in mapper._dim_pairs(layer)]
-            for layer in self.network]
-        #: Per distinct hardware (keyed by :class:`InferenceDesign`): its
-        #: cost model and, per layer and combo, the priced prefix.
-        self._tables: Dict[object, Tuple[DataflowCostModel,
-                                         List[List[_Prefix]]]] = {}
 
     # -- BatchEvaluator protocol ---------------------------------------------
 
@@ -158,7 +125,7 @@ class VectorizedGenomeEvaluator:
         probe_hits: Dict[int, bool] = {}
         for inference, indices in groups.items():
             try:
-                self._resolve_group(inference, indices, seeded, keys,
+                self._resolve_group(inference, indices, keys,
                                     mappings_by_index, probe_hits)
             except ChrysalisError as error:
                 logger.warning(
@@ -265,7 +232,7 @@ class VectorizedGenomeEvaluator:
 
         # 5. Per-genome bookkeeping.  Mapper counters replay the scalar
         # accounting probe-for-probe; the generation's layer-cost cache
-        # activity (rung tables + final pricing) is attributed to the
+        # activity (mapper scan + final pricing) is attributed to the
         # first vectorized outcome — apply_outcome() only ever sums
         # these deltas, so totals are what matters.
         layer_hits1, layer_misses1 = layer_cost_cache_stats()
@@ -298,9 +265,8 @@ class VectorizedGenomeEvaluator:
 
     # -- SW-level search, one scan per hardware group -------------------------
 
-    def _resolve_group(self, inference: object, indices: List[int],
-                       seeded: List[Optional["AuTDesign"]],
-                       keys: List[Optional[tuple]],
+    def _resolve_group(self, inference: "InferenceDesign",
+                       indices: List[int], keys: List[Optional[tuple]],
                        out_mappings: Dict[int, Optional[Tuple[LayerMapping,
                                                               ...]]],
                        probe_hits: Dict[int, bool]) -> None:
@@ -317,7 +283,6 @@ class VectorizedGenomeEvaluator:
         resolved: Dict[tuple, Optional[Tuple[LayerMapping, ...]]] = {}
         pending: Dict[tuple, List[int]] = {}
         scan_keys: List[tuple] = []
-        scan_designs: List["AuTDesign"] = []
         for i in indices:
             key = keys[i]
             if key in resolved:
@@ -340,126 +305,11 @@ class VectorizedGenomeEvaluator:
             else:
                 pending[key] = [i]
                 scan_keys.append(key)
-                scan_designs.append(seeded[i])  # type: ignore[arg-type]
         if not scan_keys:
             return
-        scanned = self._scan(inference, scan_designs)
+        scanned = explorer.mapper.scan(inference,
+                                       [energy for energy, _ in scan_keys])
         for key, mappings in zip(scan_keys, scanned):
             explorer.mapper.memo_fill(key, mappings)
             for i in pending[key]:
                 out_mappings[i] = mappings
-
-    def _scan(self, inference: object, designs: List["AuTDesign"]
-              ) -> List[Optional[Tuple[LayerMapping, ...]]]:
-        """Best mapping per layer per design — the scalar scan, shared.
-
-        Equivalent to ``MappingOptimizer.optimize`` for every design:
-        per layer, each (style, dims) combo offers its first ladder rung
-        that fits one energy cycle in every environment, and across
-        combos the lowest mean energy wins with strict ``<`` (first
-        combo in scan order on ties).  A combo ends at a rung that
-        raises :class:`MappingError`; a layer with no usable rung makes
-        the design unmappable (``None``) and skips its later layers.
-
-        Eq. 8 is checked in the environment with the least ``net``
-        only: ``stored`` and ``buck`` do not depend on the environment,
-        and no float operation of Eq. 3 decreases as ``net`` grows for
-        ``t >= 0``, so a tile that fits there fits everywhere.
-        """
-        cost_model, tables = self._tables_for(inference)
-        available = [min((CycleBudget.of(design.energy, environment)
-                          for environment in self.environments),
-                         key=lambda budget: budget.net).available
-                     for design in designs]
-        rows: List[List[LayerMapping]] = [[] for _ in designs]
-        live = list(range(len(designs)))
-        for layer, ladders, prefixes in zip(self.network, self._ladders,
-                                            tables):
-            if not live:
-                break
-            best_score = [math.inf] * len(designs)
-            best: List[Optional[LayerMapping]] = [None] * len(designs)
-            for ladder, prefix in zip(ladders, prefixes):
-                waiting = live
-                for rung, mapping in enumerate(ladder):
-                    if rung == len(prefix):
-                        prefix.append(self._price(cost_model, layer,
-                                                  mapping))
-                    entry = prefix[rung]
-                    if entry is None:
-                        break
-                    energy, seconds, score = entry
-                    still = []
-                    for g in waiting:
-                        if energy <= available[g](seconds):  # Eq. 8
-                            if score < best_score[g]:
-                                best_score[g], best[g] = score, mapping
-                        else:
-                            still.append(g)
-                    waiting = still
-                    if not waiting:
-                        break
-            live = [g for g in live if best[g] is not None]
-            for g in live:
-                rows[g].append(best[g])
-        # A row cut short met a layer with no usable rung: unmappable.
-        return [tuple(row) if len(row) == len(self._ladders) else None
-                for row in rows]
-
-    def _price(self, cost_model: DataflowCostModel, layer: Layer,
-               mapping: LayerMapping
-               ) -> Optional[Tuple[float, float, float]]:
-        """One rung's prefix entry (see :data:`_Prefix`)."""
-        try:
-            cost = cost_model.layer_cost(layer, mapping)
-        except MappingError as error:
-            logger.debug("skipping %s %s/%s on %s: %s", mapping.style.value,
-                         mapping.tile_dim, mapping.spatial_dim, layer.name,
-                         error)
-            return None
-        total = 0.0  # _mean_energy's accumulation, verbatim
-        for _ in self.environments:
-            total += cost.energy
-        return (cost.tile.energy, cost.tile.total_time,
-                total / len(self.environments))
-
-    def _tables_for(self, inference: object
-                    ) -> Tuple[DataflowCostModel, List[List[_Prefix]]]:
-        entry = self._tables.get(inference)
-        if entry is None:
-            hardware = inference.build()  # type: ignore[attr-defined]
-            checkpoint = self.explorer.checkpoint or CheckpointModel(
-                nvm=hardware.nvm.technology
-            )
-            entry = self._tables[inference] = (
-                DataflowCostModel(hardware, checkpoint),
-                [[[] for _ in ladders] for ladders in self._ladders])
-        return entry
-
-
-def _ladder(mapper, dims: Dict[str, int], style, tile_dim: str,
-            spatial_dim: str) -> List[LayerMapping]:
-    """The exact rung sequence ``_min_feasible`` scans, materialized."""
-    bound = dims[tile_dim]
-    rungs: List[LayerMapping] = []
-    n = 1
-    while True:
-        rungs.append(LayerMapping(style=style, n_tiles=n, tile_dim=tile_dim,
-                                  spatial_dim=spatial_dim))
-        if n >= bound:
-            break
-        n = min(n * 2, bound)
-    secondary = mapper._secondary_dim(dims, tile_dim, spatial_dim)
-    if secondary is not None:
-        bound2 = dims[secondary]
-        n2 = 2
-        while True:
-            rungs.append(LayerMapping(style=style, n_tiles=bound,
-                                      tile_dim=tile_dim,
-                                      spatial_dim=spatial_dim,
-                                      secondary_dim=secondary,
-                                      n_tiles_2=min(n2, bound2)))
-            if n2 >= bound2:
-                break
-            n2 = min(n2 * 2, bound2)
-    return rungs

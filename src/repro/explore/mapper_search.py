@@ -1,19 +1,28 @@
 """SW-level mapping search (the inner level of the bi-level strategy).
 
-For a *fixed* hardware configuration, find the best intermittent mapping
-of every layer: dataflow style, spatial dimension, and the number of
+For a *fixed* hardware configuration, find an intermittent mapping of
+every layer: dataflow style, spatial dimension, and the number of
 energy-cycle tiles (``N_tile``).  This is the role GAMMA [37] plays in
 the paper's CHRYSALIS-GAMMA realization.
 
 Layers are independent given the hardware, and the whole-inference
 objectives are additive in per-layer energy (Eq. 7 divides total energy
-by harvest power), so per-layer enumeration is *exact* for this model:
+by harvest power), so the search runs layer by layer:
 
-* styles x spatial dimensions form a small product;
-* for each combination, tile energy rises monotonically with ``N_tile``
-  (more checkpoints, re-fetched halos), so the best feasible ``N_tile``
-  is the smallest one satisfying Eq. 8 and the VM-capacity constraint —
-  found with a geometric scan.
+* styles x (tile, spatial) dimension pairs form a small set of combos;
+* each combo walks a *ladder* of ``N_tile`` candidates — 1, 2, 4, ...
+  up to the tile dimension, then splits of a secondary dimension — and
+  offers its first rung that fits one energy cycle (Eq. 8);
+* across combos, the lowest mean energy wins (strict ``<``: the first
+  combo in scan order on ties).
+
+The scan is a heuristic, not an exact search.  The doubling ladder can
+step over the smallest feasible ``N_tile`` (it tries 2 and 4, never 3).
+And layer energy is not monotone in ``N_tile``: a count that does not
+divide the tile dimension leaves ragged tiles that pay for padded
+iterations, so the first rung that fits need not be the cheapest one
+that fits.  HAR's ``conv3`` (weight stationary, K=16) on the MSP430
+costs 356.8 uJ at ``N_tile=3`` and 318.8 uJ at ``N_tile=4``.
 
 Feasibility follows the paper's two-environment protocol: a mapping must
 execute in *every* configured environment; its score is the mean energy
@@ -25,17 +34,18 @@ from __future__ import annotations
 import logging
 import math
 import time as _time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.dataflow.cost_model import DataflowCostModel
 from repro.dataflow.directives import DataflowStyle
 from repro.dataflow.mapping import LayerMapping
 from repro.dataflow.tiling import pick_intermittent_dim
-from repro.design import AuTDesign, EnergyDesign, InferenceDesign
+from repro.design import EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
 from repro.errors import ConfigurationError, MappingError
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import OBS, span
-from repro.sim.analytical import AnalyticalModel
+from repro.sim.analytical import CycleBudget
 from repro.workloads.layers import Layer
 from repro.workloads.network import Network
 
@@ -44,6 +54,12 @@ logger = logging.getLogger(__name__)
 #: Sentinel distinguishing "never searched" from a memoized
 #: ``None`` ("searched, unmappable") in the mapper memo.
 _ABSENT = object()
+
+#: The priced prefix of one combo's ladder on one accelerator: per rung,
+#: its tile energy, tile time and mean layer energy over the
+#: environments; ``None`` marks a rung that raised
+#: :class:`MappingError`, past which no scan goes.
+_Prefix = List[Optional[Tuple[float, float, float]]]
 
 
 class _MapperMemo:
@@ -135,7 +151,13 @@ def mapper_memo_stats() -> Tuple[int, int]:
 
 
 class MappingOptimizer:
-    """Optimises per-layer mappings for a fixed hardware configuration."""
+    """Optimises per-layer mappings for a fixed hardware configuration.
+
+    Each layer's ladders are built once.  Per accelerator, the optimizer
+    keeps a cost model and the priced prefix of every ladder for its
+    whole lifetime, so a rung is priced at most once per accelerator
+    however many energy designs reach it.
+    """
 
     def __init__(self, network: Network,
                  environments: Optional[Sequence[LightEnvironment]] = None,
@@ -154,6 +176,16 @@ class MappingOptimizer:
         #: -genome probe is a single dict lookup.
         self._memo_map = _MAPPER_MEMO.map_for(
             (self.network, self.environments, self.styles, self.checkpoint))
+        #: Per layer, one ladder per (style, dims) combo in scan order.
+        self._ladders = [
+            [_ladder(self, layer.dims(), style, tile_dim, spatial_dim)
+             for style in self.styles
+             for tile_dim, spatial_dim in self._dim_pairs(layer)]
+            for layer in self.network]
+        #: Per accelerator: its cost model and, per layer and combo, the
+        #: priced prefix of the ladder.
+        self._tables: Dict[InferenceDesign,
+                           Tuple[DataflowCostModel, List[List[_Prefix]]]] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -200,10 +232,10 @@ class MappingOptimizer:
                  ) -> Optional[Tuple[LayerMapping, ...]]:
         """Best mapping per layer, or ``None`` if any layer is unmappable."""
         if not OBS.enabled:
-            return self._optimize(energy, inference)
+            return self.scan(inference, [energy])[0]
         start = _time.perf_counter() if OBS.profile else 0.0
         with span("mapper.optimize"):
-            mappings = self._optimize(energy, inference)
+            mappings = self.scan(inference, [energy])[0]
         if OBS.profile:
             OBS.registry.histogram("mapper.optimize_seconds").observe(
                 _time.perf_counter() - start)
@@ -211,61 +243,103 @@ class MappingOptimizer:
             OBS.registry.counter("mapper.unmappable").inc()
         return mappings
 
-    def _optimize(self, energy: EnergyDesign,
-                  inference: InferenceDesign
-                  ) -> Optional[Tuple[LayerMapping, ...]]:
-        models = self._models(energy, inference)
-        mappings: List[LayerMapping] = []
-        for layer in self.network:
-            best = self._best_for_layer(layer, models)
-            if best is None:
-                return None
-            mappings.append(best)
-        return tuple(mappings)
+    def scan(self, inference: InferenceDesign,
+             energies: Sequence[EnergyDesign]
+             ) -> List[Optional[Tuple[LayerMapping, ...]]]:
+        """Best mapping per layer for each energy design on ``inference``.
+
+        ``None`` marks an energy design with an unmappable layer.  The
+        designs walk each combo's ladder together: a rung is priced
+        with :meth:`~repro.dataflow.cost_model.DataflowCostModel.layer_cost`
+        the first time any design reaches it, and a design retires from
+        the combo at its first rung that fits one energy cycle in every
+        environment.  A rung that raises :class:`MappingError` ends its
+        combo; a layer with no usable combo skips the design's later
+        layers.
+
+        Tiles stream through VM, so Eq. 8 is the only feasibility
+        bound; VM pressure shows up as NVM re-read energy in the cost
+        itself.  Eq. 8 is checked in the environment with the least
+        ``net`` only: ``stored`` and ``buck`` do not depend on the
+        environment, and no float operation of Eq. 3 decreases as
+        ``net`` grows for ``t >= 0``, so a tile that fits there fits
+        everywhere.
+        """
+        cost_model, tables = self._tables_for(inference)
+        available = [min((CycleBudget.of(energy, environment)
+                          for environment in self.environments),
+                         key=lambda budget: budget.net).available
+                     for energy in energies]
+        rows: List[List[LayerMapping]] = [[] for _ in energies]
+        live = list(range(len(energies)))
+        for layer, ladders, prefixes in zip(self.network, self._ladders,
+                                            tables):
+            if not live:
+                break
+            best_score = [math.inf] * len(energies)
+            best: List[Optional[LayerMapping]] = [None] * len(energies)
+            for ladder, prefix in zip(ladders, prefixes):
+                waiting = live
+                for rung, mapping in enumerate(ladder):
+                    if rung == len(prefix):
+                        prefix.append(self._price(cost_model, layer,
+                                                  mapping))
+                    entry = prefix[rung]
+                    if entry is None:
+                        break
+                    energy, seconds, score = entry
+                    still = []
+                    for g in waiting:
+                        if energy <= available[g](seconds):  # Eq. 8
+                            if score < best_score[g]:
+                                best_score[g], best[g] = score, mapping
+                        else:
+                            still.append(g)
+                    waiting = still
+                    if not waiting:
+                        break
+            live = [g for g in live if best[g] is not None]
+            for g in live:
+                rows[g].append(best[g])
+        # A row cut short met a layer with no usable rung: unmappable.
+        return [tuple(row) if len(row) == len(self._ladders) else None
+                for row in rows]
 
     # -- internals ----------------------------------------------------------------
 
-    def _models(self, energy: EnergyDesign,
-                inference: InferenceDesign) -> List[AnalyticalModel]:
-        """One analytical model per environment, sharing the hardware.
+    def _tables_for(self, inference: InferenceDesign
+                    ) -> Tuple[DataflowCostModel, List[List[_Prefix]]]:
+        entry = self._tables.get(inference)
+        if entry is None:
+            hardware = inference.build()
+            checkpoint = self.checkpoint or CheckpointModel(
+                nvm=hardware.nvm.technology
+            )
+            entry = self._tables[inference] = (
+                DataflowCostModel(hardware, checkpoint),
+                [[[] for _ in ladders] for ladders in self._ladders])
+        return entry
 
-        The models carry placeholder mappings — per-layer queries go
-        through ``layer_cost`` directly, which takes the mapping as an
-        argument.
-        """
-        placeholder = AuTDesign.with_default_mappings(
-            energy, inference, self.network
-        )
-        return [
-            AnalyticalModel(placeholder, self.network, environment,
-                            checkpoint=self.checkpoint)
-            for environment in self.environments
-        ]
-
-    def _best_for_layer(self, layer: Layer,
-                        models: Sequence[AnalyticalModel]
-                        ) -> Optional[LayerMapping]:
-        best: Optional[LayerMapping] = None
-        best_score = math.inf
-        for style in self.styles:
-            for tile_dim, spatial_dim in self._dim_pairs(layer):
-                # A (style, dims) combination that the cost model rejects
-                # outright is just an invalid corner of the mapping
-                # space — skip it rather than abort the layer search.
-                try:
-                    mapping = self._min_feasible(layer, style, tile_dim,
-                                                 spatial_dim, models)
-                    if mapping is None:
-                        continue
-                    score = self._mean_energy(layer, mapping, models)
-                except MappingError as error:
-                    logger.debug(
-                        "skipping %s %s/%s on %s: %s", style.value,
-                        tile_dim, spatial_dim, layer.name, error)
-                    continue
-                if score < best_score:
-                    best, best_score = mapping, score
-        return best
+    def _price(self, cost_model: DataflowCostModel, layer: Layer,
+               mapping: LayerMapping
+               ) -> Optional[Tuple[float, float, float]]:
+        """One rung's prefix entry (see :data:`_Prefix`)."""
+        try:
+            cost = cost_model.layer_cost(layer, mapping)
+        except MappingError as error:
+            # A (style, dims) combination that the cost model rejects is
+            # an invalid corner of the mapping space, not a failed search.
+            logger.debug("skipping %s %s/%s on %s: %s", mapping.style.value,
+                         mapping.tile_dim, mapping.spatial_dim, layer.name,
+                         error)
+            return None
+        # The mean of one cost per environment, summed in that order, so
+        # near-ties between combos round as such a mean would.
+        total = 0.0
+        for _ in self.environments:
+            total += cost.energy
+        return (cost.tile.energy, cost.tile.total_time,
+                total / len(self.environments))
 
     def _dim_pairs(self, layer: Layer) -> List[Tuple[str, str]]:
         """(tile_dim, spatial_dim) combinations worth trying."""
@@ -288,44 +362,6 @@ class MappingOptimizer:
                 pairs.append((tile_dim, fallback))
         return pairs
 
-    def _min_feasible(self, layer: Layer, style: DataflowStyle,
-                      tile_dim: str, spatial_dim: str,
-                      models: Sequence[AnalyticalModel]
-                      ) -> Optional[LayerMapping]:
-        """Smallest N_tile feasible in every environment (geometric scan).
-
-        When even single-iteration chunks of ``tile_dim`` exceed one
-        energy cycle, the scan escalates to a multi-dimensional cpkt
-        tile by splitting a secondary dimension as well.
-        """
-        dims = layer.dims()
-        bound = dims[tile_dim]
-        n = 1
-        while True:
-            mapping = LayerMapping(style=style, n_tiles=n, tile_dim=tile_dim,
-                                   spatial_dim=spatial_dim)
-            if self._feasible_everywhere(layer, mapping, models):
-                return mapping
-            if n >= bound:
-                break
-            n = min(n * 2, bound)
-        secondary = self._secondary_dim(dims, tile_dim, spatial_dim)
-        if secondary is None:
-            return None
-        bound2 = dims[secondary]
-        n2 = 2
-        while True:
-            mapping = LayerMapping(style=style, n_tiles=bound,
-                                   tile_dim=tile_dim,
-                                   spatial_dim=spatial_dim,
-                                   secondary_dim=secondary,
-                                   n_tiles_2=min(n2, bound2))
-            if self._feasible_everywhere(layer, mapping, models):
-                return mapping
-            if n2 >= bound2:
-                return None
-            n2 = min(n2 * 2, bound2)
-
     @staticmethod
     def _secondary_dim(dims, tile_dim: str, spatial_dim: str) -> Optional[str]:
         candidates = [name for name in ("K", "C", "Y", "X")
@@ -335,22 +371,37 @@ class MappingOptimizer:
             return None
         return max(candidates, key=lambda name: dims[name])
 
-    @staticmethod
-    def _feasible_everywhere(layer: Layer, mapping: LayerMapping,
-                             models: Sequence[AnalyticalModel]) -> bool:
-        # Tiles stream through VM, so only the energy-cycle bound (Eq. 8)
-        # constrains feasibility; VM pressure shows up as NVM re-read
-        # energy in the cost itself.
-        for model in models:
-            cost = model.layer_cost(layer, mapping)
-            if not model.tile_feasible(cost):
-                return False
-        return True
 
-    @staticmethod
-    def _mean_energy(layer: Layer, mapping: LayerMapping,
-                     models: Sequence[AnalyticalModel]) -> float:
-        total = 0.0
-        for model in models:
-            total += model.layer_cost(layer, mapping).energy
-        return total / len(models)
+def _ladder(mapper: MappingOptimizer, dims: Dict[str, int],
+            style: DataflowStyle, tile_dim: str,
+            spatial_dim: str) -> List[LayerMapping]:
+    """One combo's rungs in scan order.
+
+    ``N_tile`` doubles from 1 up to the tile dimension's bound.  When
+    even single-iteration chunks of ``tile_dim`` can exceed one energy
+    cycle, the ladder continues into multi-dimensional cpkt tiles that
+    split a secondary dimension as well.
+    """
+    bound = dims[tile_dim]
+    rungs: List[LayerMapping] = []
+    n = 1
+    while True:
+        rungs.append(LayerMapping(style=style, n_tiles=n, tile_dim=tile_dim,
+                                  spatial_dim=spatial_dim))
+        if n >= bound:
+            break
+        n = min(n * 2, bound)
+    secondary = mapper._secondary_dim(dims, tile_dim, spatial_dim)
+    if secondary is not None:
+        bound2 = dims[secondary]
+        n2 = 2
+        while True:
+            rungs.append(LayerMapping(style=style, n_tiles=bound,
+                                      tile_dim=tile_dim,
+                                      spatial_dim=spatial_dim,
+                                      secondary_dim=secondary,
+                                      n_tiles_2=min(n2, bound2)))
+            if n2 >= bound2:
+                break
+            n2 = min(n2 * 2, bound2)
+    return rungs

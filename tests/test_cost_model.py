@@ -212,6 +212,40 @@ class TestLayerCostCache:
             configure_layer_cost_cache(enabled=True)
             clear_layer_cost_cache()
 
+    def test_profile_mode_times_each_outcome(self, conv):
+        """Profile mode records one latency sample per call, in the
+        histogram of its outcome: a cold call misses, a warm call hits,
+        and a call with the cache disabled is uncached."""
+        from repro.dataflow.cost_model import (clear_layer_cost_cache,
+                                               configure_layer_cost_cache)
+        from repro.obs import state as obs_state
+
+        names = ("miss", "hit", "uncached")
+
+        def counts():
+            histograms = obs_state.snapshot()["metrics"]["histograms"]
+            return [histograms.get(f"cost.layer_cost.{name}_seconds",
+                                   {}).get("count", 0) for name in names]
+
+        model = model_for(tpu_like())
+        try:
+            configure_layer_cost_cache(enabled=True)
+            clear_layer_cost_cache()
+            obs_state.reset()
+            obs_state.enable(profile=True)
+            model.layer_cost(conv, ws(n_tiles=4))
+            assert counts() == [1, 0, 0]
+            model.layer_cost(conv, ws(n_tiles=4))
+            assert counts() == [1, 1, 0]
+            configure_layer_cost_cache(enabled=False)
+            model.layer_cost(conv, ws(n_tiles=4))
+            assert counts() == [1, 1, 1]
+        finally:
+            obs_state.disable()
+            obs_state.reset()
+            configure_layer_cost_cache(enabled=True)
+            clear_layer_cost_cache()
+
     def test_different_hardware_do_not_collide(self, conv):
         from repro.dataflow.cost_model import (clear_layer_cost_cache,
                                                configure_layer_cost_cache)

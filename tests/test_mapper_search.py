@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dataflow.mapping import LayerMapping
 from repro.design import EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
 from repro.explore.mapper_search import MappingOptimizer
@@ -87,18 +88,24 @@ class TestExactness:
     def test_chosen_mapping_not_worse_than_defaults(self, har):
         """The optimizer's pick must beat (or tie) the naive default
         mapping on mean energy."""
-        optimizer = MappingOptimizer(har)
         energy = EnergyDesign(panel_area_cm2=8.0, capacitance_f=uF(470))
         inference = InferenceDesign.msp430()
-        models = optimizer._models(energy, inference)
-        chosen = optimizer.optimize(energy, inference)
-        from repro.dataflow.mapping import LayerMapping
+        chosen = MappingOptimizer(har).optimize(energy, inference)
+        design = AuTDesign(energy=energy, inference=inference,
+                           mappings=chosen)
+        models = [AnalyticalModel(design, har, environment)
+                  for environment in LightEnvironment.paper_environments()]
+
+        def mean_energy(layer, mapping):
+            return sum(model.layer_cost(layer, mapping).energy
+                       for model in models) / len(models)
+
         for layer, mapping in zip(har, chosen):
-            best = optimizer._mean_energy(layer, mapping, models)
+            best = mean_energy(layer, mapping)
             for n in (1, 2, 4):
                 candidate = LayerMapping.default(layer, n_tiles=n)
-                if not optimizer._feasible_everywhere(layer, candidate,
-                                                      models):
+                if not all(model.tile_feasible(model.layer_cost(layer,
+                                                                candidate))
+                           for model in models):
                     continue
-                assert best <= optimizer._mean_energy(
-                    layer, candidate, models) * (1 + 1e-9)
+                assert best <= mean_energy(layer, candidate) * (1 + 1e-9)

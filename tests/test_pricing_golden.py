@@ -5,8 +5,8 @@ pricing (Eqs. 1-9) for a fixed grid of inputs, written by
 ``tests/golden/make_pricing.py``.  Every pricing entry point must
 reproduce them exactly:
 
-* ``tile_costs`` — the :class:`TileCost` of every rung the rung-table
-  mapper (``batch_eval._ladder``) enumerates, for every layer of five zoo
+* ``tile_costs`` — the :class:`TileCost` of every rung the SW-level
+  mapper (``mapper_search._ladder``) enumerates, for every layer of five zoo
   networks covering each layer kind the cost model prices, on four
   accelerators; priced through both ``layer_cost`` and
   ``layer_cost_batch`` from a cold cache;
@@ -43,10 +43,9 @@ from repro.design import AuTDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
 from repro.environments import ScenarioGenerator, environment_by_name
 from repro.errors import MappingError
-from repro.explore.batch_eval import _ladder
 from repro.explore.bilevel import BilevelExplorer
 from repro.explore.ga import GAConfig
-from repro.explore.mapper_search import MappingOptimizer
+from repro.explore.mapper_search import MappingOptimizer, _ladder
 from repro.explore.objectives import Objective
 from repro.explore.space import DesignSpace
 from repro.hardware.accelerators import AcceleratorFamily

@@ -1,19 +1,17 @@
 """Property-based tests for the SW-level mapping optimizer."""
 
+import math
 import random
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow.cost_model import DataflowCostModel
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
 from repro.errors import MappingError
-from repro.explore.batch_eval import VectorizedGenomeEvaluator
-from repro.explore.bilevel import BilevelExplorer
 from repro.explore.mapper_search import MappingOptimizer
-from repro.explore.objectives import Objective
 from repro.explore.space import DesignSpace
 from repro.hardware.accelerators import AcceleratorFamily
 from repro.sim.analytical import AnalyticalModel, CycleBudget
@@ -100,18 +98,61 @@ environment_sets = st.sampled_from([
 ])
 
 
+def _brute_force(mapper, energy, inference):
+    """Reference SW-level search over the optimizer's own ladders.
+
+    Prices every rung with one :class:`AnalyticalModel` per environment;
+    per combo, keeps the first rung that fits one energy cycle in every
+    environment (a rung that raises ends its combo); across combos,
+    keeps the least mean energy with strict ``<``.
+    """
+    network = mapper.network
+    design = AuTDesign.with_default_mappings(energy, inference, network)
+    models = [AnalyticalModel(design, network, environment,
+                              checkpoint=mapper.checkpoint)
+              for environment in mapper.environments]
+    mappings = []
+    for layer, ladders in zip(network, mapper._ladders):
+        best, best_score = None, math.inf
+        for ladder in ladders:
+            priced = []
+            for mapping in ladder:
+                try:
+                    priced.append([model.layer_cost(layer, mapping)
+                                   for model in models])
+                except MappingError:
+                    priced.append(None)
+            for mapping, costs in zip(ladder, priced):
+                if costs is None:
+                    break
+                if all(model.tile_feasible(cost)
+                       for model, cost in zip(models, costs)):
+                    score = sum(cost.energy for cost in costs) / len(costs)
+                    if score < best_score:
+                        best, best_score = mapping, score
+                    break
+        if best is None:
+            return None
+        mappings.append(best)
+    return tuple(mappings)
+
+
 @given(energies=st.lists(energy_designs, min_size=1, max_size=5),
        inference=scan_hardwares, name=st.sampled_from(["har", "kws"]),
        environments=environment_sets,
        rejected=st.sampled_from([None, 2, 4]))
 @settings(max_examples=40, deadline=None)
-def test_shared_scan_matches_optimizer(energies, inference, name,
-                                       environments, rejected):
-    """Energy designs scanned together on one accelerator by the
-    vectorized evaluator each get exactly the scalar optimizer's
-    mappings — ``None`` (unmappable) included — also when pricing
-    rejects every rung with ``rejected`` tiles: that rung ends its
-    combo, and the rungs before it still count."""
+# On the MSP430, 5 cm2 and 100 uF fit some kws tiles only with the
+# energy harvested while they run (Eq. 3's net * T_tile term).
+@example(energies=[EnergyDesign(panel_area_cm2=5.0, capacitance_f=uF(100))],
+         inference=InferenceDesign.msp430(), name="kws",
+         environments=LightEnvironment.paper_environments(), rejected=None)
+def test_shared_scan_matches_brute_force(energies, inference, name,
+                                         environments, rejected):
+    """Energy designs scanned together on one accelerator each get the
+    brute-force reference's mappings — ``None`` (unmappable) included —
+    also when pricing rejects every rung with ``rejected`` tiles: that
+    rung ends its combo, and the rungs before it still count."""
     price = DataflowCostModel.layer_cost
 
     def layer_cost(model, layer, mapping):
@@ -119,16 +160,10 @@ def test_shared_scan_matches_optimizer(energies, inference, name,
             raise MappingError(f"n_tiles={rejected} rejected")
         return price(model, layer, mapping)
 
-    network = zoo.workload_by_name(name)
-    explorer = BilevelExplorer(network, DesignSpace.existing_aut(),
-                               Objective.lat_sp(), environments=environments)
-    seeded = [AuTDesign.with_default_mappings(energy, inference, network)
-              for energy in energies]
-    optimizer = MappingOptimizer(network, environments)
+    mapper = MappingOptimizer(zoo.workload_by_name(name), environments)
     with mock.patch.object(DataflowCostModel, "layer_cost", layer_cost):
-        scanned = VectorizedGenomeEvaluator(explorer)._scan(inference,
-                                                            seeded)
-        expected = [optimizer.optimize(energy, inference)
+        scanned = mapper.scan(inference, energies)
+        expected = [_brute_force(mapper, energy, inference)
                     for energy in energies]
     assert scanned == expected
 
