@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Search-throughput benchmark: serial vs memoized vs batched vs surrogate.
+"""Search-throughput benchmark: serial vs memoized vs batched.
 
-Runs the same fixed-seed bi-level search five ways —
+Runs the same fixed-seed bi-level search four ways —
 
 * ``serial_cold`` — one process, the serial search with the layer-cost
   cache and mapper memo on, both cleared before *each* repeat: the
@@ -19,26 +19,11 @@ Runs the same fixed-seed bi-level search five ways —
   runs must *hit* the mapper memo the batched sweeps of the previous
   repeat filled, pinning the batched/scalar memo sharing the serving
   layer's coalescer depends on (``mapper_hit_rate`` here must be > 0;
-  the cold ``batched`` mode structurally reports 0.0);
-* ``surrogate``    — the surrogate-guided explorer
-  (``explore/guided.py``): a learned model triages each generation and
-  only the top slice is oracle-priced —
+  the cold ``batched`` mode structurally reports 0.0) —
 
-verifies that the exact modes return the *identical* best design and
+verifies that all four modes return the *identical* best design and
 score, and writes the resulting throughput and cache-hit numbers to
 ``BENCH_search.json``.
-
-The surrogate mode is deliberately *not* part of the exact
-``identical_best`` set: pruning changes the GA trajectory after the
-warmup generations (that is the entire point), so bit-identity is
-structurally impossible whenever the serial winner first appears in a
-post-warmup generation.  It is gated on two honest properties instead
-(``--gate-surrogate``, enforced in CI): the guided best score must be
-*no worse* than ``serial_cold``'s, and ``hw_evaluations`` must be at
-most ``--max-surrogate-eval-ratio`` (default 0.5) of the serial
-count.  Both are recorded in the JSON (``surrogate_no_regression``,
-``surrogate_eval_ratio``) next to ``surrogate_identical_best`` for
-the runs where identity does happen to hold.
 
 Each mode is timed ``--repeats`` times and the fastest run is kept, so
 the reported speedups are about the code, not scheduler noise.  The
@@ -89,31 +74,8 @@ def _run_search(workload: str, setup: str, config: GAConfig) -> SearchResult:
     return explorer.run()
 
 
-def _run_surrogate_search(workload: str, setup: str,
-                          config: GAConfig) -> SearchResult:
-    from repro.explore.guided import SurrogateConfig, SurrogateGuidedExplorer
-
-    space = (DesignSpace.existing_aut() if setup == "existing"
-             else DesignSpace.future_aut())
-    explorer = SurrogateGuidedExplorer(
-        network=zoo.workload_by_name(workload),
-        space=space,
-        objective=Objective.lat_sp(),
-        ga_config=config,
-        # Tuned on the smoke config: pure exploitation (no uncertainty
-        # bonus), aggressive pruning with a small floor, refit every
-        # generation — lands at ~0.4x the serial evaluation count while
-        # matching or beating the serial best score.
-        surrogate=SurrogateConfig(keep_fraction=0.2, warmup_generations=1,
-                                  explore_weight=0.0, min_keep=2,
-                                  refit_every=1),
-    )
-    return explorer.run()
-
-
 def _bench_mode(workload: str, setup: str, config: GAConfig,
-                repeats: int, clear_each_repeat: bool,
-                runner=_run_search) -> SearchResult:
+                repeats: int, clear_each_repeat: bool) -> SearchResult:
     """Fastest of ``repeats`` runs (results are deterministic).
 
     Every mode runs with the layer-cost cache and mapper memo on.
@@ -126,7 +88,7 @@ def _bench_mode(workload: str, setup: str, config: GAConfig,
     for index in range(repeats):
         if clear_each_repeat and index > 0:
             _clear_caches()
-        result = runner(workload, setup, config)
+        result = _run_search(workload, setup, config)
         if best is None or result.stats.search_seconds < \
                 best.stats.search_seconds:
             best = result
@@ -150,15 +112,6 @@ def main(argv: Optional[list] = None) -> int:
                         metavar="X",
                         help="fail (exit 1) unless the batched mode is at "
                              "least X times faster than serial_cold")
-    parser.add_argument("--gate-surrogate", action="store_true",
-                        help="fail (exit 1) unless the surrogate mode "
-                             "scores no worse than serial_cold within the "
-                             "evaluation budget")
-    parser.add_argument("--max-surrogate-eval-ratio", type=float,
-                        default=0.5, metavar="R",
-                        help="surrogate-mode hw_evaluations budget as a "
-                             "fraction of serial_cold's (with "
-                             "--gate-surrogate)")
     parser.add_argument("--output", default="BENCH_search.json")
     args = parser.parse_args(argv)
 
@@ -187,26 +140,13 @@ def main(argv: Optional[list] = None) -> int:
     modes["batched_warm"] = _bench_mode(
         args.workload, args.setup, batched_cfg,
         repeats=max(args.repeats, 2), clear_each_repeat=False)
-    modes["surrogate"] = _bench_mode(
-        args.workload, args.setup, serial_cfg,
-        repeats=args.repeats, clear_each_repeat=True,
-        runner=_run_surrogate_search)
     _clear_caches()
 
     reference = modes["serial_cold"]
-    # The exact modes must agree bit-for-bit; the surrogate mode prunes,
-    # so it is held to its own gates below instead.
     identical_best = all(
         result.score == reference.score and result.design == reference.design
-        for name, result in modes.items() if name != "surrogate"
+        for result in modes.values()
     )
-    surrogate = modes["surrogate"]
-    surrogate_identical = (surrogate.score == reference.score
-                           and surrogate.design == reference.design)
-    surrogate_no_regression = surrogate.score <= reference.score
-    surrogate_eval_ratio = (
-        surrogate.stats.hw_evaluations / reference.stats.hw_evaluations
-        if reference.stats.hw_evaluations else 0.0)
 
     cold_rate = reference.stats.evals_per_second
 
@@ -228,10 +168,6 @@ def main(argv: Optional[list] = None) -> int:
         "speedup_memoized": speedup("memoized"),
         "speedup_batched": speedup("batched"),
         "speedup_batched_warm": speedup("batched_warm"),
-        "surrogate_identical_best": surrogate_identical,
-        "surrogate_no_regression": surrogate_no_regression,
-        "surrogate_best_score": surrogate.score,
-        "surrogate_eval_ratio": surrogate_eval_ratio,
     }
 
     path = pathlib.Path(args.output)
@@ -246,32 +182,14 @@ def main(argv: Optional[list] = None) -> int:
     print(f"  speedup: memoized {report['speedup_memoized']:.2f}x, "
           f"batched {report['speedup_batched']:.2f}x "
           f"(warm {report['speedup_batched_warm']:.2f}x)")
-    print(f"  identical best across exact modes: {identical_best}")
-    print(f"  surrogate: score {surrogate.score:.6g} vs serial "
-          f"{reference.score:.6g} "
-          f"({'identical' if surrogate_identical else 'no regression' if surrogate_no_regression else 'REGRESSION'}), "
-          f"{surrogate.stats.hw_evaluations}/"
-          f"{reference.stats.hw_evaluations} oracle evals "
-          f"({surrogate_eval_ratio:.2f}x)")
+    print(f"  identical best across modes: {identical_best}")
     print(f"report written to {path}")
 
     failed = False
     if not identical_best:
-        print("ERROR: exact modes disagreed on the best design",
+        print("ERROR: modes disagreed on the best design",
               file=sys.stderr)
         failed = True
-    if args.gate_surrogate:
-        if not surrogate_no_regression:
-            print(f"ERROR: surrogate mode regressed the best score "
-                  f"({surrogate.score:.6g} > {reference.score:.6g})",
-                  file=sys.stderr)
-            failed = True
-        if surrogate_eval_ratio > args.max_surrogate_eval_ratio:
-            print(f"ERROR: surrogate mode used "
-                  f"{surrogate_eval_ratio:.2f}x of serial_cold's oracle "
-                  f"evaluations (budget "
-                  f"{args.max_surrogate_eval_ratio:g}x)", file=sys.stderr)
-            failed = True
     if modes["memoized"].stats.mapper_hit_rate <= 0.0:
         print("ERROR: memoized mode recorded no mapper-memo hits "
               "(the process-wide memo is dead again)", file=sys.stderr)

@@ -15,7 +15,8 @@ This example:
 Run:  python examples/wearable_scenario.py
 """
 
-from repro import SCENARIOS, Chrysalis, zoo
+from repro import Chrysalis, zoo
+from repro.core.scenarios import SCENARIOS
 from repro.explore.ga import GAConfig
 from repro.sim.evaluator import ChrysalisEvaluator
 from repro.sim.trace import EventKind

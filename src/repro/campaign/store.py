@@ -885,34 +885,6 @@ class ResultStore:
             params.append(campaign)
         return self._execute(sql, params).fetchone()["n"]
 
-    def solutions_for_training(self, campaign: Optional[str] = None,
-                               workload: Optional[str] = None,
-                               ) -> List[StoredRun]:
-        """Rows that carry surrogate training signal, deterministically.
-
-        ``done`` rows contribute their winning (design, score) pair plus
-        any absorbed candidate failures; ``failed`` / ``exhausted`` rows
-        contribute their failure log as censored labels.  Rows with
-        neither a solution nor failures are omitted.  Ordering is total
-        (grid order with the run hash as final tiebreaker), which is one
-        half of the byte-identical-feature-matrix guarantee pinned by
-        ``tests/test_surrogate.py`` — the other half is the featurizer.
-        """
-        sql = ("SELECT * FROM runs WHERE status IN (?, ?, ?) "
-               "AND (solution_json IS NOT NULL "
-               "OR failures_json IS NOT NULL)")
-        params: List[Any] = [STATUS_DONE, STATUS_FAILED, STATUS_EXHAUSTED]
-        if campaign is not None:
-            sql += " AND campaign=?"
-            params.append(campaign)
-        if workload is not None:
-            sql += " AND workload=?"
-            params.append(workload)
-        sql += (" ORDER BY workload, setup, environment, objective, seed, "
-                "run_hash")
-        return [self._to_stored(row)
-                for row in self._execute(sql, params).fetchall()]
-
     # -- Pareto slices -------------------------------------------------------
 
     def pareto_points(self, campaign: Optional[str] = None,

@@ -23,13 +23,6 @@ Commands
     on any machine sharing the store file join the same campaign),
     show completion counts plus per-worker liveness, and rebuild the
     winners / Pareto-front report purely from the store.
-``surrogate fit|rank``
-    The learned ranking model over campaign results: ``fit`` trains a
-    surrogate from a store's finished runs (and absorbed failures, as
-    censored examples) and writes it as JSON; ``rank`` samples random
-    candidates and prints the model's favourites without any oracle
-    pricing.  ``search --surrogate [--surrogate-model PATH]`` consumes
-    the model (see docs/EXPLORATION.md).
 ``obs report``
     Render an observability snapshot — either a ``--obs-output`` JSON
     file or the per-run blobs persisted in a campaign store.
@@ -55,7 +48,6 @@ import pathlib
 import signal
 import sys
 import time
-import warnings
 from typing import List, Optional
 
 from repro.campaign import (
@@ -78,7 +70,6 @@ from repro.campaign.store import (
 from repro.core.chrysalis import Chrysalis
 from repro.core.describer import describe_design
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
-from repro.energy.environment import LightEnvironment
 from repro.environments import environment_by_name
 from repro.errors import ChrysalisError
 from repro.explore.ga import GAConfig
@@ -106,32 +97,6 @@ from repro.serve import (
 )
 from repro.sim.report import render_faults_sweep
 from repro.workloads import zoo
-
-
-class _DeprecatedAlias(argparse.Action):
-    """``store`` that warns (once per alias) on deprecated spellings."""
-
-    def __init__(self, *args, deprecated_aliases=(), preferred=None,
-                 **kwargs):
-        super().__init__(*args, **kwargs)
-        self._deprecated = frozenset(deprecated_aliases)
-        self._preferred = preferred
-
-    _announced = set()  # (prog, option) pairs already printed to stderr
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string in self._deprecated:
-            message = (f"{option_string} is deprecated; "
-                       f"use {self._preferred}")
-            # The warning is for programmatic callers (tests, scripts
-            # driving main()); the default filters hide it on a normal
-            # CLI invocation, so also say it once on stderr.
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-            key = (parser.prog, option_string)
-            if key not in self._announced:
-                self._announced.add(key)
-                print(f"warning: {message}", file=sys.stderr)
-        setattr(namespace, self.dest, values)
 
 
 def _add_obs_args(p: argparse.ArgumentParser) -> None:
@@ -219,7 +184,7 @@ def cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def write_solution_json(solution, path) -> pathlib.Path:
-    """Persist a solution as JSON — the one write path ``search --json``
+    """Persist a solution as JSON — the one write path ``search --output``
     and ``campaign run`` share (both go through ``repro.serialize``)."""
     path = pathlib.Path(path)
     path.write_text(solution_to_json(solution))
@@ -229,16 +194,6 @@ def write_solution_json(solution, path) -> pathlib.Path:
 def cmd_search(args: argparse.Namespace) -> int:
     network = zoo.workload_by_name(args.workload)
     obs_on = _obs_begin(args)
-    surrogate = None
-    surrogate_model = None
-    if args.surrogate or args.surrogate_model:
-        from repro.explore.guided import SurrogateConfig
-
-        surrogate = SurrogateConfig(keep_fraction=args.keep_fraction)
-        if args.surrogate_model:
-            from repro.surrogate import load_model
-
-            surrogate_model, _ = load_model(args.surrogate_model)
     tool = Chrysalis(
         network,
         setup=args.setup,
@@ -246,8 +201,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         ga_config=GAConfig(population_size=args.population,
                            generations=args.generations, seed=args.seed,
                            batched=args.batched),
-        surrogate=surrogate,
-        surrogate_model=surrogate_model,
     )
     solution = tool.generate()
     print(solution.report())
@@ -423,53 +376,6 @@ def _campaign_report(args: argparse.Namespace) -> int:
         path = pathlib.Path(args.json)
         path.write_text(json.dumps(report.as_dict(), indent=2))
         print(f"\nreport written to {path}")
-    return 0
-
-
-def cmd_surrogate(args: argparse.Namespace) -> int:
-    handlers = {"fit": _surrogate_fit, "rank": _surrogate_rank}
-    return handlers[args.surrogate_command](args)
-
-
-def _surrogate_fit(args: argparse.Namespace) -> int:
-    from repro.surrogate import fit_from_store, save_model
-
-    with ResultStore(args.store) as store:
-        model, training = fit_from_store(
-            store, campaign=args.campaign, workload=args.workload,
-            kind=args.kind, seed=args.seed)
-    print(f"trained {args.kind} surrogate on {training.summary()}")
-    save_model(args.output, model, training.schema)
-    print(f"model written to {args.output}")
-    return 0
-
-
-def _surrogate_rank(args: argparse.Namespace) -> int:
-    import random
-
-    from repro.explore.failures import describe_genome
-    from repro.explore.space import DesignSpace
-    from repro.surrogate import FeatureContext, Featurizer, load_model
-
-    network = zoo.workload_by_name(args.workload)
-    model, _ = load_model(args.model)
-    space = (DesignSpace.existing_aut() if args.setup == "existing"
-             else DesignSpace.future_aut())
-    rng = random.Random(args.seed)
-    genomes = [space.sample(rng) for _ in range(args.count)]
-    context = FeatureContext(
-        network=network,
-        environments=tuple(LightEnvironment.paper_environments()),
-        objective=_build_objective(args),
-    )
-    features = Featurizer().matrix_for_genomes(genomes, context)
-    order = model.rank(features, args.explore_weight)
-    predictions = model.predict_batch(features)
-    print(f"top {min(args.top, len(genomes))} of {len(genomes)} sampled "
-          f"candidates (surrogate opinion only — not oracle-priced):")
-    for position in order[:args.top]:
-        print(f"  {predictions[position]:10.4g}  "
-              f"{describe_genome(genomes[position])}")
     return 0
 
 
@@ -680,22 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--batched", action="store_true",
                         help="vectorized in-process generation evaluation "
                              "(identical results)")
-    search.add_argument("--surrogate", action="store_true",
-                        help="surrogate-guided search: a learned model "
-                             "triages each generation and only the top "
-                             "slice is fully priced (docs/EXPLORATION.md)")
-    search.add_argument("--keep-fraction", type=float, default=0.3,
-                        help="oracle-priced share of each generation under "
-                             "--surrogate (1.0 = identical to plain search)")
-    search.add_argument("--surrogate-model", default=None, metavar="PATH",
-                        help="warm-start from a model fitted by "
-                             "'surrogate fit' (implies --surrogate)")
-    search.add_argument("--output", "--json", dest="output", default=None,
-                        metavar="PATH", action=_DeprecatedAlias,
-                        deprecated_aliases={"--json"}, preferred="--output",
+    search.add_argument("--output", default=None, metavar="PATH",
                         help="write the full solution as JSON "
-                             "(reloadable via repro.serialize); "
-                             "--json is a deprecated alias")
+                             "(reloadable via repro.serialize)")
     search.add_argument("--design-output", default=None,
                         help="write just the design (loadable via "
                              "--design) as JSON")
@@ -813,49 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
     creport.add_argument("--json", default=None, metavar="PATH",
                          help="also write the report as JSON")
 
-    surrogate = sub.add_parser(
-        "surrogate",
-        help="fit / probe the learned ranking model over campaign results")
-    ssur = surrogate.add_subparsers(dest="surrogate_command", required=True)
-
-    sfit = ssur.add_parser(
-        "fit", help="train a surrogate from a campaign store's "
-                    "finished runs and absorbed failures")
-    sfit.add_argument("--store", default="campaign.sqlite",
-                      help="SQLite result store to extract training data "
-                           "from")
-    sfit.add_argument("--campaign", default=None,
-                      help="restrict training rows to one campaign")
-    sfit.add_argument("--workload", default=None,
-                      help="restrict training rows to one workload")
-    sfit.add_argument("--kind", choices=("ridge", "stumps"),
-                      default="ridge", help="regressor family")
-    sfit.add_argument("--seed", type=int, default=0)
-    sfit.add_argument("--output", default="surrogate.json", metavar="PATH",
-                      help="where to write the fitted model JSON")
-
-    srank = ssur.add_parser(
-        "rank", help="sample random candidates and print the model's "
-                     "favourites (no oracle pricing)")
-    srank.add_argument("workload")
-    srank.add_argument("--model", required=True, metavar="PATH",
-                       help="model JSON written by 'surrogate fit'")
-    srank.add_argument("--setup", choices=("existing", "future"),
-                       default="existing")
-    srank.add_argument("--objective", choices=("lat", "sp", "lat*sp"),
-                       default="lat*sp")
-    srank.add_argument("--sp-cap", type=float, default=None,
-                       help="solar-panel cap (cm^2) for --objective lat")
-    srank.add_argument("--lat-cap", type=float, default=None,
-                       help="latency cap (s) for --objective sp")
-    srank.add_argument("--count", type=int, default=256,
-                       help="random candidates to sample")
-    srank.add_argument("--top", type=int, default=10,
-                       help="how many favourites to print")
-    srank.add_argument("--seed", type=int, default=0)
-    srank.add_argument("--explore-weight", type=float, default=0.0,
-                       help="uncertainty bonus weight during ranking")
-
     obs = sub.add_parser(
         "obs", help="observability reports (see docs/OBSERVABILITY.md)")
     osub = obs.add_subparsers(dest="obs_command", required=True)
@@ -954,7 +804,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "describe": cmd_describe,
         "simulate": cmd_simulate,
         "campaign": cmd_campaign,
-        "surrogate": cmd_surrogate,
         "obs": cmd_obs,
         "serve": cmd_serve,
         "faults-sweep": cmd_faults_sweep,

@@ -61,16 +61,6 @@ class Chrysalis:
         over-budget candidate is absorbed as an ``EvaluationTimeout``
         penalty instead of stalling the search (campaign runs set this
         from their spec).
-    surrogate:
-        Optional :class:`~repro.explore.guided.SurrogateConfig`: route
-        :meth:`generate` through the surrogate-guided explorer, which
-        fully prices only the model's top slice of each GA generation
-        (see docs/EXPLORATION.md).
-    surrogate_model:
-        Optional pre-fitted :class:`~repro.surrogate.model.
-        SurrogateModel` (e.g. from ``repro surrogate fit``) to warm-
-        start the guided search; implies a default ``surrogate`` config
-        when none was given.
     """
 
     def __init__(self, network: Network,
@@ -81,8 +71,7 @@ class Chrysalis:
                  environments: Optional[Sequence[LightEnvironment]] = None,
                  ga_config: Optional[GAConfig] = None,
                  checkpoint: Optional[CheckpointModel] = None,
-                 candidate_time_budget_s: Optional[float] = None,
-                 surrogate=None, surrogate_model=None) -> None:
+                 candidate_time_budget_s: Optional[float] = None) -> None:
         self.network = network
         if space is not None:
             self.space = space
@@ -106,17 +95,11 @@ class Chrysalis:
         self.ga_config = ga_config
         self.checkpoint = checkpoint
         self.candidate_time_budget_s = candidate_time_budget_s
-        if surrogate is None and surrogate_model is not None:
-            from repro.explore.guided import SurrogateConfig
-
-            surrogate = SurrogateConfig()
-        self.surrogate = surrogate
-        self.surrogate_model = surrogate_model
         self.last_result: Optional[SearchResult] = None
 
     def generate(self) -> AuTSolution:
         """Run the bi-level search and package the ideal architecture."""
-        options = dict(
+        explorer = BilevelExplorer(
             network=self.network,
             space=self.space,
             objective=self.objective,
@@ -125,14 +108,6 @@ class Chrysalis:
             checkpoint=self.checkpoint,
             candidate_time_budget_s=self.candidate_time_budget_s,
         )
-        if self.surrogate is not None:
-            from repro.explore.guided import SurrogateGuidedExplorer
-
-            explorer = SurrogateGuidedExplorer(
-                surrogate=self.surrogate, model=self.surrogate_model,
-                **options)
-        else:
-            explorer = BilevelExplorer(**options)
         result = explorer.run()
         self.last_result = result
         return AuTSolution.from_search(result, self.network,

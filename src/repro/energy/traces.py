@@ -11,8 +11,8 @@ that is
 
 * **duck-compatible** with :class:`~repro.energy.environment.
   LightEnvironment` where it matters (``.name`` and a representative
-  scalar ``.k_eh`` — the only attributes the analytical model, the MPPT
-  tracker and the surrogate featurizer consume), and
+  scalar ``.k_eh`` — the only attributes the analytical model and the
+  MPPT tracker consume), and
 * **piecewise-constant by construction**, which is what lets the step
   simulator's cycle-skipping fast path run *within* each segment
   instead of falling back to exact stepping (see

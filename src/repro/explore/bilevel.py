@@ -294,36 +294,15 @@ class BilevelExplorer:
                   objective=self.objective.kind.value):
             return self._run_search()
 
-    def _build_batch_evaluator(self):
-        """The batch evaluator this run hands the GA (``None`` = serial).
-
-        Subclasses override this to interpose on generation evaluation
-        (the surrogate-guided explorer wraps the evaluator returned
-        here); the default is vectorized sweeps when ``batched`` is set,
-        else the serial loop.
-        """
+    def _run_search(self) -> SearchResult:
+        self._reset_run_state()
+        run_started = time.monotonic()
+        batch_evaluator = None
         if self.ga_config.batched:
             # Imported lazily: batch_eval.py imports this module.
             from repro.explore.batch_eval import VectorizedGenomeEvaluator
 
-            return VectorizedGenomeEvaluator(self)
-        return None
-
-    def _finalize_best(self, best_genome: Genome,
-                       best_score: float) -> Tuple[Genome, float]:
-        """Last chance to adjust the GA's winner before final pricing.
-
-        The base explorer prices every candidate with the oracle, so the
-        GA's answer already is the answer.  Subclasses that score some
-        candidates with estimates override this to guarantee the
-        *reported* winner was oracle-priced.
-        """
-        return best_genome, best_score
-
-    def _run_search(self) -> SearchResult:
-        self._reset_run_state()
-        run_started = time.monotonic()
-        batch_evaluator = self._build_batch_evaluator()
+            batch_evaluator = VectorizedGenomeEvaluator(self)
         algorithm = GeneticAlgorithm(self.space, self.evaluate_genome,
                                      self.ga_config,
                                      seeds=self._seed_genomes(),
@@ -344,7 +323,6 @@ class BilevelExplorer:
                 f"{self.network.name!r} under "
                 f"{self.objective.kind.value!r}{detail}"
             ) from None
-        best_genome, best_score = self._finalize_best(best_genome, best_score)
         if not self.objective.is_compliant_score(best_score):
             raise SearchError(
                 f"bi-level search found no design satisfying the "

@@ -43,13 +43,7 @@ class SearchStats:
       evaluator (``GAConfig.batched``): sweeps is the number of
       generation-sized batched passes, genomes how many candidates they
       priced, and ``scalar_fallbacks`` how many candidates dropped back
-      to the scalar oracle path (errors, or re-pricing one at a time);
-    * ``surrogate_*`` — work routed through the surrogate-guided
-      explorer (``repro.explore.guided``): ``surrogate_priced`` is how
-      many candidates the ranking forwarded to full oracle pricing,
-      ``surrogate_pruned`` how many got estimated fitness instead, and
-      ``surrogate_refits`` how many times the model was (re)fit from
-      freshly priced rows mid-run.
+      to the scalar oracle path (errors, or re-pricing one at a time).
     """
 
     hw_evaluations: int = 0
@@ -63,9 +57,6 @@ class SearchStats:
     batched_sweeps: int = 0
     batched_genomes: int = 0
     scalar_fallbacks: int = 0
-    surrogate_pruned: int = 0
-    surrogate_priced: int = 0
-    surrogate_refits: int = 0
 
     # -- derived rates -------------------------------------------------------
 
@@ -106,11 +97,6 @@ class SearchStats:
                 f"batched     : {self.batched_genomes} genome(s) in "
                 f"{self.batched_sweeps} sweep(s), "
                 f"{self.scalar_fallbacks} scalar fallback(s)")
-        if self.surrogate_pruned or self.surrogate_priced:
-            lines.append(
-                f"surrogate   : {self.surrogate_priced} priced / "
-                f"{self.surrogate_pruned} pruned, "
-                f"{self.surrogate_refits} refit(s)")
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, float]:
@@ -130,9 +116,6 @@ class SearchStats:
             "batched_sweeps": self.batched_sweeps,
             "batched_genomes": self.batched_genomes,
             "scalar_fallbacks": self.scalar_fallbacks,
-            "surrogate_pruned": self.surrogate_pruned,
-            "surrogate_priced": self.surrogate_priced,
-            "surrogate_refits": self.surrogate_refits,
         }
 
 

@@ -1,4 +1,4 @@
-"""Tests for the ``campaign`` CLI group and ``search --json``."""
+"""Tests for the ``campaign`` CLI group and ``search --output``."""
 
 import json
 
@@ -88,12 +88,11 @@ class TestCampaignReport:
         assert "har/existing/indoor" in out
 
 
-class TestSearchJson:
-    def test_search_json_flag_writes_loadable_solution(self, tmp_path,
-                                                       capsys):
+class TestSearchOutput:
+    def test_search_output_writes_loadable_solution(self, tmp_path, capsys):
         path = tmp_path / "solution.json"
         assert main(["search", "har", "--population", "4",
-                     "--generations", "2", "--json", str(path)]) == 0
+                     "--generations", "2", "--output", str(path)]) == 0
         solution = solution_from_json(path.read_text())
         assert solution.design.mappings  # fully rehydrated
         assert solution.average_metrics.feasible

@@ -3,11 +3,9 @@
 import subprocess
 import sys
 import textwrap
-import warnings
 
 import pytest
 
-import repro
 from repro.campaign.spec import (
     CampaignSpec,
     ObjectiveSpec,
@@ -232,21 +230,3 @@ class TestServeKeys:
         key_b, group_b = request_key(design, network, (b,), "analytical")
         assert key_a == key_b
         assert group_a == group_b
-
-
-class TestDeprecations:
-    @pytest.mark.parametrize("name", ["SCENARIOS", "scenario_by_name"])
-    def test_demoted_names_warn_and_resolve(self, name):
-        import repro.core.scenarios as canonical
-
-        repro.__dict__.pop(name, None)
-        repro._warned.discard(name)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(repro, name)
-        assert value is getattr(canonical, name)
-        messages = [str(w.message) for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-        assert messages == [
-            f"repro.{name} is deprecated; import it from "
-            f"repro.core.scenarios instead"]
