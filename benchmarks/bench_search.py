@@ -28,10 +28,12 @@ score, and writes the resulting throughput and cache-hit numbers to
 Each mode is timed ``--repeats`` times and the fastest run is kept, so
 the reported speedups are about the code, not scheduler noise.  The
 script also fails unless ``batched`` and ``serial_cold`` record the same
-``layer_cost_misses``: both scans must price exactly the same rungs, so
-a batched mapper that prices more than it reaches shows up as a count,
-not as a timing.  CI runs ``--smoke --min-batched-speedup 1`` (a ~1 s
-budget) and archives the JSON as an artifact.
+``layer_cost_misses`` and ``layer_cost_hits``: both modes run the same
+generation evaluator, so their mapper scans must price exactly the same
+rungs and their pricing the same (design, environment) pairs, and extra
+work shows up as a count, not as a timing.  CI runs ``--smoke
+--min-batched-speedup 1`` (a ~1 s budget) and archives the JSON as an
+artifact.
 
 Usage::
 
@@ -199,12 +201,18 @@ def main(argv: Optional[list] = None) -> int:
               "(the vectorized evaluator is bypassing the process-wide "
               "memo)", file=sys.stderr)
         failed = True
-    serial_misses = modes["serial_cold"].stats.layer_cost_misses
-    batched_misses = modes["batched"].stats.layer_cost_misses
-    if batched_misses != serial_misses:
-        print(f"ERROR: batched mode priced {batched_misses} layer-cost "
-              f"misses, serial_cold {serial_misses} (the two mapper "
-              f"scans no longer price the same rungs)", file=sys.stderr)
+    serial, batched = modes["serial_cold"].stats, modes["batched"].stats
+    if batched.layer_cost_misses != serial.layer_cost_misses:
+        print(f"ERROR: batched mode priced {batched.layer_cost_misses} "
+              f"layer-cost misses, serial_cold {serial.layer_cost_misses} "
+              f"(the two mapper scans no longer price the same rungs)",
+              file=sys.stderr)
+        failed = True
+    if batched.layer_cost_hits != serial.layer_cost_hits:
+        print(f"ERROR: batched mode recorded {batched.layer_cost_hits} "
+              f"layer-cost hits, serial_cold {serial.layer_cost_hits} "
+              f"(the two modes no longer price the same designs in the "
+              f"same environments)", file=sys.stderr)
         failed = True
     if (args.min_batched_speedup is not None
             and report["speedup_batched"] < args.min_batched_speedup):

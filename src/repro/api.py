@@ -34,9 +34,9 @@ from repro.environments import environment_by_name
 from repro.errors import ConfigurationError
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs import state as obs_state
-from repro.sim.analytical import BatchAnalyticalModel
 from repro.sim.engine import SimulationResult
-from repro.sim.evaluator import ChrysalisEvaluator, _average_metrics
+from repro.sim.evaluator import (ChrysalisEvaluator, _average_metrics,
+                                 _evaluate_every_environment)
 from repro.sim.metrics import InferenceMetrics
 from repro.workloads import zoo
 from repro.workloads.network import Network
@@ -251,32 +251,20 @@ def evaluate_batch(designs: Sequence[AuTDesign],
         return []
 
     def _run() -> List[EvaluationReport]:
-        metrics_by_env = [
-            BatchAnalyticalModel(network, environment,
-                                 checkpoint).evaluate_many(designs)
-            for environment in envs
-        ]
-        reports: List[EvaluationReport] = []
-        for index, design in enumerate(designs):
-            by_env: Dict[str, InferenceMetrics] = {}
-            average: Optional[InferenceMetrics] = None
-            for environment, env_metrics in zip(envs, metrics_by_env):
-                metrics = env_metrics[index]
-                by_env[environment.name] = metrics
-                if not metrics.feasible:
-                    average = metrics
-                    break
-            if average is None:
-                average = _average_metrics(list(by_env.values()))
-            reports.append(EvaluationReport(
+        priced = _evaluate_every_environment(designs, network, envs,
+                                             checkpoint)
+        return [
+            EvaluationReport(
                 design=design,
                 workload=network.name,
                 fidelity="analytical",
-                metrics=average,
-                by_environment=by_env,
+                metrics=verdict,
+                by_environment={environment.name: metrics
+                                for environment, metrics in zip(envs, row)},
                 simulations=None,
-            ))
-        return reports
+            )
+            for design, (row, verdict) in zip(designs, priced)
+        ]
 
     enabled_here = False
     if obs and not obs_state.OBS.enabled:
@@ -329,9 +317,9 @@ def evaluate_many(requests: Sequence[EvalRequest],
     request order and are bit-identical to calling
     ``evaluate(fidelity="analytical")`` per request.
 
-    This is the pricing engine behind the evaluation service's
-    micro-batcher (:mod:`repro.serve`): whatever mix of requests a
-    flush drains, each compatibility group costs one batch call.
+    The evaluation service (:mod:`repro.serve`) does not call this
+    function: its flush groups requests the same way and calls
+    :func:`evaluate_batch` itself, once per compatibility group.
     """
     requests = list(requests)
     if not requests:
@@ -397,10 +385,10 @@ def serve(**config_knobs: Any):
     Keyword arguments are :class:`~repro.serve.service.ServeConfig`
     fields (``max_batch_size``, ``max_wait_ms``, ``max_queue``,
     ``default_deadline_s``, ``drain_timeout_s``).  Identical in-flight
-    requests coalesce onto one evaluation, analytical requests
-    micro-batch through :func:`evaluate_many`'s grouped pricing, and
-    responses stay bit-identical to :func:`evaluate` — see
-    ``docs/SERVING.md``.
+    requests coalesce onto one evaluation, each flush prices every
+    compatibility group of analytical requests in one
+    :func:`evaluate_batch` call, and responses stay bit-identical to
+    :func:`evaluate` — see ``docs/SERVING.md``.
     """
     # Imported lazily: repro.serve imports this module's evaluators.
     from repro.serve.service import EvaluationService, ServeConfig

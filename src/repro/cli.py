@@ -742,8 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="largest micro-batch one flush may hold")
     srun.add_argument("--max-wait-ms", type=float,
                       default=ServeConfig.max_wait_ms,
-                      help="longest the batcher may hold a request "
-                           "while waiting for company")
+                      help="no effect: the service flushes as soon as "
+                           "its queue drains, so it never waits for "
+                           "company")
     srun.add_argument("--max-queue", type=int,
                       default=ServeConfig.max_queue,
                       help="admission limit; beyond it requests are "

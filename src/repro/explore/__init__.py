@@ -8,8 +8,9 @@
 * :mod:`repro.explore.mapper_search` — SW-level per-layer mapping
   optimisation (the GAMMA-like inner search);
 * :mod:`repro.explore.bilevel` — the bi-level HW/SW strategy of §III-C;
-* :mod:`repro.explore.batch_eval` — vectorized in-process generation
-  evaluation (opt-in via ``GAConfig.batched``);
+* :mod:`repro.explore.batch_eval` — the generation evaluator, the one
+  code path that lowers, prices and scores genomes (one genome per call,
+  or a whole generation with ``GAConfig.batched``);
 * :mod:`repro.explore.stats` — throughput / cache observability;
 * :mod:`repro.explore.baselines` — the six ablated methods of Table VI;
 * :mod:`repro.explore.random_search` / :mod:`repro.explore.grid` —

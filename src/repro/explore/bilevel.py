@@ -15,25 +15,16 @@ Every evaluated point is retained as a :class:`ParetoPoint` of
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.dataflow.cost_model import layer_cost_cache_stats
 from repro.dataflow.mapping import LayerMapping
 from repro.design import AuTDesign
 from repro.energy.environment import LightEnvironment
-from repro.errors import (
-    ChrysalisError,
-    DesignSpaceError,
-    EvaluationTimeout,
-    InfeasibleDesignError,
-    MappingError,
-    SearchError,
-    SimulationError,
-)
-from repro.explore.failures import FailureLog, FailureRecord, describe_genome
+from repro.errors import SearchError
+from repro.explore.batch_eval import VectorizedGenomeEvaluator
+from repro.explore.failures import FailureLog
 from repro.explore.ga import GAConfig, GAHistory, GeneticAlgorithm, genome_key
 from repro.explore.mapper_search import MappingOptimizer
 from repro.explore.objectives import Objective
@@ -47,17 +38,6 @@ from repro.sim.metrics import InferenceMetrics
 from repro.workloads.network import Network
 
 logger = logging.getLogger(__name__)
-
-#: Error families absorbed per candidate: anything a machine-generated
-#: genome can plausibly trip over.  Configuration mistakes made by the
-#: *caller* (bad objective, bad GA config) still raise.
-_CANDIDATE_ERRORS = (
-    MappingError,
-    SimulationError,
-    InfeasibleDesignError,
-    DesignSpaceError,
-    EvaluationTimeout,
-)
 
 
 @dataclass
@@ -112,6 +92,11 @@ class BilevelExplorer:
         self.candidate_time_budget_s = candidate_time_budget_s
         self.mapper = MappingOptimizer(network, self.environments,
                                        checkpoint=checkpoint)
+        #: Every genome's ``(energy, inference)`` projection is read off
+        #: a design built with these mappings.
+        self._seed_mappings = tuple(
+            LayerMapping.default(layer) for layer in network
+        )
         self.evaluator = ChrysalisEvaluator(network, self.environments,
                                             checkpoint=checkpoint)
         self.evaluated: List[ParetoPoint] = []
@@ -123,13 +108,6 @@ class BilevelExplorer:
         #: (the pre-v1.1 cache was keyed by ``id(design.mappings)`` and
         #: never read).
         self._design_cache: Dict[tuple, AuTDesign] = {}
-        # Whole SW-level search results live in the *process-wide*
-        # mapper memo (see repro.explore.mapper_search._MapperMemo),
-        # probed through self.mapper.  PR 2 kept an equivalent dict per
-        # explorer, which is why the bench never saw a mapper hit: every
-        # run builds a fresh explorer, so the memo died with it.
-        self._mapper_hits = 0
-        self._mapper_misses = 0
 
     # -- fitness ---------------------------------------------------------------
 
@@ -146,65 +124,17 @@ class BilevelExplorer:
     def compute_outcome(self, genome: Genome) -> GenomeOutcome:
         """Evaluate one genome without touching shared search state.
 
-        Every side effect on the search (failure records, Pareto points,
-        counter deltas, the design cache) is returned as data for
-        :meth:`apply_outcome` to apply in deterministic order.
+        The genome is a one-genome generation of the generation
+        evaluator (:mod:`repro.explore.batch_eval`), so it is lowered,
+        priced and scored as in a batched search.  Every side effect on
+        the search (failure records, Pareto points, counter deltas, the
+        design cache) is returned as data for :meth:`apply_outcome` to
+        apply in deterministic order.
         """
         with span("search.genome"):
-            return self._compute_outcome(genome)
-
-    def _compute_outcome(self, genome: Genome) -> GenomeOutcome:
-        started = time.monotonic()
-        layer_hits0, layer_misses0 = layer_cost_cache_stats()
-        mapper_hits0, mapper_misses0 = self._mapper_hits, self._mapper_misses
-        score = math.inf
-        design: Optional[AuTDesign] = None
-        point: Optional[Tuple[float, float]] = None
-        failure: Optional[FailureRecord] = None
-        try:
-            design = self.lower_genome(genome)
-            if design is not None:
-                metrics = self.evaluator.evaluate_average(design)
-        except _CANDIDATE_ERRORS as error:
-            failure = self._failure(genome, error, stage="sw-lowering")
-            design = None
-        except ChrysalisError as error:
-            # Non-candidate library errors were historically absorbed by
-            # the GA layer; absorbing them here keeps the serial and
-            # batched paths byte-identical.
-            failure = self._failure(genome, error, stage="hw-fitness")
-            design = None
-        else:
-            if design is not None:
-                elapsed = time.monotonic() - started
-                if (self.candidate_time_budget_s is not None
-                        and elapsed > self.candidate_time_budget_s):
-                    timeout = EvaluationTimeout(
-                        f"candidate evaluation exceeded its "
-                        f"{self.candidate_time_budget_s:.3g} s budget"
-                    )
-                    failure = self._failure(genome, timeout,
-                                            stage="hw-fitness")
-                    design = None
-                else:
-                    score = self.objective.score(design, metrics)
-                    if (metrics.feasible
-                            and math.isfinite(metrics.e2e_latency)):
-                        latency = (metrics.sustained_period
-                                   or metrics.e2e_latency)
-                        point = (design.energy.panel_area_cm2, latency)
-        layer_hits1, layer_misses1 = layer_cost_cache_stats()
-        return GenomeOutcome(
-            score=score,
-            design=design if math.isfinite(score) else None,
-            point=point,
-            failure=failure,
-            eval_seconds=time.monotonic() - started,
-            mapper_hits=self._mapper_hits - mapper_hits0,
-            mapper_misses=self._mapper_misses - mapper_misses0,
-            layer_cost_hits=layer_hits1 - layer_hits0,
-            layer_cost_misses=layer_misses1 - layer_misses0,
-        )
+            outcomes, _ = VectorizedGenomeEvaluator(self)._compute_outcomes(
+                [genome])
+            return outcomes[0]
 
     def apply_outcome(self, genome: Genome, outcome: GenomeOutcome) -> float:
         """Fold one evaluation's side effects back into the search."""
@@ -227,16 +157,6 @@ class BilevelExplorer:
             ))
         return outcome.score
 
-    def _failure(self, genome: Genome, error: BaseException,
-                 stage: str) -> FailureRecord:
-        return FailureRecord(
-            candidate=describe_genome(genome),
-            family=type(error).__name__,
-            message=str(error),
-            penalty=math.inf,
-            stage=stage,
-        )
-
     def lower_genome(self, genome: Genome) -> Optional[AuTDesign]:
         """Run the SW-level search for a genome; ``None`` if unmappable.
 
@@ -244,16 +164,10 @@ class BilevelExplorer:
         projection: two genomes that lower to the same hardware reuse
         the whole mapper result.
         """
-        seed_mappings = tuple(
-            LayerMapping.default(layer) for layer in self.network
-        )
-        seeded = self.space.to_design(genome, seed_mappings)
+        seeded = self.space.to_design(genome, self._seed_mappings)
         key = (seeded.energy, seeded.inference)
         hit, mappings = self.mapper.memo_probe(key)
-        if hit:
-            self._mapper_hits += 1
-        else:
-            self._mapper_misses += 1
+        if not hit:
             mappings = self.mapper.optimize(seeded.energy, seeded.inference)
             self.mapper.memo_fill(key, mappings)
         if mappings is None:
@@ -297,17 +211,11 @@ class BilevelExplorer:
     def _run_search(self) -> SearchResult:
         self._reset_run_state()
         run_started = time.monotonic()
-        batch_evaluator = None
-        if self.ga_config.batched:
-            # Imported lazily: batch_eval.py imports this module.
-            from repro.explore.batch_eval import VectorizedGenomeEvaluator
-
-            batch_evaluator = VectorizedGenomeEvaluator(self)
-        algorithm = GeneticAlgorithm(self.space, self.evaluate_genome,
-                                     self.ga_config,
-                                     seeds=self._seed_genomes(),
-                                     failure_log=self.failures,
-                                     batch_evaluator=batch_evaluator)
+        algorithm = GeneticAlgorithm(
+            self.space, self.evaluate_genome, self.ga_config,
+            seeds=self._seed_genomes(), failure_log=self.failures,
+            batch_evaluator=(VectorizedGenomeEvaluator(self)
+                             if self.ga_config.batched else None))
         try:
             best_genome, best_score = algorithm.run()
         except SearchError:

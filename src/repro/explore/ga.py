@@ -57,10 +57,11 @@ class GAConfig:
     mutation_rate: float = 0.4
     mutation_scale: float = 0.3
     seed: int = 0
-    #: Vectorized in-process evaluation: each generation's uncached
-    #: genomes are evaluated together
-    #: (:class:`repro.explore.batch_eval.VectorizedGenomeEvaluator`),
-    #: bit-identical to the serial path.
+    #: How many genomes one call to the generation evaluator
+    #: (:class:`repro.explore.batch_eval.VectorizedGenomeEvaluator`)
+    #: holds: each generation's uncached genomes together, or one at a
+    #: time.  The results are bit-identical; one at a time is what lets
+    #: ``candidate_time_budget_s`` time each candidate alone.
     batched: bool = False
 
     def __post_init__(self) -> None:

@@ -199,8 +199,8 @@ class ParetoExplorer:
         from repro.explore.bilevel import BilevelExplorer
         from repro.explore.objectives import Objective
 
-        # Reuse the scalar explorer's lowering machinery; its objective
-        # is irrelevant here (we read metrics, not scores).
+        # Reuse the scalar explorer's fitness path; its objective is
+        # irrelevant here (we read Pareto points, not scores).
         self._bilevel = BilevelExplorer(
             network, space, Objective.lat_sp(),
             environments=environments, ga_config=ga_config,
@@ -209,14 +209,10 @@ class ParetoExplorer:
         self.ga_config = ga_config or GAConfig()
 
     def _fitness(self, genome: Genome) -> Tuple[float, float]:
-        design = self._bilevel.lower_genome(genome)
-        if design is None:
-            return (math.inf, math.inf)
-        metrics = self._bilevel.evaluator.evaluate_average(design)
-        if not metrics.feasible:
-            return (math.inf, math.inf)
-        latency = metrics.sustained_period or metrics.e2e_latency
-        return (design.energy.panel_area_cm2, latency)
+        """(panel cm^2, sustained latency s); infinite when the genome
+        is unmappable, infeasible or failed."""
+        point = self._bilevel.compute_outcome(genome).point
+        return point if point is not None else (math.inf, math.inf)
 
     def run(self) -> List[ParetoPoint]:
         """The (panel cm^2, sustained latency s) front; payloads are the

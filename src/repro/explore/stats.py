@@ -8,11 +8,12 @@ hit/miss counters and per-stage wall-clock so that
 can all report the same numbers.
 
 :class:`GenomeOutcome` is the result of evaluating one HW genome as
-data.  Evaluation (``BilevelExplorer.compute_outcome`` or a vectorized
-sweep in :mod:`repro.explore.batch_eval`) produces it; the explorer then
-applies the side effects — Pareto points, failure records, counter
-deltas — in generation order.  The serial and batched paths share this
-compute/apply split, which is what makes their runs bit-identical.
+data.  The generation evaluator of :mod:`repro.explore.batch_eval` is
+the only code that produces it, for one genome
+(``BilevelExplorer.compute_outcome``) or a whole generation
+(``GAConfig.batched``); the explorer then applies the side effects —
+Pareto points, failure records, counter deltas — in generation order,
+which is what makes serial and batched runs bit-identical.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ class SearchStats:
       InferenceDesign)`` projection of a genome;
     * ``design_cache_hits`` — reuses of a fully lowered design by
       genome key (e.g. the winner re-lowering at the end of ``run()``);
-    * ``batched_*`` — work routed through the vectorized population
-      evaluator (``GAConfig.batched``): sweeps is the number of
-      generation-sized batched passes, genomes how many candidates they
-      priced, and ``scalar_fallbacks`` how many candidates dropped back
-      to the scalar oracle path (errors, or re-pricing one at a time).
+    * ``batched_*`` and ``scalar_fallbacks`` — whole generations
+      handed to the generation evaluator (``GAConfig.batched``):
+      ``batched_sweeps`` counts those calls, ``batched_genomes`` the
+      genomes their generation pass priced, and ``scalar_fallbacks``
+      the genomes re-run one at a time because their hardware group's
+      mapper scan, or the generation's pricing, raised.  A serial
+      search evaluates one genome per call and leaves all three at 0.
     """
 
     hw_evaluations: int = 0
@@ -126,9 +129,9 @@ class GenomeOutcome:
     ``design`` is the lowered design when the score is finite (it doubles
     as the Pareto-point payload and fills the explorer's design cache);
     ``failure`` is the absorbed candidate failure, if any.  The cache
-    counters are *deltas* accumulated during this evaluation: a
-    vectorized sweep attributes a whole generation's cache activity to
-    one outcome, so only the deltas' sum is meaningful.
+    counters are *deltas* accumulated during this evaluation: the
+    generation evaluator attributes a whole generation's layer-cost
+    activity to one outcome, so only the deltas' sum is meaningful.
     """
 
     score: float

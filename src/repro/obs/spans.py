@@ -10,8 +10,10 @@ so a whole campaign run yields a tree like::
           search.genome
             mapper.optimize
             eval.average
-              analytical.evaluate
-                cost.plan
+        search.final_pricing
+          eval.average
+            analytical.evaluate
+              cost.plan
 
 The :class:`SpanRecorder` owns one such forest per run scope.  It is
 deliberately *not* thread-safe: CHRYSALIS parallelism is process-based

@@ -60,15 +60,14 @@ from repro.workloads.network import Network
 class ServeConfig:
     """Tuning knobs of the evaluation service (all SLO-facing).
 
-    ``max_wait_ms`` bounds the latency the batcher may *add* to a
-    request while waiting for company; ``max_batch_size`` bounds how
-    much company one flush can hold.  ``eager_flush`` (the default)
-    makes the batcher work-conserving: it flushes as soon as the
-    admission queue drains instead of sleeping out ``max_wait_ms`` —
-    requests that were going to batch together arrive in the same
-    event-loop wave anyway, so the timer only matters as the upper
-    bound for slowly trickling producers (set ``eager_flush=False`` to
-    always wait it out).  ``max_queue`` is the admission limit — beyond
+    ``max_batch_size`` bounds how much company one flush can hold.
+    ``eager_flush`` (the default) makes the batcher work-conserving: it
+    flushes as soon as the admission queue drains — requests that were
+    going to batch together arrive in the same event-loop wave anyway.
+    ``max_wait_ms`` is read only with ``eager_flush=False``: then it
+    bounds the latency the batcher may *add* to a request while waiting
+    for company; under eager flush it changes nothing, however slowly
+    producers trickle.  ``max_queue`` is the admission limit — beyond
     it requests are shed, trading availability for bounded latency.
     ``default_deadline_s`` applies to requests that do not carry their
     own deadline (``None`` means no deadline).

@@ -287,35 +287,38 @@ class BatchAnalyticalModel:
 
     # -- plan construction -----------------------------------------------------
 
-    def plans(self, designs: Sequence[AuTDesign]) -> List[List[LayerCost]]:
+    def plans(self, designs: Sequence[AuTDesign],
+              budgets: Sequence[CycleBudget]) -> List[List[LayerCost]]:
         """Per-layer costs for each design, grouped by accelerator.
 
         Designs sharing an :class:`InferenceDesign` share one hardware
         build and one cost model, so a mapping repeated across the group
-        is priced once and then hits the layer-cost cache.
+        is priced once and then hits the layer-cost cache.  A design
+        whose budget (``budgets``, one per design) cannot charge gets an
+        empty plan: :func:`price_plan` rejects it before reading a
+        layer, so, as in :meth:`AnalyticalModel.evaluate`, no layer is
+        priced for it.
         """
-        plans: List[Optional[List[LayerCost]]] = [None] * len(designs)
+        plans: List[List[LayerCost]] = [[] for _ in designs]
         groups: dict = {}
-        for index, design in enumerate(designs):
+        for index, (design, budget) in enumerate(zip(designs, budgets)):
             design.validate_against(self.network)
-            groups.setdefault(design.inference, []).append(index)
+            if budget.net > 0.0:
+                groups.setdefault(design.inference, []).append(index)
         for inference, indices in groups.items():
             hardware = inference.build()
             checkpoint = self.checkpoint or CheckpointModel(
                 nvm=hardware.nvm.technology
             )
             cost_model = DataflowCostModel(hardware, checkpoint)
-            rows: List[List[LayerCost]] = [[] for _ in indices]
             for layer_index, layer in enumerate(self.network):
                 costs = cost_model.layer_cost_batch(
                     layer,
                     [designs[i].mappings[layer_index] for i in indices],
                 )
-                for row, cost in zip(rows, costs):
-                    row.append(cost)
-            for index, row in zip(indices, rows):
-                plans[index] = row
-        return plans  # type: ignore[return-value]
+                for index, cost in zip(indices, costs):
+                    plans[index].append(cost)
+        return plans
 
     # -- whole-inference evaluation (Eq. 7) -----------------------------------
 
@@ -324,17 +327,18 @@ class BatchAnalyticalModel:
     ) -> List[InferenceMetrics]:
         """One :class:`InferenceMetrics` per design, in order."""
         designs = list(designs)
-        return self.evaluate_plans(designs, self.plans(designs))
+        budgets = [CycleBudget.of(design.energy, self.environment)
+                   for design in designs]
+        return self.evaluate_plans(budgets, self.plans(designs, budgets))
 
     def evaluate_plans(
         self,
-        designs: Sequence[AuTDesign],
+        budgets: Sequence[CycleBudget],
         plans: Sequence[Sequence[LayerCost]],
     ) -> List[InferenceMetrics]:
-        """Eq. 7 over pre-priced plans (one per design)."""
-        return [price_plan(plan, CycleBudget.of(design.energy,
-                                                self.environment))
-                for design, plan in zip(designs, plans)]
+        """Eq. 7 over pre-priced plans (one per budget)."""
+        return [price_plan(plan, budget)
+                for budget, plan in zip(budgets, plans)]
 
 
 def _next_tile_count(n: int, bound: int) -> int:

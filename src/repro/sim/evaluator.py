@@ -13,7 +13,7 @@ and darker) "to ensure the system is able to run in both environments";
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.design import AuTDesign
 from repro.energy.controller import EnergyController
@@ -23,7 +23,7 @@ from repro.energy.traces import TraceEnvironment, TraceHarvester
 from repro.errors import ConfigurationError
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import span
-from repro.sim.analytical import AnalyticalModel
+from repro.sim.analytical import AnalyticalModel, BatchAnalyticalModel
 from repro.sim.engine import SimulationResult, StepSimulator
 from repro.sim.intermittent import InferenceController
 from repro.sim.metrics import InferenceMetrics
@@ -144,6 +144,8 @@ class ChrysalisEvaluator:
 
         Any infeasible environment makes the whole design infeasible —
         the paper requires the system "to run in both environments".
+        :func:`_evaluate_every_environment` is the same rule for many
+        designs at once.
         """
         with span("eval.average", mode=self.mode.value):
             results = []
@@ -179,3 +181,38 @@ def _average_metrics(results: Sequence[InferenceMetrics]) -> InferenceMetrics:
         sustained_period=sum(m.sustained_period or m.e2e_latency
                              for m in results) / n,
     )
+
+
+def _evaluate_every_environment(
+    designs: Sequence[AuTDesign],
+    network: Network,
+    environments: Sequence[LightEnvironment],
+    checkpoint: Optional[CheckpointModel],
+) -> List[Tuple[List[InferenceMetrics], InferenceMetrics]]:
+    """:meth:`ChrysalisEvaluator.evaluate_average` for many designs at
+    analytical fidelity.
+
+    Environment ``k`` is priced in one
+    :class:`~repro.sim.analytical.BatchAnalyticalModel` call, for the
+    designs still feasible in every earlier environment.  Returns, per
+    design, its metrics per environment up to and including the first
+    infeasible one, and its verdict: that environment's metrics, or
+    else the mean.
+    """
+    rows: List[List[InferenceMetrics]] = [[] for _ in designs]
+    live = list(range(len(designs)))
+    with span("eval.average", mode=EvaluationMode.ANALYTICAL.value):
+        for environment in environments:
+            if not live:
+                break
+            priced = BatchAnalyticalModel(network, environment,
+                                          checkpoint).evaluate_many(
+                [designs[i] for i in live])
+            feasible = []
+            for i, metrics in zip(live, priced):
+                rows[i].append(metrics)
+                if metrics.feasible:
+                    feasible.append(i)
+            live = feasible
+    return [(row, row[-1] if not row[-1].feasible else _average_metrics(row))
+            for row in rows]

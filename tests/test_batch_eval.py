@@ -15,6 +15,7 @@ from repro import evaluate, evaluate_batch
 from repro.dataflow.cost_model import clear_layer_cost_cache
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
+from repro.errors import MappingError
 from repro.explore.bilevel import BilevelExplorer
 from repro.explore.ga import GAConfig
 from repro.explore.batch_eval import VectorizedGenomeEvaluator
@@ -201,6 +202,45 @@ class TestBatchedSearchIdentity:
     def test_batched_recorded_in_summary(self):
         result = make_explorer(batched=True).run()
         assert "batched" in result.summary()
+
+
+class TestGroupRerun:
+    @staticmethod
+    def warm_broken_search(batched):
+        """Seed 3 after seed 0 warmed the mapper memo, every panel
+        under 10 cm2 unmappable."""
+        clear_mapper_memo()
+        clear_layer_cost_cache()
+        make_explorer(seed=0).run()
+        clear_layer_cost_cache()
+        explorer = make_explorer(seed=3, batched=batched)
+        original = explorer.mapper.scan
+
+        def sabotaged(inference, energies):
+            if any(energy.panel_area_cm2 < 10.0 for energy in energies):
+                raise MappingError("synthetic: no tiling")
+            return original(inference, energies)
+
+        explorer.mapper.scan = sabotaged
+        return explorer.run()
+
+    def test_group_with_memo_hits_is_priced_once(self):
+        """A group whose scan raises is re-run one genome at a time;
+        its memo hits must not be priced in the generation pass too."""
+        serial = self.warm_broken_search(False)
+        batched = self.warm_broken_search(True)
+        assert_results_equal(serial, batched)
+        assert len(serial.failures) > 0
+        assert batched.stats.scalar_fallbacks > 0
+        # One memo probe per genome, a failed genome's included.
+        assert (serial.stats.mapper_hits + serial.stats.mapper_misses
+                == serial.stats.hw_evaluations)
+        assert batched.stats.mapper_hits == serial.stats.mapper_hits > 0
+        assert batched.stats.mapper_misses == serial.stats.mapper_misses
+        assert (batched.stats.layer_cost_hits
+                == serial.stats.layer_cost_hits)
+        assert (batched.stats.layer_cost_misses
+                == serial.stats.layer_cost_misses)
 
 
 class TestMapperMemoLifetime:

@@ -5,6 +5,7 @@ runaway evaluation — must cost the search one infinite-fitness penalty
 and one structured :class:`FailureRecord`, never the whole run.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from repro.errors import (
 from repro.explore.bilevel import BilevelExplorer
 from repro.explore.failures import FailureLog, describe_genome
 from repro.explore.ga import GAConfig, GeneticAlgorithm
+from repro.explore.mapper_search import clear_mapper_memo
 from repro.explore.objectives import Objective
 from repro.explore.space import DesignSpace, ParameterSpec
 from repro.sim.engine import StepSimulator
@@ -74,28 +76,46 @@ class TestGAAbsorption:
             ga.run()
 
 
+def sabotage_scan(explorer, broken):
+    """Make the mapper scan, which both search modes reach, raise
+    :class:`MappingError` for any energy design ``broken`` accepts."""
+    original = explorer.mapper.scan
+
+    def sabotaged(inference, energies):
+        for energy in energies:
+            if broken(energy):
+                raise MappingError(
+                    f"synthetic: no tiling for {energy.panel_area_cm2:.2f}"
+                    " cm2")
+        return original(inference, energies)
+
+    explorer.mapper.scan = sabotaged
+
+
+def records(result):
+    return [(r.candidate, r.family, r.stage) for r in result.failures.records]
+
+
 class TestBilevelHardening:
-    def test_broken_candidates_absorbed_and_logged(self):
-        """A space containing deliberately broken candidates must still
-        yield a feasible best design, with every absorbed failure
-        enumerated in the result's failure log."""
+    @staticmethod
+    def broken_run(batched):
+        """FAST_GA on har, every panel under 10 cm2 unmappable."""
+        clear_mapper_memo()
         explorer = BilevelExplorer(
             network=zoo.har_cnn(),
             space=DesignSpace.existing_aut(),
             objective=Objective.lat_sp(),
-            ga_config=FAST_GA,
+            ga_config=dataclasses.replace(FAST_GA, batched=batched),
         )
-        original = explorer.mapper.optimize
+        sabotage_scan(explorer, lambda energy: energy.panel_area_cm2 < 10.0)
+        return explorer.run()
 
-        def sabotaged(energy, inference):
-            if energy.panel_area_cm2 < 10.0:
-                raise MappingError(
-                    f"synthetic: no tiling for {energy.panel_area_cm2:.2f}"
-                    " cm2")
-            return original(energy, inference)
-
-        explorer.mapper.optimize = sabotaged
-        result = explorer.run()
+    @pytest.mark.parametrize("batched", [False, True], ids=["serial", "batched"])
+    def test_broken_candidates_absorbed_and_logged(self, batched):
+        """A space containing deliberately broken candidates must still
+        yield a feasible best design, with every absorbed failure
+        enumerated in the result's failure log."""
+        result = self.broken_run(batched)
         assert result.average.feasible
         assert result.design.energy.panel_area_cm2 >= 10.0
         assert len(result.failures) > 0
@@ -103,19 +123,25 @@ class TestBilevelHardening:
             assert record.family == "MappingError"
             assert "panel_area_cm2=" in record.candidate
             assert math.isinf(record.penalty)
+        if batched:
+            # A raising group scan re-runs its genomes one at a time,
+            # which records the same failures and memo probes as serial.
+            serial = self.broken_run(False)
+            assert result.stats.scalar_fallbacks > 0
+            assert records(result) == records(serial)
+            assert result.stats.mapper_hits == serial.stats.mapper_hits
+            assert result.stats.mapper_misses == serial.stats.mapper_misses
 
-    def test_all_broken_still_raises_search_error(self):
+    @pytest.mark.parametrize("batched", [False, True], ids=["serial", "batched"])
+    def test_all_broken_still_raises_search_error(self, batched):
         explorer = BilevelExplorer(
             network=zoo.har_cnn(),
             space=DesignSpace.existing_aut(),
             objective=Objective.lat_sp(),
-            ga_config=GAConfig(population_size=4, generations=2, seed=0),
+            ga_config=GAConfig(population_size=4, generations=2, seed=0,
+                               batched=batched),
         )
-
-        def always_broken(energy, inference):
-            raise MappingError("synthetic: nothing maps")
-
-        explorer.mapper.optimize = always_broken
+        sabotage_scan(explorer, lambda energy: True)
         with pytest.raises(SearchError) as excinfo:
             explorer.run()
         # The error message carries the absorbed-failure histogram.
