@@ -35,8 +35,8 @@ from repro.errors import ConfigurationError
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs import state as obs_state
 from repro.sim.engine import SimulationResult
-from repro.sim.evaluator import (ChrysalisEvaluator, _average_metrics,
-                                 _evaluate_every_environment)
+from repro.sim.evaluator import (ChrysalisEvaluator,
+                                 _evaluate_every_environment, _verdict)
 from repro.sim.metrics import InferenceMetrics
 from repro.workloads import zoo
 from repro.workloads.network import Network
@@ -66,10 +66,13 @@ class EvaluationReport:
     metrics: InferenceMetrics
     #: Per-environment metrics, in evaluation order.  On an infeasible
     #: design this holds the environments evaluated up to and including
-    #: the infeasible one.
+    #: the infeasible one.  Keyed by environment name: when two priced
+    #: environments share a name, the later one's entry is kept here,
+    #: though ``metrics`` averages both.
     by_environment: Dict[str, InferenceMetrics] = field(default_factory=dict)
     #: Step fidelity only: the full per-environment simulation results
-    #: (trace, controllers, fast-path counters); ``None`` otherwise.
+    #: (trace, controllers, fast-path counters), keyed like
+    #: ``by_environment``; ``None`` otherwise.
     simulations: Optional[Dict[str, SimulationResult]] = None
     #: Observability snapshot of this evaluation (``obs=True`` or an
     #: enclosing enabled scope); ``None`` otherwise.
@@ -90,19 +93,26 @@ def _resolve_environments(
     scenario: Optional[Union[str, Scenario]],
     environments: Optional[Sequence[LightEnvironment]],
 ) -> tuple:
+    """The environment set a request names; the one place that checks
+    it is not empty, for :func:`evaluate`, :func:`evaluate_batch`,
+    :func:`evaluate_many` and the evaluation service."""
     if environments is not None:
         if scenario is not None:
             raise ConfigurationError(
                 "pass either scenario or environments, not both")
-        return tuple(environments)
-    if scenario is not None:
-        if isinstance(scenario, str):
-            # A string resolves through the unified registry, so any
-            # environment label works here: scenario names, presets,
-            # "scenario:<name>", registered traces.
-            return environment_by_name(scenario)
-        return tuple(scenario.environments)
-    return environment_by_name("paper")
+        envs = tuple(environments)
+    elif scenario is None:
+        envs = environment_by_name("paper")
+    elif isinstance(scenario, str):
+        # A string resolves through the unified registry, so any
+        # environment label works here: scenario names, presets,
+        # "scenario:<name>", registered traces.
+        envs = environment_by_name(scenario)
+    else:
+        envs = tuple(scenario.environments)
+    if not envs:
+        raise ConfigurationError("at least one environment is required")
+    return envs
 
 
 def evaluate(design: AuTDesign,
@@ -157,42 +167,41 @@ def evaluate(design: AuTDesign,
             f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
     network = _resolve_workload(workload)
     envs = _resolve_environments(scenario, environments)
-    evaluator = ChrysalisEvaluator(
-        network, envs,
-        checkpoint=checkpoint,
-        steps_per_tile=steps_per_tile,
-        faults=faults,
-        max_steps=max_steps,
-        time_budget_s=time_budget_s,
-        fast_forward=fast_forward,
-    )
 
     def _run() -> EvaluationReport:
-        by_env: Dict[str, InferenceMetrics] = {}
-        simulations: Optional[Dict[str, SimulationResult]] = (
-            {} if fidelity == "step" else None)
-        average: Optional[InferenceMetrics] = None
-        for environment in envs:
-            if fidelity == "step":
+        simulations: Optional[Dict[str, SimulationResult]] = None
+        if fidelity == "analytical":
+            # A batch of one: the rule evaluate_batch prices with.
+            ((row, average),) = _evaluate_every_environment(
+                [design], network, envs, checkpoint)
+        else:
+            evaluator = ChrysalisEvaluator(
+                network, envs,
+                checkpoint=checkpoint,
+                steps_per_tile=steps_per_tile,
+                faults=faults,
+                max_steps=max_steps,
+                time_budget_s=time_budget_s,
+                fast_forward=fast_forward,
+            )
+            simulations = {}
+            row = []
+            for environment in envs:
                 result = evaluator.simulate(design, environment)
                 simulations[environment.name] = result
-                metrics = result.metrics
-            else:
-                metrics = evaluator.evaluate(design, environment)
-            by_env[environment.name] = metrics
-            if not metrics.feasible:
-                # The paper's protocol: one failing environment fails
-                # the design, and its marker metrics are the verdict.
-                average = metrics
-                break
-        if average is None:
-            average = _average_metrics(list(by_env.values()))
+                row.append(result.metrics)
+                if not result.metrics.feasible:
+                    # The paper's protocol: one failing environment
+                    # fails the design.
+                    break
+            average = _verdict(row)
         return EvaluationReport(
             design=design,
             workload=network.name,
             fidelity=fidelity,
             metrics=average,
-            by_environment=by_env,
+            by_environment={environment.name: metrics
+                            for environment, metrics in zip(envs, row)},
             simulations=simulations,
         )
 

@@ -56,10 +56,11 @@ class _LayerCostCache:
     """Process-local cache of :class:`LayerCost` results.
 
     The bi-level explorer re-prices identical ``(hardware, checkpoint,
-    layer, mapping)`` combinations many times: final pricing reads the
-    mappings the SW-level scan already priced, once per environment
-    (tile costs are environment-independent), and repeat searches and
-    fresh explorers revisit the same accelerators.  :class:`LayerCost`
+    layer, mapping)`` combinations many times: pricing reads the
+    mappings the SW-level scan already priced (once per design, as
+    tile costs are environment-independent; a search's final pricing
+    reads them once per environment), and repeat searches and fresh
+    explorers revisit the same accelerators.  :class:`LayerCost`
     is frozen, so cached instances are safe to share.
 
     The hit path must cost single-digit microseconds or it eats its own

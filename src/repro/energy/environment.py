@@ -120,6 +120,9 @@ class LightEnvironment:
                 f"temp_coefficient must be non-negative, "
                 f"got {self.temp_coefficient}"
             )
+        # Derived once; not a dataclass field, so equality, hashing and
+        # serialization stay defined by the fields alone.
+        object.__setattr__(self, "_k_eh", self.k_eh_at(10.0))
 
     # -- diurnal profile ---------------------------------------------------
 
@@ -155,7 +158,7 @@ class LightEnvironment:
         we therefore characterise an environment by its mid-morning value
         (10:00), which sits between the noon peak and the daily average.
         """
-        return self.k_eh_at(10.0)
+        return self._k_eh
 
     # -- paper presets -------------------------------------------------------
 

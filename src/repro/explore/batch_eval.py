@@ -17,9 +17,11 @@ generation's uncached genomes in one call instead.  For a generation:
   walks the energy designs through each ladder together and prices
   the same rungs;
 * the lowered designs are priced by the paper's every-environment rule
-  (:func:`repro.sim.evaluator._evaluate_every_environment`), one
-  :class:`~repro.sim.analytical.BatchAnalyticalModel` call per
-  environment for the generation, and the objective scores them.
+  (:func:`repro.sim.evaluator._evaluate_every_environment`): each
+  design's plan is built once, by one
+  :class:`~repro.sim.analytical.BatchAnalyticalModel` for the
+  generation, and priced in every environment, and the objective
+  scores them.
 
 So scores, lowered designs, Pareto points, failure records, mapper
 hit/miss counts and layer-cost hits and misses do not depend on how

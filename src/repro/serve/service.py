@@ -235,7 +235,6 @@ class EvaluationService:
         self._evaluate_batch_fn = evaluate_batch_fn
         self._time_fn = time_fn
         self._networks: Dict[str, Network] = {}
-        self._workloads: Dict[str, Network] = {}
         self._env_sets: Dict[Any, Tuple[LightEnvironment, ...]] = {}
         self._keys: Dict[tuple, tuple] = {}
         self._inflight: Dict[str, _Pending] = {}
@@ -394,15 +393,8 @@ class EvaluationService:
         return self._networks.setdefault(network.name, network)
 
     def _resolve_workload(self, workload: Union[str, Network]) -> Network:
-        """Interned workload resolution.  A zoo lookup rebuilds the
-        Network IR from scratch (~50 us) — a service pricing the same
-        workload thousands of times must not pay that per request."""
-        if isinstance(workload, str):
-            network = self._workloads.get(workload)
-            if network is None:
-                network = self._intern(_resolve_workload(workload))
-                self._workloads[workload] = network
-            return network
+        """Interned workload resolution (a zoo name resolves to one
+        Network per name already)."""
         return self._intern(_resolve_workload(workload))
 
     def _resolve_environments(self, scenario: Any,

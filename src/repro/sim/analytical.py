@@ -12,11 +12,12 @@ The analytical model prices a full design point without stepping time:
   realising the Eq. 9 lower bound constructively.
 
 Each equation has one implementation: :class:`CycleBudget` holds
-Eqs. 1-3 and 8 for one energy design in one environment, and
-:func:`price_plan` is Eq. 7.  :class:`AnalyticalModel` prices one
-design with them; :class:`BatchAnalyticalModel` prices many, building
-hardware once per accelerator.  ``tests/test_pricing_golden.py`` pins
-their outputs.
+Eqs. 1-3 and 8 for one energy design in one environment, and Eq. 7 is
+split in two: :meth:`PlanTotals.of` sums a priced plan, which the light
+does not touch, and :func:`price_plan` adds one environment's budget.
+:class:`AnalyticalModel` prices one design with them;
+:class:`BatchAnalyticalModel` prices many, building hardware once per
+accelerator.  ``tests/test_pricing_golden.py`` pins their outputs.
 
 It is the inner-loop scorer of the explorer; the step simulator
 (:mod:`repro.sim.engine`) validates its fidelity in integration tests.
@@ -80,9 +81,41 @@ class CycleBudget:
         return tile.energy <= self.available(tile.total_time)
 
 
-def price_plan(plan: Sequence[LayerCost],
-               budget: CycleBudget) -> InferenceMetrics:
-    """Eq. 7: end-to-end metrics of a priced plan; marks infeasibility.
+@dataclass(frozen=True)
+class PlanTotals:
+    """The environment-free half of Eq. 7 for one priced plan.
+
+    The rail-side energy sums, busy time and tile count depend on the
+    tile costs of Eqs. 4-6 alone, so a design priced in several
+    environments sums its plan once and :func:`price_plan` reads the
+    totals per environment.
+    """
+
+    plan: Sequence[LayerCost]
+    #: Rail-side energy; the environment terms (leakage, conversion)
+    #: are zero here and filled in by :func:`price_plan`.
+    energy: EnergyBreakdown
+    busy_time: float
+    n_tiles: int
+
+    @classmethod
+    def of(cls, plan: Sequence[LayerCost]) -> "PlanTotals":
+        energy = EnergyBreakdown()
+        busy_time = 0.0
+        for cost in plan:
+            energy.compute += cost.compute_energy
+            energy.vm += cost.n_tiles * cost.tile.vm_energy
+            energy.nvm += cost.n_tiles * cost.tile.nvm_energy
+            energy.static += cost.static_energy
+            energy.checkpoint += cost.checkpoint_energy
+            busy_time += cost.busy_time
+        return cls(plan=plan, energy=energy, busy_time=busy_time,
+                   n_tiles=sum(cost.n_tiles for cost in plan))
+
+
+def price_plan(totals: PlanTotals, budget: CycleBudget) -> InferenceMetrics:
+    """Eq. 7 in one environment: end-to-end metrics of a summed plan;
+    marks infeasibility (Eq. 8 per layer, in plan order).
 
     An energy design whose losses eat its whole harvest is infeasible
     before any layer is read, so callers may skip pricing the plan.
@@ -91,22 +124,16 @@ def price_plan(plan: Sequence[LayerCost],
         return InferenceMetrics.infeasible(
             "leakage and PMIC losses consume the entire harvest"
         )
-    breakdown = EnergyBreakdown()
-    busy_time = 0.0
-    for cost in plan:
+    for cost in totals.plan:
         if not budget.fits(cost.tile):
             return InferenceMetrics.infeasible(
                 f"layer {cost.layer_name!r}: one tile exceeds the "
                 f"energy cycle (Eq. 8) with N_tile={cost.n_tiles}"
             )
-        breakdown.compute += cost.compute_energy
-        breakdown.vm += cost.n_tiles * cost.tile.vm_energy
-        breakdown.nvm += cost.n_tiles * cost.tile.nvm_energy
-        breakdown.static += cost.static_energy
-        breakdown.checkpoint += cost.checkpoint_energy
-        busy_time += cost.busy_time
 
-    rail_energy = breakdown.total
+    rail = totals.energy
+    rail_energy = rail.total
+    busy_time = totals.busy_time
     # Warm-start energy balance (matching the step simulator): the
     # inference begins with one energy cycle banked in the capacitor;
     # harvesting continues throughout execution; whatever is still
@@ -128,17 +155,22 @@ def price_plan(plan: Sequence[LayerCost],
     # and-execute cycle) so that system efficiency E_infer/E_eh is
     # comparable across designs and bounded by the chain efficiency.
     harvested = budget.p_eh * sustained_period
-    breakdown.cap_leakage = budget.leak * sustained_period
-    breakdown.conversion = harvested * (1.0 - budget.chain)
-
-    n_tiles_total = sum(cost.n_tiles for cost in plan)
+    breakdown = EnergyBreakdown(
+        compute=rail.compute,
+        vm=rail.vm,
+        nvm=rail.nvm,
+        static=rail.static,
+        checkpoint=rail.checkpoint,
+        cap_leakage=budget.leak * sustained_period,
+        conversion=harvested * (1.0 - budget.chain),
+    )
     return InferenceMetrics(
         e2e_latency=e2e_latency,
         busy_time=busy_time,
         charge_time=charge_time,
         energy=breakdown,
         harvested_energy=harvested,
-        power_cycles=max(n_tiles_total, 1),
+        power_cycles=max(totals.n_tiles, 1),
         exceptions=0,
         sustained_period=sustained_period,
     )
@@ -264,7 +296,7 @@ class AnalyticalModel:
         # A design that cannot charge is rejected by price_plan before
         # it reads the plan, so price no layer for it.
         plan = self.plan() if self.budget.net > 0.0 else []
-        return price_plan(plan, self.budget)
+        return price_plan(PlanTotals.of(plan), self.budget)
 
 
 class BatchAnalyticalModel:
@@ -276,7 +308,12 @@ class BatchAnalyticalModel:
     costs go through one
     :meth:`~repro.dataflow.cost_model.DataflowCostModel.layer_cost_batch`
     call per group, and each design is priced by :func:`price_plan`,
-    the same Eq. 7 that :meth:`AnalyticalModel.evaluate` runs.
+    the same Eq. 7 that :meth:`AnalyticalModel.evaluate` runs.  The
+    plans do not depend on the environment, so
+    :func:`~repro.sim.evaluator._evaluate_every_environment` builds them
+    with the first environment's model and prices their
+    :class:`PlanTotals` in every environment through
+    :meth:`evaluate_plans`.
     """
 
     def __init__(self, network: Network, environment: LightEnvironment,
@@ -329,16 +366,18 @@ class BatchAnalyticalModel:
         designs = list(designs)
         budgets = [CycleBudget.of(design.energy, self.environment)
                    for design in designs]
-        return self.evaluate_plans(budgets, self.plans(designs, budgets))
+        return self.evaluate_plans(
+            budgets, [PlanTotals.of(plan)
+                      for plan in self.plans(designs, budgets)])
 
     def evaluate_plans(
         self,
         budgets: Sequence[CycleBudget],
-        plans: Sequence[Sequence[LayerCost]],
+        totals: Sequence[PlanTotals],
     ) -> List[InferenceMetrics]:
-        """Eq. 7 over pre-priced plans (one per budget)."""
-        return [price_plan(plan, budget)
-                for budget, plan in zip(budgets, plans)]
+        """Eq. 7 over pre-summed plans (one per budget)."""
+        return [price_plan(total, budget)
+                for budget, total in zip(budgets, totals)]
 
 
 def _next_tile_count(n: int, bound: int) -> int:

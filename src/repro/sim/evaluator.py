@@ -23,7 +23,8 @@ from repro.energy.traces import TraceEnvironment, TraceHarvester
 from repro.errors import ConfigurationError
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import span
-from repro.sim.analytical import AnalyticalModel, BatchAnalyticalModel
+from repro.sim.analytical import (AnalyticalModel, BatchAnalyticalModel,
+                                  CycleBudget, PlanTotals)
 from repro.sim.engine import SimulationResult, StepSimulator
 from repro.sim.intermittent import InferenceController
 from repro.sim.metrics import InferenceMetrics
@@ -183,6 +184,13 @@ def _average_metrics(results: Sequence[InferenceMetrics]) -> InferenceMetrics:
     )
 
 
+def _verdict(row: Sequence[InferenceMetrics]) -> InferenceMetrics:
+    """The paper's protocol over one design's per-environment metrics,
+    priced up to and including the first infeasible environment: that
+    environment's marker metrics, or else the mean of them all."""
+    return row[-1] if not row[-1].feasible else _average_metrics(row)
+
+
 def _evaluate_every_environment(
     designs: Sequence[AuTDesign],
     network: Network,
@@ -192,27 +200,36 @@ def _evaluate_every_environment(
     """:meth:`ChrysalisEvaluator.evaluate_average` for many designs at
     analytical fidelity.
 
-    Environment ``k`` is priced in one
-    :class:`~repro.sim.analytical.BatchAnalyticalModel` call, for the
-    designs still feasible in every earlier environment.  Returns, per
-    design, its metrics per environment up to and including the first
-    infeasible one, and its verdict: that environment's metrics, or
-    else the mean.
+    Tile costs (Eqs. 4-6) do not depend on the light, so each design's
+    plan is built and summed once
+    (:class:`~repro.sim.analytical.PlanTotals`), by a
+    :class:`~repro.sim.analytical.BatchAnalyticalModel` bound to the
+    first environment, for the designs that can charge in it.
+    Environment ``k`` then computes only its cycle budgets and prices
+    the plans of the designs still feasible in every earlier
+    environment.  Returns, per design, its metrics per environment up to
+    and including the first infeasible one, and its verdict
+    (:func:`_verdict`).
     """
     rows: List[List[InferenceMetrics]] = [[] for _ in designs]
     live = list(range(len(designs)))
     with span("eval.average", mode=EvaluationMode.ANALYTICAL.value):
-        for environment in environments:
+        model = BatchAnalyticalModel(network, environments[0], checkpoint)
+        budgets = [CycleBudget.of(design.energy, environments[0])
+                   for design in designs]
+        totals = [PlanTotals.of(plan)
+                  for plan in model.plans(designs, budgets)]
+        for k, environment in enumerate(environments):
             if not live:
                 break
-            priced = BatchAnalyticalModel(network, environment,
-                                          checkpoint).evaluate_many(
-                [designs[i] for i in live])
+            if k:
+                budgets = [CycleBudget.of(designs[i].energy, environment)
+                           for i in live]
+            priced = model.evaluate_plans(budgets, [totals[i] for i in live])
             feasible = []
             for i, metrics in zip(live, priced):
                 rows[i].append(metrics)
                 if metrics.feasible:
                     feasible.append(i)
             live = feasible
-    return [(row, row[-1] if not row[-1].feasible else _average_metrics(row))
-            for row in rows]
+    return [(row, _verdict(row)) for row in rows]

@@ -371,17 +371,26 @@ EXTENSION_WORKLOADS: Dict[str, Callable[[], Network]] = {
 _ALL = {**EXISTING_AUT_WORKLOADS, **FUTURE_AUT_WORKLOADS,
         **EXTENSION_WORKLOADS}
 
+#: Networks built so far, by registry name.
+_BUILT: Dict[str, Network] = {}
+
 
 def workload_by_name(name: str) -> Network:
-    """Build a paper workload by its registry name.
+    """A paper workload by its registry name.
 
-    Raises :class:`~repro.errors.ConfigurationError` for unknown names,
-    listing what is available.
+    Each name is built once: a :class:`Network` is frozen, so every call
+    returns the same instance (and the layer-cost cache then finds its
+    layers by identity).  Raises
+    :class:`~repro.errors.ConfigurationError` for unknown names, listing
+    what is available.
     """
-    try:
-        builder = _ALL[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown workload {name!r}; available: {sorted(_ALL)}"
-        ) from None
-    return builder()
+    network = _BUILT.get(name)
+    if network is None:
+        try:
+            builder = _ALL[name]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown workload {name!r}; available: {sorted(_ALL)}"
+            ) from None
+        network = _BUILT[name] = builder()
+    return network

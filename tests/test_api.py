@@ -6,9 +6,13 @@ engines directly, at both fidelities, while adding workload/scenario
 resolution and opt-in observability capture.
 """
 
+import asyncio
+import dataclasses
+
 import pytest
 
-from repro.api import FIDELITIES, EvaluationReport, evaluate
+from repro.api import (FIDELITIES, EvalRequest, EvaluationReport, evaluate,
+                       evaluate_batch, evaluate_many, serve)
 from repro.core.chrysalis import Chrysalis
 from repro.core.scenarios import scenario_by_name
 from repro.energy.environment import LightEnvironment
@@ -100,6 +104,55 @@ class TestResolution:
                           environments=(dark,), fidelity="analytical")
         if not report.feasible:  # tiny panel indoors: expected path
             assert report.metrics is report.by_environment[dark.name]
+
+
+class TestEnvironmentSets:
+    def test_empty_environment_set_is_rejected(self, har_network,
+                                               msp_design):
+        message = "at least one environment is required"
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate(msp_design, har_network, environments=(),
+                     fidelity="analytical")
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_batch([msp_design], "har", environments=[])
+        with pytest.raises(ConfigurationError, match=message):
+            evaluate_many([EvalRequest(msp_design, "har", environments=())])
+
+        async def submit():
+            async with serve() as service:
+                await service.submit(msp_design, "har", environments=())
+
+        with pytest.raises(ConfigurationError, match=message):
+            asyncio.run(submit())
+
+    @pytest.fixture
+    def same_name(self, brighter, darker):
+        """The paper pair, with the darker one also named "brighter"."""
+        return (brighter, dataclasses.replace(darker, name=brighter.name))
+
+    def test_analytical_averages_environments_sharing_a_name(
+            self, har_network, msp_design, same_name, darker):
+        report = evaluate(msp_design, har_network, environments=same_name,
+                          fidelity="analytical")
+        assert report.feasible
+        assert report == evaluate_batch([msp_design], har_network,
+                                        environments=same_name)[0]
+        # The name-keyed breakdown keeps the later entry; the verdict
+        # still averages both environments.
+        dark = evaluate(msp_design, har_network, environments=(darker,),
+                        fidelity="analytical").metrics
+        assert list(report.by_environment) == ["brighter"]
+        assert report.by_environment["brighter"] == dark
+        assert report.metrics != dark
+
+    def test_step_averages_environments_sharing_a_name(
+            self, har_network, msp_design, same_name):
+        report = evaluate(msp_design, har_network, environments=same_name,
+                          fidelity="step")
+        direct = ChrysalisEvaluator(har_network, same_name,
+                                    mode=EvaluationMode.STEP)
+        assert report.feasible
+        assert report.metrics == direct.evaluate_average(msp_design)
 
 
 class TestObsCapture:

@@ -12,7 +12,8 @@ import math
 import pytest
 
 from repro import evaluate, evaluate_batch
-from repro.dataflow.cost_model import clear_layer_cost_cache
+from repro.dataflow.cost_model import (clear_layer_cost_cache,
+                                       layer_cost_cache_stats)
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
 from repro.errors import MappingError
@@ -23,7 +24,8 @@ from repro.explore.mapper_search import clear_mapper_memo, mapper_memo_stats
 from repro.explore.objectives import Objective
 from repro.explore.space import DesignSpace
 from repro.hardware.accelerators import AcceleratorFamily
-from repro.sim.analytical import AnalyticalModel, BatchAnalyticalModel
+from repro.sim.analytical import (AnalyticalModel, BatchAnalyticalModel,
+                                  CycleBudget)
 from repro.units import uF
 from repro.workloads import zoo
 
@@ -141,6 +143,61 @@ class TestEvaluateBatchAPI:
 
     def test_empty_design_list(self):
         assert evaluate_batch([], "har") == []
+
+
+def _feasible_pool(network):
+    """16 designs that run in both paper environments."""
+    families = (InferenceDesign.msp430(),
+                InferenceDesign(family=AcceleratorFamily.TPU, n_pes=64,
+                                cache_bytes_per_pe=512))
+    return [
+        AuTDesign.with_default_mappings(
+            EnergyDesign(panel_area_cm2=area, capacitance_f=uF(cap)),
+            inference, network, n_tiles=n_tiles)
+        for area in (6.0, 10.0) for cap in (100, 470)
+        for inference in families for n_tiles in (2, 4)
+    ]
+
+
+def _warm_probes(price):
+    """Layer-cost ``(hits, misses)`` of ``price()`` run on a warm cache."""
+    clear_layer_cost_cache()
+    price()
+    hits0, misses0 = layer_cost_cache_stats()
+    price()
+    hits1, misses1 = layer_cost_cache_stats()
+    return hits1 - hits0, misses1 - misses0
+
+
+class TestPlansPricedOnce:
+    """Tile costs do not depend on the light: a design's plan is read
+    from the layer-cost cache once, however many environments price it."""
+
+    def test_batch_probes_each_layer_once_per_design(self, har_network):
+        designs = _feasible_pool(har_network)
+        reports = evaluate_batch(designs, har_network)
+        assert all(report.feasible and len(report.by_environment) == 2
+                   for report in reports)
+        probes = _warm_probes(lambda: evaluate_batch(designs, har_network))
+        assert probes == (len(har_network) * 16, 0) == (80, 0)
+
+    def test_batch_skips_designs_that_cannot_charge(self, har_network,
+                                                    brighter):
+        designs = _feasible_pool(har_network) + _designs_for(har_network)
+        indoor = LightEnvironment.indoor()
+        charging = sum(CycleBudget.of(design.energy, indoor).net > 0.0
+                       for design in designs)
+        assert charging < len(designs)
+        probes = _warm_probes(lambda: evaluate_batch(
+            designs, har_network, environments=(indoor, brighter)))
+        assert probes == (len(har_network) * charging, 0)
+
+    def test_evaluate_probes_each_layer_once(self, har_network, msp_design):
+        assert len(evaluate(msp_design, har_network, fidelity="analytical")
+                   .by_environment) == 2
+        probes = _warm_probes(lambda: evaluate(
+            msp_design, har_network, fidelity="analytical"))
+        assert probes == (len(har_network), 0)
 
 
 SMALL_GA = dict(population_size=6, generations=3, seed=11)

@@ -1,5 +1,6 @@
 """Tests for the sunlight environment model."""
 
+import dataclasses
 import math
 
 import pytest
@@ -94,6 +95,26 @@ class TestLightEnvironment:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             LightEnvironment(**kwargs)
+
+    @pytest.mark.parametrize("make", [
+        LightEnvironment.brighter,
+        LightEnvironment.darker,
+        LightEnvironment.indoor,
+        LightEnvironment,
+        lambda: dataclasses.replace(LightEnvironment.brighter(),
+                                    cloudiness=0.6, ambient_temp_c=40.0),
+    ])
+    def test_k_eh_is_the_mid_morning_value(self, make):
+        environment = make()
+        assert environment.k_eh == environment.k_eh_at(10.0)
+
+    def test_k_eh_is_derived_not_a_field(self):
+        brighter = LightEnvironment.brighter()
+        darker = dataclasses.replace(brighter, cloudiness=0.92)
+        assert darker.k_eh < brighter.k_eh
+        assert "_k_eh" not in {f.name for f in dataclasses.fields(brighter)}
+        assert brighter == LightEnvironment.brighter()
+        assert hash(brighter) == hash(LightEnvironment.brighter())
 
 
 class TestTemperature:

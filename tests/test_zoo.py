@@ -97,3 +97,7 @@ class TestRegistry:
 
     def test_networks_are_fresh_instances(self):
         assert zoo.har_cnn() is not zoo.har_cnn()
+
+    def test_workload_by_name_builds_each_name_once(self):
+        assert zoo.workload_by_name("har") is zoo.workload_by_name("har")
+        assert zoo.workload_by_name("har") == zoo.har_cnn()
