@@ -18,13 +18,22 @@ Two arms price the *same* request stream at each concurrency level —
 
 so the measured speedup isolates the serving architecture (coalescing +
 batching), not thread counts.  Both arms run with the process-wide
-caches *disabled*: with them on, the baseline silently memoizes the
-repeated designs through the layer-cost cache and the benchmark would
-compare caching against caching instead of measuring what the service
-adds for requests the caches don't already hold.  A fidelity check pins
-the service's responses bit-identical to direct evaluation.  Results go
-to ``BENCH_serve.json`` with throughput, client-side p50/p99 latency,
-coalesce rate, and batch occupancy per concurrency level.
+layer-cost cache *disabled*: with it on, the baseline silently memoizes
+the repeated designs and the benchmark would compare caching against
+caching instead of measuring what the service adds for requests the
+cache doesn't already hold.  (Serving never reads the mapper memo.)  A
+fidelity check pins the service's responses bit-identical to direct
+evaluation.
+
+Each arm runs ``REPEATS`` times per level.  The arms alternate, one
+baseline and one serve repeat at a time with their order swapped on
+every pair, so a slow patch of the host lands on both.  One 64-way
+serve repeat takes ~10-16 ms on a 2-vCPU VM, so a single run would let
+one slow repeat decide the gate: each arm records the median, interquartile
+range and count of its ``wall_seconds`` next to the median repeat's
+throughput, p50/p99 latency (and, for serve, coalesce rate and batch
+occupancy), and every speedup is a ratio of medians.  Results go to
+``BENCH_serve.json``.
 
 CI runs ``--smoke --min-speedup 5`` and archives the JSON: the service
 must be at least 5x faster than per-request evaluation at the highest
@@ -43,37 +52,36 @@ import argparse
 import asyncio
 import json
 import pathlib
+import statistics
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.api import evaluate
 from repro.dataflow.cost_model import (clear_layer_cost_cache,
                                        configure_layer_cost_cache)
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
-from repro.explore.mapper_search import (MappingOptimizer,
-                                         clear_mapper_memo,
-                                         configure_mapper_memo)
+from repro.explore.mapper_search import MappingOptimizer
 from repro.serve import EvaluationService, ServeConfig
 from repro.workloads import zoo
 
 
+#: Timed repeats of each arm per concurrency level.
+REPEATS = 15
+
+
 def _cold_caches() -> None:
-    """Disable and clear the process-wide caches (both arms, every
-    level): the bench measures the serving architecture, not cache
-    warmth either arm happens to inherit."""
+    """Disable and clear the layer-cost cache (both arms, every repeat):
+    the bench measures the serving architecture, not cache warmth
+    either arm happens to inherit."""
     configure_layer_cost_cache(enabled=False)
-    configure_mapper_memo(enabled=False)
     clear_layer_cost_cache()
-    clear_mapper_memo()
 
 
 def _restore_caches() -> None:
     configure_layer_cost_cache(enabled=True)
-    configure_mapper_memo(enabled=True)
     clear_layer_cost_cache()
-    clear_mapper_memo()
 
 
 def build_design_pool(workload: str, count: int) -> List[AuTDesign]:
@@ -127,13 +135,11 @@ def bench_baseline(designs: List[AuTDesign], workload: str,
 
 
 def bench_serve(designs: List[AuTDesign], workload: str,
-                requests: int, concurrency: int,
-                max_wait_ms: float) -> dict:
+                requests: int, concurrency: int) -> dict:
     """The same request stream through the evaluation service."""
     _cold_caches()
     latencies: List[float] = []
-    service = EvaluationService(ServeConfig(max_batch_size=64,
-                                            max_wait_ms=max_wait_ms))
+    service = EvaluationService(ServeConfig(max_batch_size=64))
 
     async def main() -> float:
         gate = asyncio.Semaphore(concurrency)
@@ -180,10 +186,41 @@ def _arm_result(wall: float, requests: int,
     }
 
 
+def _alternate(arms: Dict[str, Callable[[], dict]],
+               repeats: int) -> Dict[str, List[dict]]:
+    """``repeats`` runs of each arm, interleaved.
+
+    Repeat ``r`` runs every arm once, in the given order when ``r`` is
+    even and reversed when it is odd, so neither arm always runs first
+    or always runs on the host's slower stretches.
+    """
+    runs: Dict[str, List[dict]] = {name: [] for name in arms}
+    order = list(arms)
+    for index in range(repeats):
+        for name in (order if index % 2 == 0 else order[::-1]):
+            runs[name].append(arms[name]())
+    return runs
+
+
+def _summarize(runs: List[dict]) -> dict:
+    """The median run's result plus the median, interquartile range and
+    count of every run's ``wall_seconds`` (quartiles as
+    ``statistics.quantiles(values, n=4)``)."""
+    seconds = [run["wall_seconds"] for run in runs]
+    q1 = q3 = seconds[0]
+    if len(seconds) > 1:
+        q1, _, q3 = statistics.quantiles(seconds, n=4)
+    ranked = sorted(runs, key=lambda run: run["wall_seconds"])
+    return {**ranked[(len(ranked) - 1) // 2],
+            "repeats": len(seconds),
+            "wall_seconds_median": statistics.median(seconds),
+            "wall_seconds_iqr": q3 - q1}
+
+
 def check_identity(designs: List[AuTDesign], workload: str) -> bool:
     """Service responses must be bit-identical to direct evaluation."""
     _cold_caches()
-    service = EvaluationService(ServeConfig(max_wait_ms=2.0))
+    service = EvaluationService()
 
     async def main():
         async with service:
@@ -210,8 +247,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--concurrency", type=int, nargs="+",
                         default=[1, 8, 64],
                         help="offered-load sweep (in-flight caps)")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="service batcher wait bound")
     parser.add_argument("--min-speedup", type=float, default=None,
                         metavar="X",
                         help="fail (exit 1) unless serve is at least X "
@@ -227,7 +262,8 @@ def main(argv: Optional[list] = None) -> int:
 
     print(f"benchmarking {args.workload}: {args.requests} requests over "
           f"{args.designs} distinct designs, "
-          f"concurrency sweep {args.concurrency}")
+          f"concurrency sweep {args.concurrency}, {REPEATS} alternating "
+          "repeats per arm")
 
     designs = build_design_pool(args.workload, args.designs)
     identical = check_identity(designs[: min(8, len(designs))],
@@ -235,21 +271,27 @@ def main(argv: Optional[list] = None) -> int:
 
     levels = {}
     for concurrency in sorted(args.concurrency):
-        baseline = bench_baseline(designs, args.workload, args.requests,
-                                  concurrency)
-        served = bench_serve(designs, args.workload, args.requests,
-                             concurrency, args.max_wait_ms)
-        speedup = (served["requests_per_second"]
-                   / baseline["requests_per_second"]
-                   if baseline["requests_per_second"] else 0.0)
+        runs = _alternate({
+            "baseline": lambda: bench_baseline(
+                designs, args.workload, args.requests, concurrency),
+            "serve": lambda: bench_serve(
+                designs, args.workload, args.requests, concurrency),
+        }, REPEATS)
+        baseline = _summarize(runs["baseline"])
+        served = _summarize(runs["serve"])
+        speedup = (baseline["wall_seconds_median"]
+                   / served["wall_seconds_median"]
+                   if served["wall_seconds_median"] else 0.0)
         levels[str(concurrency)] = {
             "baseline": baseline,
             "serve": served,
             "speedup": speedup,
         }
         print(f"  c={concurrency:<4} baseline "
-              f"{baseline['requests_per_second']:8.1f} req/s | serve "
-              f"{served['requests_per_second']:8.1f} req/s "
+              f"{baseline['wall_seconds_median'] * 1e3:7.1f} ms "
+              f"(IQR {baseline['wall_seconds_iqr'] * 1e3:.1f}) | serve "
+              f"{served['wall_seconds_median'] * 1e3:7.1f} ms "
+              f"(IQR {served['wall_seconds_iqr'] * 1e3:.1f}) "
               f"({speedup:5.2f}x, coalesce "
               f"{served['coalesce_rate']:6.1%}, occupancy "
               f"{served['mean_batch_occupancy']:5.1f}, p50 "
@@ -262,7 +304,7 @@ def main(argv: Optional[list] = None) -> int:
         "workload": args.workload,
         "requests": args.requests,
         "distinct_designs": args.designs,
-        "max_wait_ms": args.max_wait_ms,
+        "repeats": REPEATS,
         "identical_responses": identical,
         "levels": levels,
         "speedup_at_max_concurrency": levels[top]["speedup"],
@@ -286,7 +328,8 @@ def main(argv: Optional[list] = None) -> int:
             and report["speedup_at_max_concurrency"] < args.min_speedup):
         print(f"ERROR: serve speedup "
               f"{report['speedup_at_max_concurrency']:.2f}x at "
-              f"concurrency {top} is below the required "
+              f"concurrency {top} (ratio of medians over {REPEATS} "
+              f"alternating repeats) is below the required "
               f"{args.min_speedup:g}x", file=sys.stderr)
         failed = True
     return 1 if failed else 0

@@ -39,7 +39,7 @@ def build_designs(count: int) -> list:
 
 async def main() -> None:
     designs = build_designs(4)
-    service = serve(max_batch_size=16, max_wait_ms=2.0)
+    service = serve(max_batch_size=16)
 
     async with service:
         # Four distinct designs, plus designs[0] twice more: the

@@ -385,19 +385,19 @@ def serve(**config_knobs: Any):
         from repro.api import serve
 
         async def main():
-            async with serve(max_wait_ms=2.0) as service:
+            async with serve(max_batch_size=16) as service:
                 report = await service.submit(design, "har")
                 print(report.metrics.e2e_latency)
 
         asyncio.run(main())
 
     Keyword arguments are :class:`~repro.serve.service.ServeConfig`
-    fields (``max_batch_size``, ``max_wait_ms``, ``max_queue``,
-    ``default_deadline_s``, ``drain_timeout_s``).  Identical in-flight
-    requests coalesce onto one evaluation, each flush prices every
-    compatibility group of analytical requests in one
-    :func:`evaluate_batch` call, and responses stay bit-identical to
-    :func:`evaluate` — see ``docs/SERVING.md``.
+    fields (``max_batch_size``, ``max_queue``, ``default_deadline_s``,
+    ``drain_timeout_s``).  Identical in-flight requests coalesce onto
+    one evaluation, each flush prices every compatibility group of
+    analytical requests in one :func:`evaluate_batch` call, and
+    responses stay bit-identical to :func:`evaluate` — see
+    ``docs/SERVING.md``.
     """
     # Imported lazily: repro.serve imports this module's evaluators.
     from repro.serve.service import EvaluationService, ServeConfig

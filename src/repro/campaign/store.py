@@ -33,14 +33,14 @@ All timestamps come from an injectable ``clock`` (default
 :func:`time.time`), which is how the lease tests run on a fake clock
 with no real sleeping.
 
-The store is schema-versioned and fails loudly: a corrupt file or a
-schema from a *newer* release raises
-:class:`~repro.errors.StoreError` (a :class:`ChrysalisError`) instead
-of silently mixing incompatible rows; files from older releases
-migrate in place on open (or open as-is with ``readonly=True``).
-Writes are idempotent upserts inside bounded-retry ``BEGIN IMMEDIATE``
-transactions, so concurrent workers sharing one WAL file never surface
-a spurious ``database is locked`` error.
+The store is schema-versioned and fails loudly: a corrupt file, a
+row whose JSON does not decode, or any schema version but this
+release's raises :class:`~repro.errors.StoreError` (a
+:class:`ChrysalisError`) instead of silently mixing incompatible rows.
+A refused file is never written.  Writes are idempotent upserts inside
+bounded-retry ``BEGIN IMMEDIATE`` transactions, so concurrent workers
+sharing one WAL file never surface a spurious ``database is locked``
+error.
 """
 
 from __future__ import annotations
@@ -116,6 +116,8 @@ CREATE TABLE IF NOT EXISTS runs (
     front_json     TEXT
 );
 CREATE INDEX IF NOT EXISTS idx_runs_campaign ON runs (campaign, status);
+CREATE INDEX IF NOT EXISTS idx_runs_lease
+    ON runs (campaign, status, lease_deadline);
 CREATE TABLE IF NOT EXISTS workers (
     worker_id      TEXT PRIMARY KEY,
     campaign       TEXT NOT NULL,
@@ -130,11 +132,6 @@ CREATE TABLE IF NOT EXISTS workers (
     runs_failed    INTEGER NOT NULL DEFAULT 0
 );
 """
-
-#: Created outside ``_SCHEMA`` because it references columns that only
-#: exist after the v2 -> v3 migration has run.
-_LEASE_INDEX = ("CREATE INDEX IF NOT EXISTS idx_runs_lease "
-                "ON runs (campaign, status, lease_deadline)")
 
 
 @dataclass(frozen=True)
@@ -215,12 +212,20 @@ class WorkerStatus:
         return 60.0 * (self.runs_done + self.runs_failed) / horizon
 
 
-def _loads(text: Optional[str]):
-    return None if text is None else json.loads(text)
+def _decode(row: sqlite3.Row, column: str, default: Any = None) -> Any:
+    """One JSON column of a ``runs`` row; NULL reads as ``default``.
 
-
-def _history(text: Optional[str]) -> List[Dict[str, Any]]:
-    return [] if text is None else json.loads(text)
+    A store file comes from outside the program, so a value that does
+    not decode raises :class:`StoreError` naming the run and column.
+    """
+    text = row[column]
+    if text is None:
+        return default
+    try:
+        return json.loads(text)
+    except (TypeError, ValueError) as error:
+        raise StoreError(f"run {row['run_hash']} has an unreadable "
+                         f"{column}: {error}") from None
 
 
 def _is_locked(error: sqlite3.Error) -> bool:
@@ -235,12 +240,6 @@ class ResultStore:
     ----------
     path:
         SQLite file (or ``":memory:"``).
-    readonly:
-        Open without migrating: the file is never written, and schema
-        versions *older* than this release stay readable as-is (lease
-        and attempt columns simply read as absent).  Reports and
-        ``status`` work against live fleet stores this way without
-        taking write locks.
     clock:
         Timestamp source for every write and lease decision (default
         :func:`time.time`).  Tests inject a fake clock here to prove
@@ -255,37 +254,39 @@ class ResultStore:
     #: surfaces as a :class:`StoreError`.
     _LOCK_RETRIES = 6
 
-    def __init__(self, path, *, readonly: bool = False,
+    def __init__(self, path, *,
                  clock: Optional[Callable[[], float]] = None,
                  timeout_s: float = 30.0) -> None:
         self.path = str(path)
-        self.readonly = readonly
         self._clock = time.time if clock is None else clock
-        if self.path != ":memory:" and not readonly:
+        if self.path != ":memory:":
             parent = pathlib.Path(self.path).parent
             if not parent.exists():
                 raise StoreError(
                     f"store directory {parent} does not exist")
-        if self.path == ":memory:" and readonly:
-            raise StoreError("an in-memory store cannot be readonly")
         try:
-            if readonly:
-                self._conn = sqlite3.connect(
-                    f"file:{self.path}?mode=ro", uri=True, timeout=timeout_s)
-            else:
-                self._conn = sqlite3.connect(self.path, timeout=timeout_s)
+            self._conn = sqlite3.connect(self.path, timeout=timeout_s)
             self._conn.row_factory = sqlite3.Row
             # Autocommit at the connection level; writes run in explicit
             # BEGIN IMMEDIATE transactions (see _with_txn).
             self._conn.isolation_level = None
             self._conn.execute(
                 f"PRAGMA busy_timeout={int(timeout_s * 1000)}")
-            if readonly:
-                self._check_readable()
-            else:
-                self._conn.execute("PRAGMA journal_mode=WAL")
-                self._conn.execute("PRAGMA synchronous=NORMAL")
-                self._init_schema()
+            # Refuse another schema before anything, even the journal
+            # mode, is written, so a refused file keeps its bytes.
+            version = self._read_version()
+            if version not in (None, str(_SCHEMA_VERSION)):
+                raise StoreError(
+                    f"campaign store {self.path!r} has schema version "
+                    f"{version!r}; this release reads only version "
+                    f"{_SCHEMA_VERSION}")
+            # Switching to WAL needs an exclusive lock, which SQLite
+            # refuses at once, busy timeout or not, while a concurrent
+            # first open holds the file: retry it like a transaction.
+            self._retry_locked(
+                lambda: self._conn.execute("PRAGMA journal_mode=WAL"))
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._init_schema()
         except sqlite3.Error as error:
             raise StoreError(
                 f"cannot open campaign store {self.path!r}: {error}"
@@ -293,70 +294,32 @@ class ResultStore:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _read_version(self) -> Optional[int]:
+    def _read_version(self) -> Optional[str]:
+        """The file's ``schema_version`` text; ``None`` before the
+        schema exists."""
+        if self._conn.execute(
+                "SELECT 1 FROM sqlite_master WHERE type='table' "
+                "AND name='campaign_meta'").fetchone() is None:
+            return None
         row = self._conn.execute(
             "SELECT value FROM campaign_meta WHERE key='schema_version'"
         ).fetchone()
-        return None if row is None else int(row["value"])
-
-    def _check_readable(self) -> None:
-        try:
-            version = self._read_version()
-        except sqlite3.Error as error:
-            raise StoreError(
-                f"campaign store {self.path!r} is unreadable: {error}"
-            ) from None
-        if version is None or version > _SCHEMA_VERSION:
-            raise StoreError(
-                f"campaign store {self.path!r} has schema version "
-                f"{version!r} (this release reads <= {_SCHEMA_VERSION})")
+        return None if row is None else row["value"]
 
     def _init_schema(self) -> None:
-        self._conn.executescript(_SCHEMA)
-        with self._txn():
-            version = self._read_version()
-            if version is None:
+        """Create the schema in a fresh file.  Creation and the version
+        row share one write transaction, so concurrent first opens
+        create it once."""
+
+        def body() -> None:
+            if self._read_version() is None:
+                for statement in _SCHEMA.split(";")[:-1]:
+                    self._conn.execute(statement)
                 self._conn.execute(
                     "INSERT INTO campaign_meta (key, value) VALUES (?, ?)",
                     ("schema_version", str(_SCHEMA_VERSION)))
-                version = _SCHEMA_VERSION
-            migrations = {1: self._migrate_1_to_2, 2: self._migrate_2_to_3,
-                          3: self._migrate_3_to_4}
-            while version in migrations:
-                migrations[version]()
-                version += 1
-                self._conn.execute(
-                    "UPDATE campaign_meta SET value=? "
-                    "WHERE key='schema_version'", (str(version),))
-            if version != _SCHEMA_VERSION:
-                raise StoreError(
-                    f"campaign store {self.path!r} has schema version "
-                    f"{version} (this release reads {_SCHEMA_VERSION})")
-            self._conn.execute(_LEASE_INDEX)
 
-    def _add_run_columns(self, *columns: str) -> None:
-        """Idempotent ALTERs: only add what the table does not have."""
-        present = {row["name"] for row in
-                   self._conn.execute("PRAGMA table_info(runs)").fetchall()}
-        for column in columns:
-            if column.split()[0] not in present:
-                self._conn.execute(f"ALTER TABLE runs ADD COLUMN {column}")
-
-    def _migrate_1_to_2(self) -> None:
-        # v1 -> v2: the per-run observability blob.  Purely additive.
-        self._add_run_columns("obs_json TEXT")
-
-    def _migrate_2_to_3(self) -> None:
-        # v2 -> v3: the fleet's lease + attempt-history columns.  Also
-        # purely additive (the workers table itself is created by the
-        # idempotent _SCHEMA script).
-        self._add_run_columns("lease_owner TEXT", "lease_deadline REAL",
-                              "retry_at REAL", "attempts_json TEXT")
-
-    def _migrate_3_to_4(self) -> None:
-        # v3 -> v4: the serialized Pareto front of multi-objective
-        # ("pareto" kind) runs.  Purely additive.
-        self._add_run_columns("front_json TEXT")
+        self._with_txn(body)
 
     def close(self) -> None:
         self._conn.close()
@@ -393,14 +356,20 @@ class ResultStore:
         with doubling backoff a bounded number of times before becoming
         a :class:`StoreError`.
         """
-        if self.readonly:
-            raise StoreError(
-                f"campaign store {self.path!r} is open readonly")
+
+        def txn() -> Any:
+            with self._txn():
+                return body()
+
+        return self._retry_locked(txn)
+
+    def _retry_locked(self, body: Callable[[], Any]) -> Any:
+        """Run ``body``, retrying ``database is locked`` (see
+        :meth:`_with_txn`); any other SQLite error is a StoreError."""
         delay = 0.05
         for attempt in range(self._LOCK_RETRIES + 1):
             try:
-                with self._txn():
-                    return body()
+                return body()
             except sqlite3.Error as error:
                 if (isinstance(error, sqlite3.OperationalError)
                         and _is_locked(error)
@@ -531,11 +500,12 @@ class ResultStore:
 
         def body() -> Optional[str]:
             row = self._conn.execute(
-                "SELECT status, attempts, attempts_json, lease_owner, "
-                "lease_deadline FROM runs WHERE run_hash=?",
+                "SELECT run_hash, status, attempts, attempts_json, "
+                "lease_owner, lease_deadline FROM runs WHERE run_hash=?",
                 (key.run_hash,)).fetchone()
             attempts = 1 if row is None else max(row["attempts"], 1)
-            history = _history(None if row is None else row["attempts_json"])
+            history = ([] if row is None
+                       else _decode(row, "attempts_json", []))
             if worker_id is not None and row is not None:
                 holder = row["lease_owner"]
                 deadline = row["lease_deadline"]
@@ -643,7 +613,7 @@ class ResultStore:
                  STATUS_RUNNING, now)).fetchone()
             if row is None:
                 return None
-            history = _history(row["attempts_json"])
+            history = _decode(row, "attempts_json", [])
             if row["status"] == STATUS_RUNNING:
                 # Taking over an expired lease: audit the loss.
                 history.append({"attempt": row["attempts"],
@@ -726,7 +696,7 @@ class ResultStore:
                 params.append(campaign)
             reaped = []
             for row in self._conn.execute(sql, params).fetchall():
-                history = _history(row["attempts_json"])
+                history = _decode(row, "attempts_json", [])
                 history.append({"attempt": row["attempts"],
                                 "worker": row["lease_owner"],
                                 "outcome": OUTCOME_LOST, "at": now})
@@ -914,18 +884,11 @@ class ResultStore:
 
     def _to_stored(self, row: sqlite3.Row) -> StoredRun:
         try:
-            key = RunKey.from_dict(json.loads(row["spec_json"]))
-        except (json.JSONDecodeError, TypeError) as error:
+            key = RunKey.from_dict(_decode(row, "spec_json"))
+        except TypeError as error:
             raise StoreError(
                 f"run {row['run_hash']} has an unreadable spec: {error}"
             ) from None
-        # Columns introduced by later schema versions read as absent on
-        # a pre-migration file opened with readonly=True.
-        present = row.keys()
-
-        def _col(name: str):
-            return row[name] if name in present else None
-
         return StoredRun(
             run_hash=row["run_hash"],
             campaign=row["campaign"],
@@ -934,17 +897,17 @@ class ResultStore:
             score=row["score"],
             panel_cm2=row["panel_cm2"],
             latency_s=row["latency_s"],
-            solution=_loads(row["solution_json"]),
-            stats=_loads(row["stats_json"]),
-            failures=_loads(row["failures_json"]),
+            solution=_decode(row, "solution_json"),
+            stats=_decode(row, "stats_json"),
+            failures=_decode(row, "failures_json"),
             error=row["error"],
             wall_seconds=row["wall_seconds"],
             attempts=row["attempts"],
             updated_at=row["updated_at"],
-            obs=_loads(_col("obs_json")),
-            lease_owner=_col("lease_owner"),
-            lease_deadline=_col("lease_deadline"),
-            retry_at=_col("retry_at"),
-            attempt_history=_history(_col("attempts_json")),
-            front=_loads(_col("front_json")),
+            obs=_decode(row, "obs_json"),
+            lease_owner=row["lease_owner"],
+            lease_deadline=row["lease_deadline"],
+            retry_at=row["retry_at"],
+            attempt_history=_decode(row, "attempts_json", []),
+            front=_decode(row, "front_json"),
         )

@@ -421,7 +421,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def _serve_config(args: argparse.Namespace) -> ServeConfig:
     return ServeConfig(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         max_queue=args.max_queue,
         default_deadline_s=args.deadline,
     )
@@ -454,7 +453,6 @@ def _serve_run(args: argparse.Namespace) -> int:
             host, port = server.address
             print(f"evaluation service listening on {host}:{port} "
                   f"(max batch {args.max_batch_size}, "
-                  f"max wait {args.max_wait_ms:g} ms, "
                   f"queue {args.max_queue}); Ctrl-C to stop", flush=True)
             stop = asyncio.Event()
             loop = asyncio.get_running_loop()
@@ -740,11 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     srun.add_argument("--max-batch-size", type=int,
                       default=ServeConfig.max_batch_size,
                       help="largest micro-batch one flush may hold")
-    srun.add_argument("--max-wait-ms", type=float,
-                      default=ServeConfig.max_wait_ms,
-                      help="no effect: the service flushes as soon as "
-                           "its queue drains, so it never waits for "
-                           "company")
     srun.add_argument("--max-queue", type=int,
                       default=ServeConfig.max_queue,
                       help="admission limit; beyond it requests are "

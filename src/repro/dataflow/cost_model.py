@@ -28,12 +28,12 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dataflow.directives import DataflowStyle
 from repro.dataflow.mapping import LayerMapping
 from repro.dataflow.tiling import halo_extent
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import MappingError
 from repro.hardware.accelerators import AcceleratorConfig
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import OBS
@@ -116,17 +116,10 @@ class _LayerCostCache:
 _LAYER_COST_CACHE = _LayerCostCache()
 
 
-def configure_layer_cost_cache(enabled: Optional[bool] = None,
-                               maxsize: Optional[int] = None) -> None:
-    """Tune the process-wide layer-cost cache (bench/testing hook)."""
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ConfigurationError(
-                f"layer-cost cache maxsize must be positive, got {maxsize}"
-            )
-        _LAYER_COST_CACHE.maxsize = maxsize
-    if enabled is not None:
-        _LAYER_COST_CACHE.enabled = enabled
+def configure_layer_cost_cache(enabled: bool) -> None:
+    """Turn the process-wide layer-cost cache on or off (bench/testing
+    hook)."""
+    _LAYER_COST_CACHE.enabled = enabled
 
 
 def clear_layer_cost_cache() -> None:

@@ -49,7 +49,6 @@ from repro.errors import (
     SimulationError,
 )
 from repro.explore.failures import FailureRecord, describe_genome
-from repro.explore.mapper_search import mapper_memo_enabled
 from repro.explore.space import Genome
 from repro.explore.stats import GenomeOutcome
 from repro.obs.state import span
@@ -234,19 +233,16 @@ class VectorizedGenomeEvaluator:
         Counts follow one-genome evaluation in genome order: the first
         occurrence of an unseen key is a miss, later occurrences in the
         same generation are hits (the memo holds the key by the time
-        they would probe), unless the memo is disabled, in which case
-        every genome is a miss and the search result is merely shared.
+        they would probe).
         """
         mapper = self.explorer.mapper
-        memo_on = mapper_memo_enabled()
         resolved: Dict[tuple, _Mappings] = {}
         pending: Dict[tuple, List[int]] = {}
         for i in indices:
             key = (seeded[i].energy, inference)
             if key in resolved or key in pending:
-                probes[i] = memo_on
-                if memo_on:
-                    mapper.memo_note_hit()
+                probes[i] = True
+                mapper.memo_note_hit()
                 if key in resolved:
                     out_mappings[i] = resolved[key]
                 else:

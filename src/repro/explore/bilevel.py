@@ -25,7 +25,7 @@ from repro.energy.environment import LightEnvironment
 from repro.errors import SearchError
 from repro.explore.batch_eval import VectorizedGenomeEvaluator
 from repro.explore.failures import FailureLog
-from repro.explore.ga import GAConfig, GAHistory, GeneticAlgorithm, genome_key
+from repro.explore.ga import GAConfig, GAHistory, GeneticAlgorithm
 from repro.explore.mapper_search import MappingOptimizer
 from repro.explore.objectives import Objective
 from repro.explore.pareto import ParetoPoint
@@ -42,7 +42,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class SearchResult:
-    """Outcome of one bi-level search."""
+    """Outcome of one bi-level search.
+
+    ``average`` is the paper's two-environment verdict on ``design``
+    and ``metrics_by_env`` the per-environment metrics it averages,
+    both from one pricing of each environment.  ``metrics_by_env`` is
+    keyed by environment name, the last of several environments that
+    share a name winning, like ``EvaluationReport.by_environment``.
+    """
 
     design: AuTDesign
     score: float
@@ -103,11 +110,6 @@ class BilevelExplorer:
         self.failures = FailureLog()
         #: Observability of the most recent (or in-flight) run.
         self.stats = SearchStats()
-        #: Lowered designs keyed by :func:`genome_key` — lets ``run()``
-        #: reuse the winner instead of re-running the SW-level search
-        #: (the pre-v1.1 cache was keyed by ``id(design.mappings)`` and
-        #: never read).
-        self._design_cache: Dict[tuple, AuTDesign] = {}
 
     # -- fitness ---------------------------------------------------------------
 
@@ -127,9 +129,9 @@ class BilevelExplorer:
         The genome is a one-genome generation of the generation
         evaluator (:mod:`repro.explore.batch_eval`), so it is lowered,
         priced and scored as in a batched search.  Every side effect on
-        the search (failure records, Pareto points, counter deltas, the
-        design cache) is returned as data for :meth:`apply_outcome` to
-        apply in deterministic order.
+        the search (failure records, Pareto points, counter deltas) is
+        returned as data for :meth:`apply_outcome` to apply in
+        deterministic order.
         """
         with span("search.genome"):
             outcomes, _ = VectorizedGenomeEvaluator(self)._compute_outcomes(
@@ -149,8 +151,6 @@ class BilevelExplorer:
             logger.warning("absorbed %s for candidate %s: %s",
                            outcome.failure.family, outcome.failure.candidate,
                            outcome.failure.message)
-        if outcome.design is not None:
-            self._design_cache[genome_key(genome)] = outcome.design
         if outcome.point is not None:
             self.evaluated.append(ParetoPoint(
                 values=outcome.point, payload=outcome.design,
@@ -238,11 +238,9 @@ class BilevelExplorer:
                 f"{self.network.name!r} (best score {best_score:.3g} is in "
                 "the penalty band)"
             )
-        design = self._design_cache.get(genome_key(best_genome))
-        if design is not None:
-            self.stats.design_cache_hits += 1
-        else:
-            design = self.lower_genome(best_genome)
+        # The winner was evaluated during the search, so this lowering
+        # is a mapper-memo hit.
+        design = self.lower_genome(best_genome)
         if design is None:
             raise SearchError("winning genome failed to re-lower")
         logger.info(
@@ -252,17 +250,14 @@ class BilevelExplorer:
             algorithm.history.evaluations, design.describe(),
         )
         with span("search.final_pricing"):
-            metrics_by_env = {
-                env.name: self.evaluator.evaluate(design, env)
-                for env in self.environments
-            }
-            average = self.evaluator.evaluate_average(design)
+            row, average = self.evaluator.evaluate_row(design)
         self.stats.search_seconds = time.monotonic() - run_started
         return SearchResult(
             design=design,
             score=best_score,
             average=average,
-            metrics_by_env=metrics_by_env,
+            metrics_by_env={env.name: metrics for env, metrics
+                            in zip(self.environments, row)},
             history=algorithm.history,
             evaluated=self.evaluated,
             failures=self.failures,

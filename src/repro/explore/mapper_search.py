@@ -42,7 +42,7 @@ from repro.dataflow.mapping import LayerMapping
 from repro.dataflow.tiling import pick_intermittent_dim
 from repro.design import EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import MappingError
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import OBS, span
 from repro.sim.analytical import CycleBudget
@@ -85,7 +85,6 @@ class _MapperMemo:
 
     def __init__(self, maxsize: int = 8192) -> None:
         self.maxsize = maxsize
-        self.enabled = True
         self.hits = 0
         self.misses = 0
         self._size = 0
@@ -122,27 +121,9 @@ class _MapperMemo:
 _MAPPER_MEMO = _MapperMemo()
 
 
-def configure_mapper_memo(enabled: Optional[bool] = None,
-                          maxsize: Optional[int] = None) -> None:
-    """Tune the process-wide mapper memo (bench/testing hook)."""
-    if maxsize is not None:
-        if maxsize < 1:
-            raise ConfigurationError(
-                f"mapper memo maxsize must be positive, got {maxsize}"
-            )
-        _MAPPER_MEMO.maxsize = maxsize
-    if enabled is not None:
-        _MAPPER_MEMO.enabled = enabled
-
-
 def clear_mapper_memo() -> None:
     """Drop all memoized SW-level searches, reset the counters."""
     _MAPPER_MEMO.clear()
-
-
-def mapper_memo_enabled() -> bool:
-    """Whether the process-wide mapper memo is currently on."""
-    return _MAPPER_MEMO.enabled
 
 
 def mapper_memo_stats() -> Tuple[int, int]:
@@ -196,8 +177,6 @@ class MappingOptimizer:
         ``hit`` distinguishes a memoized unmappable result (``True,
         None``) from a projection never searched (``False, None``).
         """
-        if not _MAPPER_MEMO.enabled:
-            return False, None
         value = self._memo_map.get(key, _ABSENT)
         if value is _ABSENT:
             _MAPPER_MEMO.misses += 1
@@ -216,14 +195,11 @@ class MappingOptimizer:
         scalar and batched modes — the process-wide counters are what
         mixed batched/scalar runs (and the serving layer) report from.
         """
-        if _MAPPER_MEMO.enabled:
-            _MAPPER_MEMO.hits += 1
+        _MAPPER_MEMO.hits += 1
 
     def memo_fill(self, key: tuple,
                   mappings: Optional[Tuple[LayerMapping, ...]]) -> None:
         """Memoize one SW-level search result (insert-if-absent)."""
-        if not _MAPPER_MEMO.enabled:
-            return
         if key not in self._memo_map:
             _MAPPER_MEMO.insert(self._memo_map, key, mappings)
 

@@ -243,15 +243,13 @@ class ParetoExplorer:
         best = min(lowered,
                    key=lambda p: (p.values[0] * p.values[1], p.values))
         design = best.payload
-        evaluator = self._bilevel.evaluator
+        row, average = self._bilevel.evaluator.evaluate_row(design)
         return SearchResult(
             design=design,
             score=best.values[0] * best.values[1],
-            average=evaluator.evaluate_average(design),
-            metrics_by_env={
-                env.name: evaluator.evaluate(design, env)
-                for env in self._bilevel.environments
-            },
+            average=average,
+            metrics_by_env={env.name: metrics for env, metrics
+                            in zip(self._bilevel.environments, row)},
             history=GAHistory(evaluations=algorithm.evaluations),
             evaluated=lowered,
         )

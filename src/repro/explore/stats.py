@@ -38,8 +38,6 @@ class SearchStats:
     * ``mapper_*`` — the process-wide memo of whole SW-level mapping
       searches, keyed by the canonical ``(EnergyDesign,
       InferenceDesign)`` projection of a genome;
-    * ``design_cache_hits`` — reuses of a fully lowered design by
-      genome key (e.g. the winner re-lowering at the end of ``run()``);
     * ``batched_*`` and ``scalar_fallbacks`` — whole generations
       handed to the generation evaluator (``GAConfig.batched``):
       ``batched_sweeps`` counts those calls, ``batched_genomes`` the
@@ -56,7 +54,6 @@ class SearchStats:
     mapper_misses: int = 0
     layer_cost_hits: int = 0
     layer_cost_misses: int = 0
-    design_cache_hits: int = 0
     batched_sweeps: int = 0
     batched_genomes: int = 0
     scalar_fallbacks: int = 0
@@ -89,8 +86,7 @@ class SearchStats:
             f"({self.hw_evaluations} evals in {self.search_seconds:.3f} s)",
             f"mapper cache: {self.mapper_hits} hit(s) / "
             f"{self.mapper_misses} miss(es) "
-            f"({self.mapper_hit_rate:.1%} hit rate, "
-            f"{self.design_cache_hits} design reuse(s))",
+            f"({self.mapper_hit_rate:.1%} hit rate)",
             f"layer cache : {self.layer_cost_hits} hit(s) / "
             f"{self.layer_cost_misses} miss(es) "
             f"({self.layer_cost_hit_rate:.1%} hit rate)",
@@ -115,7 +111,6 @@ class SearchStats:
             "layer_cost_hits": self.layer_cost_hits,
             "layer_cost_misses": self.layer_cost_misses,
             "layer_cost_hit_rate": self.layer_cost_hit_rate,
-            "design_cache_hits": self.design_cache_hits,
             "batched_sweeps": self.batched_sweeps,
             "batched_genomes": self.batched_genomes,
             "scalar_fallbacks": self.scalar_fallbacks,
@@ -127,11 +122,11 @@ class GenomeOutcome:
     """Everything one genome evaluation produced, as data.
 
     ``design`` is the lowered design when the score is finite (it doubles
-    as the Pareto-point payload and fills the explorer's design cache);
-    ``failure`` is the absorbed candidate failure, if any.  The cache
-    counters are *deltas* accumulated during this evaluation: the
-    generation evaluator attributes a whole generation's layer-cost
-    activity to one outcome, so only the deltas' sum is meaningful.
+    as the Pareto-point payload); ``failure`` is the absorbed candidate
+    failure, if any.  The cache counters are *deltas* accumulated during
+    this evaluation: the generation evaluator attributes a whole
+    generation's layer-cost activity to one outcome, so only the deltas'
+    sum is meaningful.
     """
 
     score: float

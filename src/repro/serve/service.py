@@ -10,12 +10,13 @@ economics server-side:
   (:func:`repro.serve.keys.request_key`); while a key is in flight,
   every further submission for it awaits the same future and the
   evaluation runs once.
-* **Micro-batching** — accepted requests queue into a bounded-latency
-  batcher (``max_batch_size`` / ``max_wait_ms``).  Each flush groups
-  analytical requests by compatibility class (same workload,
-  environments, checkpoint) and prices every group through one
-  :func:`repro.api.evaluate_batch` call, so a flush of N compatible
-  requests builds each accelerator's hardware once, not N times.
+* **Micro-batching** — accepted requests queue into a work-conserving
+  batcher: as soon as its queue drains it flushes what it holds, up to
+  ``max_batch_size`` requests.  Each flush groups analytical requests
+  by compatibility class (same workload, environments, checkpoint) and
+  prices every group through one :func:`repro.api.evaluate_batch`
+  call, so a flush of N compatible requests builds each accelerator's
+  hardware once, not N times.
 * **Admission control** — the queue is bounded (``max_queue``); when it
   is full new requests are shed with
   :class:`~repro.errors.ServiceOverloadError` instead of growing an
@@ -60,22 +61,16 @@ from repro.workloads.network import Network
 class ServeConfig:
     """Tuning knobs of the evaluation service (all SLO-facing).
 
-    ``max_batch_size`` bounds how much company one flush can hold.
-    ``eager_flush`` (the default) makes the batcher work-conserving: it
-    flushes as soon as the admission queue drains — requests that were
-    going to batch together arrive in the same event-loop wave anyway.
-    ``max_wait_ms`` is read only with ``eager_flush=False``: then it
-    bounds the latency the batcher may *add* to a request while waiting
-    for company; under eager flush it changes nothing, however slowly
-    producers trickle.  ``max_queue`` is the admission limit — beyond
-    it requests are shed, trading availability for bounded latency.
-    ``default_deadline_s`` applies to requests that do not carry their
-    own deadline (``None`` means no deadline).
+    ``max_batch_size`` bounds how much company one flush can hold; the
+    batcher flushes as soon as its admission queue drains, since
+    requests that were going to batch together arrive in the same
+    event-loop wave anyway.  ``max_queue`` is the admission limit —
+    beyond it requests are shed, trading availability for bounded
+    latency.  ``default_deadline_s`` applies to requests that do not
+    carry their own deadline (``None`` means no deadline).
     """
 
     max_batch_size: int = 64
-    max_wait_ms: float = 2.0
-    eager_flush: bool = True
     max_queue: int = 1024
     default_deadline_s: Optional[float] = None
     drain_timeout_s: float = 30.0
@@ -84,9 +79,6 @@ class ServeConfig:
         if self.max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_wait_ms < 0.0:
-            raise ConfigurationError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_queue < 1:
             raise ConfigurationError(
                 f"max_queue must be >= 1, got {self.max_queue}")
@@ -209,7 +201,7 @@ class EvaluationService:
 
     Lifecycle::
 
-        service = EvaluationService(ServeConfig(max_wait_ms=2.0))
+        service = EvaluationService(ServeConfig(max_batch_size=16))
         async with service:                      # start() ... stop()
             report = await service.submit(design, "har")
 
@@ -454,23 +446,11 @@ class EvaluationService:
                 break
             batch = [entry]
             stop = False
-            flush_at = self._loop.time() + self.config.max_wait_ms / 1000.0
             while len(batch) < self.config.max_batch_size:
                 try:
-                    # Drain whatever is already waiting without paying
-                    # a wait_for task per entry.
                     nxt = self._queue.get_nowait()
                 except asyncio.QueueEmpty:
-                    if self.config.eager_flush:
-                        break  # work-conserving: price what we have now
-                    remaining = flush_at - self._loop.time()
-                    if remaining <= 0.0:
-                        break
-                    try:
-                        nxt = await asyncio.wait_for(self._queue.get(),
-                                                     timeout=remaining)
-                    except asyncio.TimeoutError:
-                        break
+                    break  # work-conserving: price what we have now
                 if nxt is _STOP:
                     stop = True
                     break

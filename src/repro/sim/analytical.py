@@ -8,8 +8,8 @@ The analytical model prices a full design point without stepping time:
   model);
 * end-to-end latency from Eq. 7, generalised to subtract the leakage
   and conversion losses a real harvesting chain pays;
-* feasibility from Eq. 8, with :meth:`AnalyticalModel.min_feasible_n_tiles`
-  realising the Eq. 9 lower bound constructively.
+* feasibility from Eq. 8.  Eq. 9's tile count is the SW-level mapper's
+  choice (:meth:`repro.explore.mapper_search.MappingOptimizer.scan`).
 
 Each equation has one implementation: :class:`CycleBudget` holds
 Eqs. 1-3 and 8 for one energy design in one environment, and Eq. 7 is
@@ -232,38 +232,6 @@ class AnalyticalModel:
         """Eq. 8: one tile must fit one energy cycle (incl. its harvest)."""
         return self.budget.fits(cost.tile)
 
-    def min_feasible_n_tiles(self, layer: Layer,
-                             mapping: LayerMapping) -> Optional[int]:
-        """Smallest ``N_tile`` satisfying Eq. 8 — Eq. 9 made constructive.
-
-        Scans the divisor-aligned tile counts of the mapping's tile
-        dimension; returns ``None`` when even the finest partition does
-        not fit an energy cycle (the design is unusable for this layer).
-
-        A multi-dimensional input tile keeps its ``secondary_dim`` /
-        ``n_tiles_2`` split (clamped to the dimension size) in every
-        scanned candidate: dropping it would answer Eq. 9 for a
-        different — coarser — mapping family than the one asked about.
-        """
-        dims = layer.dims()
-        bound = dims[mapping.tile_dim]
-        secondary = mapping.secondary_dim
-        n_tiles_2 = 1
-        if secondary is not None:
-            n_tiles_2 = min(mapping.n_tiles_2, dims[secondary])
-        n = max(1, mapping.n_tiles)
-        while n <= bound:
-            candidate = LayerMapping(style=mapping.style, n_tiles=n,
-                                     tile_dim=mapping.tile_dim,
-                                     spatial_dim=mapping.spatial_dim,
-                                     secondary_dim=secondary,
-                                     n_tiles_2=n_tiles_2)
-            cost = self.layer_cost(layer, candidate)
-            if self.tile_feasible(cost):
-                return n
-            n = _next_tile_count(n, bound)
-        return None
-
     def cold_start_charge_time(self) -> float:
         """Seconds to charge the capacitor from empty to ``U_on``.
 
@@ -379,15 +347,3 @@ class BatchAnalyticalModel:
         return [price_plan(total, budget)
                 for budget, total in zip(budgets, totals)]
 
-
-def _next_tile_count(n: int, bound: int) -> int:
-    """The next useful tile count after ``n`` for a dimension of ``bound``.
-
-    Tile counts between divisor steps change nothing (ceil-division
-    yields the same chunk), so advance to the next count that shrinks
-    the chunk.
-    """
-    chunk = math.ceil(bound / n)
-    if chunk <= 1:
-        return bound + 1
-    return math.ceil(bound / (chunk - 1))

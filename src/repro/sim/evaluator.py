@@ -148,14 +148,21 @@ class ChrysalisEvaluator:
         :func:`_evaluate_every_environment` is the same rule for many
         designs at once.
         """
+        return self.evaluate_row(design)[1]
+
+    def evaluate_row(self, design: AuTDesign
+                     ) -> Tuple[List[InferenceMetrics], InferenceMetrics]:
+        """The metrics of each configured environment, in order, up to
+        and including the first infeasible one, and the verdict that
+        :meth:`evaluate_average` returns: each environment is priced
+        once for both."""
         with span("eval.average", mode=self.mode.value):
-            results = []
+            row: List[InferenceMetrics] = []
             for environment in self.environments:
-                metrics = self.evaluate(design, environment)
-                if not metrics.feasible:
-                    return metrics
-                results.append(metrics)
-            return _average_metrics(results)
+                row.append(self.evaluate(design, environment))
+                if not row[-1].feasible:
+                    break
+            return row, _verdict(row)
 
     # -- internals ------------------------------------------------------------------
 

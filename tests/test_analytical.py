@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.dataflow.mapping import LayerMapping
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
-from repro.sim.analytical import AnalyticalModel, _next_tile_count
+from repro.sim.analytical import AnalyticalModel
 from repro.units import uF, mF
 from repro.workloads import zoo
 
@@ -53,45 +52,6 @@ class TestFeasibility:
         assert not metrics.feasible
         assert "Eq. 8" in metrics.infeasible_reason
 
-    def test_min_feasible_n_tiles_constructive_eq9(self):
-        model = make_model(network=zoo.cifar10_cnn(), capacitance=uF(470),
-                           environment=LightEnvironment.darker(), n_tiles=1)
-        # Pick the biggest conv layer and its default mapping.
-        layer = max(model.network, key=lambda l: l.macs)
-        mapping = LayerMapping.default(layer)
-        n_min = model.min_feasible_n_tiles(layer, mapping)
-        assert n_min is not None and n_min > 1
-        # Eq. 9: n_min is feasible, n_min at its predecessor step is not.
-        feasible = model.tile_feasible(model.layer_cost(
-            layer, LayerMapping.default(layer, n_tiles=n_min)))
-        assert feasible
-
-    def test_min_feasible_n_tiles_keeps_secondary_split(self):
-        """Regression: the Eq. 9 scan used to drop ``secondary_dim`` /
-        ``n_tiles_2``, answering the question for a coarser mapping
-        family — a 2-D-tiled mapping was told it needed far more
-        primary tiles than it actually does."""
-        model = make_model(network=zoo.cifar10_cnn(), capacitance=uF(470),
-                           environment=LightEnvironment.darker(), n_tiles=1)
-        layer = max(model.network, key=lambda l: l.macs)
-        base = LayerMapping.default(layer)
-        split = LayerMapping(style=base.style, n_tiles=1,
-                             tile_dim=base.tile_dim,
-                             spatial_dim=base.spatial_dim,
-                             secondary_dim="C", n_tiles_2=4)
-        n_plain = model.min_feasible_n_tiles(layer, base)
-        n_split = model.min_feasible_n_tiles(layer, split)
-        assert n_plain is not None and n_split is not None
-        # The secondary split already shrinks each tile, so fewer
-        # primary tiles suffice — the buggy scan returned n_plain here.
-        assert n_split < n_plain
-        # And the answer is feasible for the *asked-about* family.
-        candidate = LayerMapping(style=split.style, n_tiles=n_split,
-                                 tile_dim=split.tile_dim,
-                                 spatial_dim=split.spatial_dim,
-                                 secondary_dim="C", n_tiles_2=4)
-        assert model.tile_feasible(model.layer_cost(layer, candidate))
-
     def test_leakage_dominated_design_infeasible(self):
         model = make_model(panel_cm2=1.0, capacitance=mF(10))
         model_dark = AnalyticalModel(
@@ -138,17 +98,3 @@ class TestEvaluate:
         many = make_model(n_tiles=8).evaluate()
         assert many.energy.checkpoint > few.energy.checkpoint
 
-
-class TestNextTileCount:
-    def test_advances_past_equal_chunks(self):
-        # bound=16, n=3 -> chunk 6; next n producing chunk 5 is 4.
-        assert _next_tile_count(3, 16) == 4
-
-    def test_terminates_at_bound(self):
-        n = 1
-        steps = 0
-        while n <= 224:
-            n = _next_tile_count(n, 224)
-            steps += 1
-            assert steps < 1000
-        assert steps <= 224

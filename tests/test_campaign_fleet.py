@@ -303,70 +303,6 @@ class TestExhaustAndCounts:
         assert by_id["w2"].retired_at is not None
 
 
-class TestReadonlyOldSchema:
-    """v2 stores stay readable under v3 code without being migrated."""
-
-    def _make_v2_store(self, path):
-        with ResultStore(path) as store:
-            store.record_success(
-                make_key(seed=0), score=1.0, panel_cm2=4.0, latency_s=1.0,
-                solution=SOLUTION, campaign="camp")
-            store.record_success(
-                make_key(seed=1), score=2.0, panel_cm2=2.0, latency_s=2.0,
-                solution=SOLUTION, campaign="camp")
-        conn = sqlite3.connect(path)
-        conn.execute("DROP INDEX IF EXISTS idx_runs_lease")
-        for column in ("lease_owner", "lease_deadline", "retry_at",
-                       "attempts_json"):
-            conn.execute(f"ALTER TABLE runs DROP COLUMN {column}")
-        conn.execute("DROP TABLE workers")
-        conn.execute("UPDATE campaign_meta SET value='2' "
-                     "WHERE key='schema_version'")
-        conn.commit()
-        conn.close()
-
-    def test_reads_without_migrating(self, tmp_path):
-        path = tmp_path / "v2.sqlite"
-        self._make_v2_store(path)
-        with ResultStore(path, readonly=True) as store:
-            counts = store.status_counts("camp")
-            assert counts[STATUS_DONE] == 2
-            assert counts[STATUS_EXHAUSTED] == 0
-            front = store.pareto_slice("camp")
-            assert len(front) == 2
-            run = store.runs(campaign="camp")[0]
-            assert run.lease_owner is None
-            assert run.attempt_history == []
-        # The file was not migrated behind the readers' backs.
-        conn = sqlite3.connect(path)
-        version = conn.execute(
-            "SELECT value FROM campaign_meta "
-            "WHERE key='schema_version'").fetchone()[0]
-        columns = {row[1] for row in
-                   conn.execute("PRAGMA table_info(runs)").fetchall()}
-        conn.close()
-        assert version == "2"
-        assert "lease_owner" not in columns
-
-    def test_readonly_rejects_writes(self, tmp_path):
-        path = tmp_path / "v2.sqlite"
-        self._make_v2_store(path)
-        with ResultStore(path, readonly=True) as store:
-            with pytest.raises(StoreError, match="readonly"):
-                store.register("camp", [make_key(seed=9)])
-
-    def test_readonly_rejects_newer_schema(self, tmp_path):
-        path = tmp_path / "future.sqlite"
-        ResultStore(path).close()
-        conn = sqlite3.connect(path)
-        conn.execute("UPDATE campaign_meta SET value='99' "
-                     "WHERE key='schema_version'")
-        conn.commit()
-        conn.close()
-        with pytest.raises(StoreError, match="schema version"):
-            ResultStore(path, readonly=True)
-
-
 class _FlakyConnection:
     """Proxy that injects 'database is locked' on the first N writes."""
 

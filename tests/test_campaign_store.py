@@ -1,6 +1,8 @@
 """Tests for the SQLite campaign result store."""
 
+import multiprocessing
 import sqlite3
+import time
 
 import pytest
 
@@ -58,6 +60,49 @@ class TestSchema:
         with pytest.raises(StoreError, match="schema version"):
             ResultStore(path)
 
+    def test_old_schema_store_is_refused_unchanged(self, tmp_path):
+        """A store from an older release raises StoreError naming both
+        versions, and opening it writes nothing."""
+        dropped = {
+            "1": ("obs_json", "lease_owner", "lease_deadline", "retry_at",
+                  "attempts_json", "front_json"),
+            "3": ("front_json",),
+        }
+        for version, columns in dropped.items():
+            path = tmp_path / f"v{version}.sqlite"
+            with ResultStore(path) as store:
+                store.record_success(make_key(), score=1.0, panel_cm2=4.0,
+                                     latency_s=1.0, solution=SOLUTION,
+                                     campaign="camp")
+            conn = sqlite3.connect(path)
+            if version == "1":
+                conn.execute("DROP INDEX idx_runs_lease")
+                conn.execute("DROP TABLE workers")
+            for column in columns:
+                conn.execute(f"ALTER TABLE runs DROP COLUMN {column}")
+            conn.execute("UPDATE campaign_meta SET value=? "
+                         "WHERE key='schema_version'", (version,))
+            conn.commit()
+            conn.close()
+            before = path.read_bytes()
+            with pytest.raises(StoreError,
+                               match=f"version '{version}'.*version 4"):
+                ResultStore(path)
+            assert path.read_bytes() == before
+
+    def test_non_integer_schema_version_is_refused(self, tmp_path):
+        path = tmp_path / "camp.sqlite"
+        ResultStore(path).close()
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE campaign_meta SET value='v4' "
+                     "WHERE key='schema_version'")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        with pytest.raises(StoreError, match="schema version 'v4'"):
+            ResultStore(path)
+        assert path.read_bytes() == before
+
     def test_corrupt_file_raises_chrysalis_error(self, tmp_path):
         path = tmp_path / "camp.sqlite"
         path.write_bytes(b"this is definitely not a sqlite database\x00\xff")
@@ -70,6 +115,31 @@ class TestSchema:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(StoreError, match="does not exist"):
             ResultStore(tmp_path / "no" / "such" / "dir" / "c.sqlite")
+
+
+def _open_at(path, start):
+    """Open and close the store at wall-clock ``start`` (pool target)."""
+    while time.time() < start:
+        pass
+    ResultStore(path).close()
+    return True
+
+
+class TestConcurrentFirstOpen:
+    def test_processes_opening_a_fresh_file_all_succeed(self, tmp_path):
+        """Several processes opening one new file at the same instant
+        all succeed and write one version row.  Switching the file to
+        WAL used to fail one of them with ``database is locked``."""
+        with multiprocessing.get_context("spawn").Pool(4) as pool:
+            for trial in range(10):
+                path = str(tmp_path / f"c{trial}.sqlite")
+                start = time.time() + 0.2
+                opened = pool.starmap_async(_open_at, [(path, start)] * 4)
+                assert opened.get(timeout=60) == [True] * 4
+                conn = sqlite3.connect(path)
+                rows = conn.execute("SELECT * FROM campaign_meta").fetchall()
+                conn.close()
+                assert rows == [("schema_version", "4")]
 
 
 class TestRegister:
@@ -228,22 +298,70 @@ class TestObsBlobs:
                              campaign="camp")
         assert store.runs()[0].obs is None
 
-    def test_v1_store_migrates_in_place(self, tmp_path):
-        # Rebuild a pre-obs (v1) store: no obs_json column, version 1.
-        path = tmp_path / "old.sqlite"
-        ResultStore(path).close()
-        conn = sqlite3.connect(path)
-        conn.execute("ALTER TABLE runs DROP COLUMN obs_json")
-        conn.execute("UPDATE campaign_meta SET value='1' "
-                     "WHERE key='schema_version'")
-        conn.commit()
-        conn.close()
-        with ResultStore(path) as store:  # reopening migrates (to v4)
+
+def _truncate(path, run_hash, column, text=None):
+    """Cut the last character off one JSON column (or set ``text``)."""
+    conn = sqlite3.connect(path)
+    if text is None:
+        conn.execute(f"UPDATE runs SET {column}=substr({column}, 1, "
+                     f"length({column}) - 1) WHERE run_hash=?", (run_hash,))
+    else:
+        conn.execute(f"UPDATE runs SET {column}=? WHERE run_hash=?",
+                     (text, run_hash))
+    conn.commit()
+    conn.close()
+
+
+class TestCorruptRows:
+    """A store file is input from outside the program: a JSON column
+    that does not decode is a StoreError naming the run and column."""
+
+    @pytest.mark.parametrize("column", [
+        "solution_json", "stats_json", "failures_json", "obs_json",
+        "attempts_json", "front_json"])
+    def test_runs_rejects_unreadable_column(self, tmp_path, column):
+        path = tmp_path / "camp.sqlite"
+        key = make_key()
+        with ResultStore(path) as store:
+            store.record_success(
+                key, score=1.0, panel_cm2=4.0, latency_s=1.0,
+                solution=SOLUTION, stats={"hw_evaluations": 3},
+                failures=[{"family": "MappingError"}], campaign="camp",
+                obs={"version": 1}, front=[{"panel_cm2": 4.0}])
+        _truncate(path, key.run_hash, column)
+        with ResultStore(path) as store:
+            with pytest.raises(StoreError,
+                               match=f"{key.run_hash}.*{column}"):
+                store.runs()
+
+    def test_claim_rejects_unreadable_history_and_rolls_back(self,
+                                                             tmp_path):
+        path = tmp_path / "camp.sqlite"
+        key = make_key()
+        with ResultStore(path) as store:
+            store.register("camp", [key])
+        _truncate(path, key.run_hash, "attempts_json", text='[{"attempt"')
+        with ResultStore(path) as store:
+            with pytest.raises(StoreError,
+                               match=f"{key.run_hash}.*attempts_json"):
+                store.claim("camp", "w1")
             row = store._conn.execute(
-                "SELECT value FROM campaign_meta "
-                "WHERE key='schema_version'").fetchone()
-            assert row[0] == "4"
-            store.record_success(make_key(), score=1.0, panel_cm2=4.0,
-                                 latency_s=1.0, solution=SOLUTION,
-                                 campaign="camp", obs={"version": 1})
-            assert store.runs()[0].obs == {"version": 1}
+                "SELECT status, attempts, lease_owner FROM runs").fetchone()
+            assert tuple(row) == (STATUS_PENDING, 0, None)
+
+    def test_record_success_rejects_unreadable_history(self, tmp_path):
+        path = tmp_path / "camp.sqlite"
+        key = make_key()
+        with ResultStore(path) as store:
+            store.register("camp", [key])
+            store.mark_running(key)
+        _truncate(path, key.run_hash, "attempts_json", text='[{"attempt"')
+        with ResultStore(path) as store:
+            with pytest.raises(StoreError,
+                               match=f"{key.run_hash}.*attempts_json"):
+                store.record_success(key, score=1.0, panel_cm2=4.0,
+                                     latency_s=1.0, solution=SOLUTION,
+                                     campaign="camp")
+            row = store._conn.execute(
+                "SELECT status, solution_json FROM runs").fetchone()
+            assert tuple(row) == (STATUS_RUNNING, None)

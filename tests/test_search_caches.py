@@ -12,6 +12,8 @@ from repro.dataflow.cost_model import (clear_layer_cost_cache,
                                        layer_cost_cache_stats)
 from repro.explore.bilevel import BilevelExplorer
 from repro.explore.ga import GAConfig
+from repro.explore.mapper_search import clear_mapper_memo
+from repro.explore.nsga2 import ParetoExplorer
 from repro.explore.objectives import Objective
 from repro.explore.space import DesignSpace
 from repro.workloads import zoo
@@ -87,9 +89,9 @@ class TestMemoization:
 
 class TestDesignCache:
     def test_winner_not_relowered(self):
-        """``run()`` reuses the evaluated winner's lowered design.
+        """``run()`` lowers the winner from the mapper memo.
 
-        Regression: the pre-v1.1 ``_design_cache`` was keyed by
+        Regression: the pre-v1.1 design cache was keyed by
         ``id(design.mappings)`` and never read, so the winning genome
         paid a second full SW-level search at the end of every run.
         """
@@ -99,7 +101,6 @@ class TestDesignCache:
         explorer.mapper.optimize = lambda *a, **kw: (
             calls.append(1) or inner(*a, **kw))
         result = explorer.run()
-        assert result.stats.design_cache_hits == 1
         # Every optimize call was a distinct projection seen during the
         # search itself — none were spent re-lowering the winner.
         assert len(calls) == result.stats.mapper_misses
@@ -114,6 +115,52 @@ class TestDesignCache:
         explorer.evaluate_genome(dict(genome))
         assert explorer.stats.mapper_misses == misses_before
         assert explorer.stats.mapper_hits >= 1
+
+
+def _record_evaluate_calls(evaluator):
+    """Wrap ``evaluator.evaluate``; returns the environment names it
+    is called with, in call order."""
+    calls = []
+    inner = evaluator.evaluate
+    evaluator.evaluate = lambda design, environment: (
+        calls.append(environment.name) or inner(design, environment))
+    return calls
+
+
+class TestFinalPricing:
+    """The winner is priced once per environment, for both its average
+    and its per-environment metrics."""
+
+    GA = GAConfig(population_size=6, generations=2, seed=0)
+
+    def test_bilevel_prices_each_environment_once(self):
+        clear_mapper_memo()
+        explorer = BilevelExplorer(zoo.har_cnn(), DesignSpace.existing_aut(),
+                                   Objective.lat_sp(), ga_config=self.GA)
+        calls = _record_evaluate_calls(explorer.evaluator)
+        result = explorer.run()
+        assert calls == ["brighter", "darker"]
+        # The search's own hits plus one per layer per environment.
+        hits, _ = layer_cost_cache_stats()
+        assert result.stats.layer_cost_hits == 40
+        assert hits == 40 + 2 * len(explorer.network)
+        assert result.metrics_by_env == {
+            env.name: explorer.evaluator.evaluate(result.design, env)
+            for env in explorer.environments}
+        assert result.average == explorer.evaluator.evaluate_average(
+            result.design)
+
+    def test_pareto_prices_each_environment_once(self):
+        explorer = ParetoExplorer(zoo.har_cnn(), DesignSpace.existing_aut(),
+                                  ga_config=self.GA)
+        evaluator = explorer._bilevel.evaluator
+        calls = _record_evaluate_calls(evaluator)
+        result = explorer.search()
+        assert calls == ["brighter", "darker"]
+        assert result.metrics_by_env == {
+            env.name: evaluator.evaluate(result.design, env)
+            for env in evaluator.environments}
+        assert result.average == evaluator.evaluate_average(result.design)
 
 
 class TestRunStateReset:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -70,8 +71,7 @@ class _FakeClock:
 
 def test_identical_requests_coalesce_onto_one_evaluation(har_designs):
     fake = _FakeBatchEval()
-    service = EvaluationService(ServeConfig(max_wait_ms=5.0),
-                                evaluate_batch_fn=fake)
+    service = EvaluationService(evaluate_batch_fn=fake)
 
     async def main():
         async with service:
@@ -89,8 +89,7 @@ def test_identical_requests_coalesce_onto_one_evaluation(har_designs):
 
 def test_distinct_designs_do_not_coalesce(har_designs):
     fake = _FakeBatchEval()
-    service = EvaluationService(ServeConfig(max_wait_ms=5.0),
-                                evaluate_batch_fn=fake)
+    service = EvaluationService(evaluate_batch_fn=fake)
 
     async def main():
         async with service:
@@ -109,14 +108,12 @@ def test_distinct_designs_do_not_coalesce(har_designs):
 
 
 def test_flush_when_batch_fills_before_max_wait(har_designs):
+    """A wave of twice ``max_batch_size`` requests, all queued before
+    the batcher runs, flushes in batches split at the cap."""
     fake = _FakeBatchEval()
-    # max_wait_ms is far beyond the test timeout and eager flushing is
-    # off: only a full batch can trigger the flush that lets these
-    # submissions complete.
-    service = EvaluationService(
-        ServeConfig(max_batch_size=len(har_designs), max_wait_ms=60_000.0,
-                    eager_flush=False),
-        evaluate_batch_fn=fake)
+    cap = len(har_designs) // 2
+    service = EvaluationService(ServeConfig(max_batch_size=cap),
+                                evaluate_batch_fn=fake)
 
     async def main():
         async with service:
@@ -126,40 +123,17 @@ def test_flush_when_batch_fills_before_max_wait(har_designs):
                 timeout=10.0)
 
     asyncio.run(main())
-    assert fake.calls == [len(har_designs)]
-    assert service.stats.batches == 1
-    assert service.stats.batch_occupancy.max == len(har_designs)
-
-
-def test_flush_on_max_wait_with_partial_batch(har_designs):
-    fake = _FakeBatchEval()
-    # Two requests can never fill a 64-slot batch and eager flushing is
-    # off: completion proves the bounded-latency timer flushed the
-    # partial batch.
-    service = EvaluationService(
-        ServeConfig(max_batch_size=64, max_wait_ms=10.0,
-                    eager_flush=False),
-        evaluate_batch_fn=fake)
-
-    async def main():
-        async with service:
-            await asyncio.wait_for(
-                asyncio.gather(service.submit(har_designs[0], "har"),
-                               service.submit(har_designs[1], "har")),
-                timeout=10.0)
-
-    asyncio.run(main())
-    assert service.stats.evaluated == 2
-    assert sum(fake.calls) == 2
+    assert fake.calls == [cap, cap]
+    assert service.stats.batches == 2
+    assert service.stats.batch_occupancy.max == cap
 
 
 def test_eager_flush_does_not_wait_out_the_timer(har_designs):
     fake = _FakeBatchEval()
-    # max_wait_ms far beyond the wait_for timeout: only the default
-    # work-conserving eager flush (price what is queued as soon as the
-    # queue drains) can complete these partial batches in time.
+    # A partial batch (4 of 64 slots) is priced as soon as the queue
+    # drains: nothing waits for more company.
     service = EvaluationService(
-        ServeConfig(max_batch_size=64, max_wait_ms=60_000.0),
+        ServeConfig(max_batch_size=64),
         evaluate_batch_fn=fake)
 
     async def main():
@@ -182,10 +156,8 @@ def test_eager_flush_does_not_wait_out_the_timer(har_designs):
 def test_deadline_expired_in_queue_raises_structured_timeout(har_designs):
     fake = _FakeBatchEval()
     clock = _FakeClock()
-    # eager_flush off so the flush happens after the clock has moved.
-    service = EvaluationService(ServeConfig(max_wait_ms=50.0,
-                                            eager_flush=False),
-                                evaluate_batch_fn=fake, time_fn=clock)
+    # The batcher wakes on the submission, after the clock has moved.
+    service = EvaluationService(evaluate_batch_fn=fake, time_fn=clock)
 
     async def main():
         async with service:
@@ -206,7 +178,7 @@ def test_full_queue_sheds_with_overload_error(har_designs):
     fake = _FakeBatchEval()
     fake.release = threading.Event()
     service = EvaluationService(
-        ServeConfig(max_batch_size=1, max_wait_ms=0.0, max_queue=1),
+        ServeConfig(max_batch_size=1, max_queue=1),
         evaluate_batch_fn=fake)
 
     async def main():
@@ -247,29 +219,82 @@ def test_rejects_when_not_running(har_designs):
 
 def test_stop_drains_admitted_requests(har_designs):
     fake = _FakeBatchEval()
-    service = EvaluationService(ServeConfig(max_wait_ms=60_000.0,
-                                            max_batch_size=64,
-                                            eager_flush=False),
-                                evaluate_batch_fn=fake)
+    fake.release = threading.Event()
+    service = EvaluationService(evaluate_batch_fn=fake)
 
     async def main():
         await service.start()
-        tasks = [asyncio.ensure_future(service.submit(design, "har"))
-                 for design in har_designs]
-        await asyncio.sleep(0.05)  # queued, batch not full, not flushed
-        await service.stop(drain=True)  # must flush them, not drop them
-        return await asyncio.gather(*tasks)
+        first = asyncio.ensure_future(service.submit(har_designs[0], "har"))
+        await asyncio.sleep(0.05)  # the batcher holds it, blocked in eval
+        rest = [asyncio.ensure_future(service.submit(design, "har"))
+                for design in har_designs[1:]]
+        await asyncio.sleep(0.05)  # queued behind the blocked flush
+        # stop() joins the executor synchronously, so the release must
+        # come from another thread.
+        timer = threading.Timer(0.1, fake.release.set)
+        timer.start()
+        try:
+            await service.stop(drain=True)  # must flush them, not drop them
+        finally:
+            timer.join(timeout=10.0)
+        return await asyncio.gather(first, *rest)
 
     results = asyncio.run(main())
     assert len(results) == len(har_designs)
+    assert fake.calls == [1, len(har_designs) - 1]
     assert service.stats.evaluated == len(har_designs)
+
+
+def test_stop_without_drain_fails_queued_and_inflight(har_designs):
+    fake = _FakeBatchEval()
+    fake.release = threading.Event()
+    service = EvaluationService(evaluate_batch_fn=fake)
+
+    async def main():
+        await service.start()
+        inflight = asyncio.ensure_future(
+            service.submit(har_designs[0], "har"))
+        await asyncio.sleep(0.05)  # the batcher holds it, blocked in eval
+        queued = asyncio.ensure_future(service.submit(har_designs[1], "har"))
+        await asyncio.sleep(0.05)
+        timer = threading.Timer(0.1, fake.release.set)
+        timer.start()
+        try:
+            await service.stop(drain=False)
+        finally:
+            timer.join(timeout=10.0)
+        return await asyncio.gather(inflight, queued,
+                                    return_exceptions=True)
+
+    results = asyncio.run(main())
+    assert [type(result) for result in results] == [ServiceClosedError] * 2
+    assert service.stats.evaluated == 0
+
+
+def test_waiter_deadline_fires_while_evaluation_runs(har_designs):
+    fake = _FakeBatchEval()
+    fake.release = threading.Event()
+    service = EvaluationService(evaluate_batch_fn=fake)
+
+    async def main():
+        async with service:
+            started = time.monotonic()
+            with pytest.raises(EvaluationTimeout, match="deadline"):
+                await service.submit(har_designs[0], "har",
+                                     deadline_s=0.05)
+            waited = time.monotonic() - started
+            fake.release.set()
+        return waited
+
+    waited = asyncio.run(main())
+    assert waited < 5.0  # the waiter did not sit out the evaluation
+    assert service.stats.timeouts == 1
+    assert fake.calls == [1]  # the evaluation itself still finished
 
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         ServeConfig(max_batch_size=0)
-    with pytest.raises(ConfigurationError):
-        ServeConfig(max_wait_ms=-1.0)
     with pytest.raises(ConfigurationError):
         ServeConfig(max_queue=0)
     with pytest.raises(ConfigurationError):
@@ -304,8 +329,7 @@ def test_evaluation_failure_propagates_without_killing_service(
             raise InfeasibleDesignError("cannot complete the workload")
         return [("report", design) for design in designs]
 
-    service = EvaluationService(ServeConfig(max_wait_ms=2.0),
-                                evaluate_batch_fn=failing_then_fine)
+    service = EvaluationService(evaluate_batch_fn=failing_then_fine)
 
     async def main():
         async with service:
@@ -350,7 +374,7 @@ def test_request_key_is_content_based(har_designs):
 
 
 def test_service_results_bit_identical_to_direct_evaluate(har_designs):
-    service = EvaluationService(ServeConfig(max_wait_ms=5.0))
+    service = EvaluationService()
 
     async def main():
         async with service:
@@ -369,10 +393,29 @@ def test_service_results_bit_identical_to_direct_evaluate(har_designs):
 
 
 def test_serve_entrypoint_builds_configured_service():
-    service = serve(max_batch_size=8, max_wait_ms=1.0)
+    service = serve(max_batch_size=8, max_queue=16)
     assert isinstance(service, EvaluationService)
     assert service.config.max_batch_size == 8
+    assert service.config.max_queue == 16
     assert not service.running
+
+
+def test_step_fidelity_matches_direct_evaluate(har_designs):
+    """Step requests skip the analytical batch and are priced one at a
+    time through ``evaluate(fidelity="step")``."""
+    service = EvaluationService()
+
+    async def main():
+        async with service:
+            return await service.submit(har_designs[0], "har",
+                                        fidelity="step")
+
+    report = asyncio.run(main())
+    direct = evaluate(har_designs[0], "har", fidelity="step")
+    assert report.fidelity == "step"
+    assert report.metrics == direct.metrics
+    assert report.by_environment == direct.by_environment
+    assert service.stats.evaluated == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
-from repro.api import evaluate
+from repro.api import evaluate, evaluate_batch
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.errors import ConfigurationError, ServeError
-from repro.serve import (EvaluationService, ServeClient, ServeConfig,
-                         ServeServer)
+from repro.serve import EvaluationService, ServeClient, ServeServer
 from repro.serialize import design_to_dict
 from repro.units import uF
 from repro.workloads import zoo
@@ -29,15 +29,11 @@ def designs():
     ]
 
 
-def _run_with_server(coroutine_fn):
+def _run_with_server(coroutine_fn, **service_kwargs):
     """Start service + server, run ``coroutine_fn(service, host, port)``."""
 
     async def main():
-        # eager_flush off: requests trickle in over TCP, so the timer
-        # window is what lets across-client duplicates coalesce
-        # deterministically.
-        service = EvaluationService(ServeConfig(max_wait_ms=2.0,
-                                                eager_flush=False))
+        service = EvaluationService(**service_kwargs)
         async with service, ServeServer(service) as server:
             host, port = server.address
             return await coroutine_fn(service, host, port)
@@ -60,7 +56,24 @@ def test_round_trip_matches_local_evaluation(designs):
 
 
 def test_concurrent_clients_share_one_service(designs):
+    admitted = []  # the service, once started
+
+    def evaluate_when_all_admitted(designs, network, environments,
+                                   checkpoint):
+        # Hold every flush until all 6 requests are admitted (or 10 s
+        # pass), so each duplicate of designs[0] arrives while its twin
+        # is in flight.
+        deadline = time.monotonic() + 10.0
+        while (admitted[0].stats.requests < 6
+               and time.monotonic() < deadline):
+            time.sleep(0.001)
+        return evaluate_batch(list(designs), network,
+                              environments=list(environments),
+                              checkpoint=checkpoint)
+
     async def scenario(service, host, port):
+        admitted.append(service)
+
         async def one_client(index):
             async with await ServeClient.connect(host, port) as client:
                 # every client also asks for designs[0]: across-client
@@ -73,11 +86,15 @@ def test_concurrent_clients_share_one_service(designs):
         results = await asyncio.gather(*[one_client(i) for i in range(3)])
         return service.stats, results
 
-    stats, results = _run_with_server(scenario)
+    stats, results = _run_with_server(
+        scenario, evaluate_batch_fn=evaluate_when_all_admitted)
     assert stats.requests == 6
-    assert stats.coalesced >= 2  # three clients asked for designs[0]
-    local = evaluate(designs[1], "har", fidelity="analytical")
-    assert results[1][0].metrics == local.metrics
+    assert stats.coalesced == 3  # four requests for designs[0], one priced
+    assert stats.evaluated == 3
+    for index, (mine, first) in enumerate(results):
+        assert mine.metrics == evaluate(designs[index], "har",
+                                        fidelity="analytical").metrics
+        assert first.metrics == results[0][0].metrics
 
 
 def test_remote_errors_map_back_to_library_types(designs):
@@ -121,7 +138,7 @@ def test_malformed_request_line_gets_error_response(designs):
 
 def test_server_close_fails_pending_client_calls(designs):
     async def main():
-        service = EvaluationService(ServeConfig(max_wait_ms=2.0))
+        service = EvaluationService()
         async with service:
             server = await ServeServer(service).start()
             host, port = server.address
