@@ -196,63 +196,56 @@ class EnergyController:
             (harvested_power - charge_power) + (drain_power - load_power)
         ) * dt
 
+    #: Iteration cap of the charge loop; only a backstop for an
+    #: unbounded ``max_wait`` on a trace that never lets the charge land.
+    MAX_CHARGE_WINDOWS = 1_000_000
+
     def fast_forward_to_on(self, max_wait: float = math.inf) -> float:
         """Charge with no load until the rail turns on; returns elapsed s.
 
-        Uses the capacitor's closed-form charging solution, so the cost
-        is O(1) regardless of how long the charge takes.  If the
-        harvester cannot reach ``v_on`` within ``max_wait`` (for example
-        leakage outpaces the panel) the method returns ``math.inf`` and
-        leaves the state untouched so the caller can flag the design as
-        infeasible.
+        The charge power is constant over windows that end at the
+        harvester's next change (``next_change_after``; a constant
+        harvester has one endless window) or, when faults perturb
+        charging, at the end of the shading window.  Each window is
+        charged in closed form, so the cost is O(windows) however long
+        the charge takes; a window that cannot reach ``v_on`` — a night,
+        a shaded window — is charged through.
+
+        Returns ``math.inf`` when ``max_wait`` runs out, or when the
+        harvester never changes again and even its unshaded power cannot
+        out-run leakage; the caller flags the design infeasible.  A
+        failed charge that never started leaves the state untouched; one
+        that charged through windows first leaves that partial charge
+        behind, which callers treat as terminal anyway.
         """
         if self.rail_on():
             return 0.0
-        if OBS.enabled:
-            OBS.registry.counter("energy.controller.charge_fastforwards").inc()
-        if self.faults is not None and self.faults.perturbs_charging:
-            return self._fast_forward_windowed(max_wait)
-        next_change = getattr(self.harvester, "next_change_after", None)
-        if next_change is not None:
-            return self._fast_forward_segmented(next_change, max_wait)
-        harvested_power = self.harvester.power_at(self.time)
-        charge_power = self.pmic.charge_power(harvested_power)
-        wait = self.capacitor.time_to_reach(self.pmic.v_on, charge_power)
-        if math.isinf(wait) or wait > max_wait:
-            return math.inf
-        self._advance(wait, harvested_power, charge_power, 0.0, 0.0)
-        self._snap_to_on()
-        self._transition(v_before=0.0)
-        return wait
-
-    #: Iteration cap of the windowed fast-forward; only a backstop for
-    #: an unbounded ``max_wait`` on a hopeless (leakage-bound) design.
-    MAX_CHARGE_WINDOWS = 1_000_000
-
-    def _fast_forward_segmented(self, next_change, max_wait: float) -> float:
-        """Charge to ``v_on`` under a piecewise-constant harvester.
-
-        The closed-form charging solution is applied per constant
-        segment of the harvester (``next_change(t)`` is the absolute
-        time of the next power change).  A segment whose power cannot
-        reach ``v_on`` is not hopeless by itself — an indoor night ends
-        when the lights come on — so the charge simply advances through
-        it; only ``max_wait`` (or an infinite wait in an endless
-        segment) declares failure.  Like the fault-windowed path, a
-        failed (``inf``) fast-forward may leave the partially-charged
-        state behind — callers treat ``inf`` as terminal anyway.
-        """
-        waited = 0.0
         obs_on = OBS.enabled
+        if obs_on:
+            OBS.registry.counter("energy.controller.charge_fastforwards").inc()
+        capacitor, pmic, v_on = self.capacitor, self.pmic, self.pmic.v_on
+        faults = self.faults
+        if faults is not None and not faults.perturbs_charging:
+            faults = None
+        next_change = getattr(self.harvester, "next_change_after", None)
+        waited = 0.0
         for _ in range(self.MAX_CHARGE_WINDOWS):
             if obs_on:
                 OBS.registry.counter("energy.controller.charge_windows").inc()
             if waited >= max_wait:
                 return math.inf
-            harvested_power = self.harvester.power_at(self.time)
-            charge_power = self.pmic.charge_power(harvested_power)
-            wait = self.capacitor.time_to_reach(self.pmic.v_on, charge_power)
-            window = max(next_change(self.time) - self.time, 1e-9)
+            panel_power = self.harvester.power_at(self.time)
+            harvested_power = panel_power
+            if faults is not None:
+                capacitor.k_cap = faults.k_cap_at(self.time, self._base_k_cap)
+                harvested_power = panel_power * faults.harvest_factor(self.time)
+            charge_power = pmic.charge_power(harvested_power)
+            wait = capacitor.time_to_reach(v_on, charge_power)
+            change = (math.inf if next_change is None
+                      else next_change(self.time))
+            end = (change if faults is None
+                   else min(faults.window_end(self.time), change))
+            window = max(end - self.time, 1e-9)
             if wait <= window:
                 if math.isinf(wait) or waited + wait > max_wait:
                     return math.inf
@@ -260,54 +253,11 @@ class EnergyController:
                 self._snap_to_on()
                 self._transition(v_before=0.0)
                 return waited + wait
-            chunk = min(window, max_wait - waited)
-            self._advance(chunk, harvested_power, charge_power, 0.0, 0.0)
-            waited += chunk
-        return math.inf
-
-    def _fast_forward_windowed(self, max_wait: float) -> float:
-        """Charge to ``v_on`` when faults vary the input over time.
-
-        Shading transients and leakage drift make the charge power
-        piecewise-constant, so the closed-form fast-forward is applied
-        per shading window instead of once.  Unlike the nominal path,
-        a failed (``inf``) fast-forward leaves the partially-charged
-        state behind — callers treat ``inf`` as terminal anyway.
-        """
-        faults, waited = self.faults, 0.0
-        obs_on = OBS.enabled
-        probe = getattr(self.harvester, "next_change_after", None)
-        for _ in range(self.MAX_CHARGE_WINDOWS):
-            if obs_on:
-                OBS.registry.counter("energy.controller.charge_windows").inc()
-            if waited >= max_wait:
-                return math.inf
-            self.capacitor.k_cap = faults.k_cap_at(self.time,
-                                                   self._base_k_cap)
-            harvested_power = (self.harvester.power_at(self.time)
-                               * faults.harvest_factor(self.time))
-            charge_power = self.pmic.charge_power(harvested_power)
-            window_end = faults.window_end(self.time)
-            if probe is not None:
-                # A piecewise-constant harvester contributes its own
-                # window boundaries: charge power is constant only up
-                # to the nearer of the two changes.
-                window_end = min(window_end, probe(self.time))
-            window = max(window_end - self.time, 1e-9)
-            wait = self.capacitor.time_to_reach(self.pmic.v_on, charge_power)
-            if wait <= window:
-                if waited + wait > max_wait:
-                    return math.inf
-                self._advance(wait, harvested_power, charge_power, 0.0, 0.0)
-                self._snap_to_on()
-                self._transition(v_before=0.0)
-                return waited + wait
-            # Even unshaded input cannot out-run leakage: hopeless.
-            clear_power = self.pmic.charge_power(
-                self.harvester.power_at(self.time))
-            if math.isinf(wait) and math.isinf(
-                    self.capacitor.time_to_reach(self.pmic.v_on,
-                                                 clear_power)):
+            if (math.isinf(wait) and math.isinf(change)
+                    and math.isinf(capacitor.time_to_reach(
+                        v_on, pmic.charge_power(panel_power)))):
+                # The light never changes again and even unshaded it
+                # cannot out-run leakage: hopeless.
                 return math.inf
             chunk = min(window, max_wait - waited)
             self._advance(chunk, harvested_power, charge_power, 0.0, 0.0)

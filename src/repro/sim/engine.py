@@ -125,6 +125,40 @@ FAST_REL_TOL = 1e-9
 FAST_ABS_TOL = 1e-15
 
 
+#: Every field the fast path replays, named once as ``(owner,
+#: attribute)``: the owner is an entry of :meth:`_CycleObserver._owners`.
+#: Snapshots, deltas, matching and replay all read these two tables.
+#: Counters must repeat exactly from cycle to cycle.
+_COUNTERS = (
+    ("run", "steps"),
+    ("inference", "tile_index"),
+    ("acct", "power_cycles"),
+    ("inference", "exceptions"),
+    ("inference", "planned_checkpoints"),
+    ("inference", "rollbacks"),
+    ("inference", "checkpoint_retries"),
+)
+#: Floats match within ``FAST_REL_TOL``: the simulator clocks, the
+#: inference energy bookkeeping, every float field of
+#: :class:`EnergyAccounting` and the residual per-tile state.  The last
+#: two are ~1e-18 rounding residue under the eager strategy (``deliver``
+#: subtracts tile costs from delivered energy); replaying them by delta
+#: keeps the fast path faithful without demanding bitwise repetition of
+#: float noise.
+_FLOATS = (
+    ("energy", "time"), ("run", "busy_time"), ("run", "charge_time"),
+    ("inference", "wasted_energy"),
+    ("breakdown", "compute"), ("breakdown", "vm"), ("breakdown", "nvm"),
+    ("breakdown", "static"), ("breakdown", "checkpoint"),
+    ("acct", "harvested"), ("acct", "stored"), ("acct", "delivered"),
+    ("acct", "leaked"), ("acct", "conversion_loss"), ("acct", "curtailed"),
+    ("inference", "tile_energy_done"), ("run", "last_fail_retained"),
+)
+_STEPS = _COUNTERS.index(("run", "steps"))
+_TILES = _COUNTERS.index(("inference", "tile_index"))
+_TIME = _FLOATS.index(("energy", "time"))
+
+
 @dataclass(frozen=True)
 class _CycleSnapshot:
     """Full replayable state at one steady-cycle boundary.
@@ -134,15 +168,7 @@ class _CycleSnapshot:
     the end of a closed-form recharge.
     """
 
-    # exact (integer) state
-    steps: int
     layer_index: int
-    tile_index: int
-    power_cycles: int
-    exceptions: int
-    planned_checkpoints: int
-    rollbacks: int
-    checkpoint_retries: int
     fail_streak: int
     #: last_fail_key relative to (layer_index, tile_index); None if unset.
     fail_key_rel: Optional[Tuple[int, int]]
@@ -152,40 +178,17 @@ class _CycleSnapshot:
     #: stretch of a piecewise harvester.
     next_change: float
     trace_counts: Dict[EventKind, int]
-    floats: Tuple[float, ...]  # see _FLOAT_FIELDS for the layout
-
-
-#: Names (for documentation) of the slots of ``_CycleSnapshot.floats``:
-#: simulator clocks, inference energy bookkeeping, every float field of
-#: :class:`EnergyAccounting`, and the residual per-tile state.  The last
-#: two entries are ~1e-18 rounding residue under the eager strategy
-#: (``deliver`` subtracts tile costs from delivered energy) — replaying
-#: them by delta keeps the fast path faithful without demanding bitwise
-#: repetition of float noise.
-_FLOAT_FIELDS = (
-    "time", "busy_time", "charge_time",
-    "wasted_energy",
-    "breakdown.compute", "breakdown.vm", "breakdown.nvm",
-    "breakdown.static", "breakdown.checkpoint",
-    "acct.harvested", "acct.stored", "acct.delivered",
-    "acct.leaked", "acct.conversion_loss", "acct.curtailed",
-    "tile_energy_done", "last_fail_retained",
-)
+    counters: Tuple[int, ...]  # one per _COUNTERS entry
+    floats: Tuple[float, ...]  # one per _FLOATS entry
 
 
 @dataclass
 class _CycleDelta:
     """Per-cycle advance between two consecutive boundaries."""
 
-    steps: int
-    tiles: int
-    power_cycles: int
-    exceptions: int
-    planned_checkpoints: int
-    rollbacks: int
-    checkpoint_retries: int
-    trace_counts: Dict[EventKind, int]
+    counters: Tuple[int, ...]
     floats: Tuple[float, ...]
+    trace_counts: Dict[EventKind, int]
 
     @classmethod
     def between(cls, a: "_CycleSnapshot",
@@ -201,32 +204,20 @@ class _CycleDelta:
             return None
         if b.next_change != a.next_change:
             return None
-        tiles = b.tile_index - a.tile_index
-        if tiles <= 0:
+        counters = tuple(cb - ca for ca, cb in zip(a.counters, b.counters))
+        if counters[_TILES] <= 0:
             return None
         counts = {kind: b.trace_counts.get(kind, 0) - a.trace_counts.get(kind, 0)
                   for kind in set(a.trace_counts) | set(b.trace_counts)}
         return cls(
-            steps=b.steps - a.steps,
-            tiles=tiles,
-            power_cycles=b.power_cycles - a.power_cycles,
-            exceptions=b.exceptions - a.exceptions,
-            planned_checkpoints=b.planned_checkpoints - a.planned_checkpoints,
-            rollbacks=b.rollbacks - a.rollbacks,
-            checkpoint_retries=b.checkpoint_retries - a.checkpoint_retries,
-            trace_counts=counts,
+            counters=counters,
             floats=tuple(fb - fa for fa, fb in zip(a.floats, b.floats)),
+            trace_counts=counts,
         )
 
     def matches(self, other: "_CycleDelta") -> bool:
         """Whether two consecutive cycle deltas describe the same cycle."""
-        if (self.steps != other.steps
-                or self.tiles != other.tiles
-                or self.power_cycles != other.power_cycles
-                or self.exceptions != other.exceptions
-                or self.planned_checkpoints != other.planned_checkpoints
-                or self.rollbacks != other.rollbacks
-                or self.checkpoint_retries != other.checkpoint_retries
+        if (self.counters != other.counters
                 or self.trace_counts != other.trace_counts):
             return False
         return all(
@@ -294,11 +285,13 @@ class _CycleObserver:
         """
         simulator = self.simulator
         layer = simulator.inference.plan[at.layer_index]
-        m = (layer.n_tiles - 1 - at.tile_index) // delta.tiles
+        tile_index = at.counters[_TILES]
+        m = (layer.n_tiles - 1 - tile_index) // delta.counters[_TILES]
         if simulator.max_steps is not None:
-            m = min(m, (simulator.max_steps - self.state.steps) // delta.steps)
+            m = min(m, (simulator.max_steps - self.state.steps)
+                    // delta.counters[_STEPS])
         if not math.isinf(at.next_change):
-            cycle_time = delta.floats[0]
+            cycle_time = delta.floats[_TIME]
             if cycle_time <= 0.0:
                 return 0
             now = simulator.energy.time
@@ -311,37 +304,14 @@ class _CycleObserver:
     def _apply(self, at: _CycleSnapshot, delta: _CycleDelta, m: int) -> None:
         """Advance the whole simulation by ``m`` cycles in O(1)."""
         simulator, st = self.simulator, self.state
-        energy, inference = simulator.energy, simulator.inference
-        acct = energy.accounting
-        breakdown = inference.breakdown
-        d = delta.floats
-
-        energy.time += m * d[0]
-        st.busy_time += m * d[1]
-        st.charge_time += m * d[2]
-        inference.wasted_energy += m * d[3]
-        breakdown.compute += m * d[4]
-        breakdown.vm += m * d[5]
-        breakdown.nvm += m * d[6]
-        breakdown.static += m * d[7]
-        breakdown.checkpoint += m * d[8]
-        acct.harvested += m * d[9]
-        acct.stored += m * d[10]
-        acct.delivered += m * d[11]
-        acct.leaked += m * d[12]
-        acct.conversion_loss += m * d[13]
-        acct.curtailed += m * d[14]
-        inference.tile_energy_done += m * d[15]
-        st.last_fail_retained += m * d[16]
-
-        st.steps += m * delta.steps
-        inference.tile_index += m * delta.tiles
-        acct.power_cycles += m * delta.power_cycles
-        inference.exceptions += m * delta.exceptions
-        inference.planned_checkpoints += m * delta.planned_checkpoints
-        inference.rollbacks += m * delta.rollbacks
-        inference.checkpoint_retries += m * delta.checkpoint_retries
+        owners = self._owners()
+        for table, steps in ((_FLOATS, delta.floats),
+                             (_COUNTERS, delta.counters)):
+            for (owner, name), step in zip(table, steps):
+                obj = owners[owner]
+                setattr(obj, name, getattr(obj, name) + m * step)
         if at.fail_key_rel is not None:
+            inference = simulator.inference
             st.last_fail_key = (inference.layer_index + at.fail_key_rel[0],
                                 inference.tile_index + at.fail_key_rel[1])
         for kind, count in delta.trace_counts.items():
@@ -356,11 +326,18 @@ class _CycleObserver:
 
     # -- state capture -----------------------------------------------------------
 
+    def _owners(self) -> Dict[str, object]:
+        """The objects the replay tables name, by owner key."""
+        simulator = self.simulator
+        energy, inference = simulator.energy, simulator.inference
+        return {"run": self.state, "energy": energy,
+                "acct": energy.accounting, "inference": inference,
+                "breakdown": inference.breakdown}
+
     def _snapshot(self) -> _CycleSnapshot:
         simulator, st = self.simulator, self.state
         energy, inference = simulator.energy, simulator.inference
-        acct = energy.accounting
-        breakdown = inference.breakdown
+        owners = self._owners()
         probe = getattr(energy.harvester, "next_change_after", None)
         next_change = (probe(energy.time) if probe is not None else math.inf)
         key = st.last_fail_key
@@ -368,27 +345,15 @@ class _CycleObserver:
                         (key[0] - inference.layer_index,
                          key[1] - inference.tile_index))
         return _CycleSnapshot(
-            steps=st.steps,
             layer_index=inference.layer_index,
-            tile_index=inference.tile_index,
-            power_cycles=acct.power_cycles,
-            exceptions=inference.exceptions,
-            planned_checkpoints=inference.planned_checkpoints,
-            rollbacks=inference.rollbacks,
-            checkpoint_retries=inference.checkpoint_retries,
             fail_streak=st.fail_streak,
             fail_key_rel=fail_key_rel,
             next_change=next_change,
             trace_counts=simulator.trace.counts(),
-            floats=(
-                energy.time, st.busy_time, st.charge_time,
-                inference.wasted_energy,
-                breakdown.compute, breakdown.vm, breakdown.nvm,
-                breakdown.static, breakdown.checkpoint,
-                acct.harvested, acct.stored, acct.delivered,
-                acct.leaked, acct.conversion_loss, acct.curtailed,
-                inference.tile_energy_done, st.last_fail_retained,
-            ),
+            counters=tuple(getattr(owners[owner], name)
+                           for owner, name in _COUNTERS),
+            floats=tuple(getattr(owners[owner], name)
+                         for owner, name in _FLOATS),
         )
 
 

@@ -10,7 +10,9 @@ from repro.energy.environment import LightEnvironment
 from repro.energy.harvester import SolarHarvester
 from repro.energy.pmic import PowerManagementIC
 from repro.energy.solar_panel import SolarPanel
+from repro.energy.traces import TraceEnvironment, TraceHarvester, TraceSegment
 from repro.errors import ConfigurationError
+from repro.faults.injector import FaultConfig, FaultInjector
 from repro.units import uF
 
 
@@ -71,6 +73,32 @@ class TestStateMachine:
                                      k_cap=1.0)
         assert math.isinf(controller.fast_forward_to_on())
         assert controller.state is PowerState.OFF
+
+    def test_dark_trace_charges_until_max_wait(self):
+        # A trace that changes (here: from dark to dark) is never
+        # hopeless by itself, with or without a charging fault: the
+        # charge runs through it until the wait budget is spent.
+        dark = TraceEnvironment("dark", (TraceSegment(60.0, 0.0),
+                                         TraceSegment(60.0, 0.0)))
+        for faults in (None, FaultInjector(
+                FaultConfig(harvest_dropout_rate=0.5))):
+            controller = EnergyController(
+                harvester=TraceHarvester(panel=SolarPanel(area_cm2=8.0),
+                                         trace=dark),
+                capacitor=Capacitor(capacitance=uF(470), rated_voltage=5.0,
+                                    k_cap=1.2e-3),
+                faults=faults)
+            assert math.isinf(controller.fast_forward_to_on(max_wait=600.0))
+            assert controller.time == pytest.approx(600.0)
+            assert controller.state is PowerState.OFF
+
+    def test_constant_dark_under_faults_is_hopeless_at_once(self):
+        controller = make_controller(area_cm2=1.0, capacitance=10e-3,
+                                     k_cap=1.0)
+        controller.faults = FaultInjector(
+            FaultConfig(harvest_dropout_rate=0.5))
+        assert math.isinf(controller.fast_forward_to_on())
+        assert controller.time == 0.0
 
 
 class TestAccounting:

@@ -238,3 +238,40 @@ class TestSegmentAwareFastPath:
                                fast_forward=False)
         assert a.trace.events == b.trace.events
         assert a.metrics.e2e_latency == b.metrics.e2e_latency
+
+
+class TestChargingFaultsOnTraces:
+    """A fault that perturbs charging waits for the light, as a run
+    without faults does, instead of calling a dark stretch hopeless."""
+
+    NIGHTS = schedule_trace(6e-5, k_off=0.0, on_hour=8.0, off_hour=18.0,
+                            name="dark-nights")
+
+    def _run(self, config=None):
+        # 8 cm², 470 µF: the banked energy runs out before 8 am, so the
+        # first recharge starts in the dark.
+        evaluator, design = make_setup(n_tiles=1, cap=uF(470), panel=8.0)
+        faults = None if config is None else FaultInjector(config)
+        return evaluator.simulate(design, self.NIGHTS, faults=faults)
+
+    @pytest.mark.parametrize("config", [
+        FaultConfig(seed=3, harvest_dropout_rate=0.3),
+        FaultConfig(cap_leakage_drift_rate=2e-6),
+        FaultConfig.stress(seed=2),
+        FaultConfig(harvest_dropout_rate=1e-9),
+        FaultConfig(cap_leakage_drift_rate=1e-12),
+    ], ids=["dropout", "leakage-drift", "stress", "tiny-dropout",
+            "tiny-drift"])
+    def test_recharge_through_the_night_is_feasible(self, config):
+        nominal = self._run()
+        assert nominal.metrics.feasible
+        assert nominal.metrics.e2e_latency > 8 * 3600.0  # waited for 8 am
+        faulted = self._run(config)
+        assert faulted.metrics.feasible, faulted.metrics.infeasible_reason
+        assert faulted.metrics.e2e_latency == pytest.approx(
+            nominal.metrics.e2e_latency, rel=0.02)
+
+    def test_inert_injector_matches_no_injector(self):
+        nominal = self._run()
+        inert = self._run(FaultConfig())
+        assert inert.metrics == nominal.metrics
