@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.dataflow.directives import DataflowStyle
 from repro.dataflow.mapping import LayerMapping
@@ -52,52 +52,45 @@ _RESIDENT_CACHE_SHARE = 0.7
 _POOL_OP_ENERGY_SCALE = 0.3
 
 
-class _LayerCostCache:
-    """Process-local cache of :class:`LayerCost` results.
+class _TwoLevelMemo:
+    """Bounded process-wide memo probed through per-prefix dicts.
 
-    The bi-level explorer re-prices identical ``(hardware, checkpoint,
-    layer, mapping)`` combinations many times: pricing reads the
-    mappings the SW-level scan already priced (once per design, as
-    tile costs are environment-independent; a search's final pricing
-    reads them once per environment), and repeat searches and fresh
-    explorers revisit the same accelerators.  :class:`LayerCost`
-    is frozen, so cached instances are safe to share.
-
-    The hit path must cost single-digit microseconds or it eats its own
-    savings, so the structure is two-level: each
-    :class:`DataflowCostModel` resolves its ``(hardware, checkpoint)``
-    prefix to a per-prefix dict once at construction, and every lookup
-    is then a single probe keyed by the raw ``(layer, mapping)`` pair.
-    The bound is enforced by flushing everything when the entry count
-    exceeds ``maxsize`` (at the default bound a realistic search never
-    gets there), which keeps per-hit bookkeeping at zero.
+    It backs two caches: the layer-cost cache below and the mapper
+    memo in :mod:`repro.explore.mapper_search`.  The hit path must cost
+    single-digit microseconds or it eats its own savings, so the
+    structure is two-level: each client resolves its hashable *prefix*
+    (for the layer-cost cache, ``(hardware, checkpoint)``) to a
+    per-prefix dict once, with :meth:`map_for`, and every lookup is then
+    a single probe of that dict; the client counts its own ``hits`` and
+    ``misses``.  The bound is enforced by flushing everything when the
+    entry count exceeds ``maxsize`` (at the default bounds a realistic
+    search never gets there), which keeps per-hit bookkeeping at zero.
     """
 
-    def __init__(self, maxsize: int = 65536) -> None:
+    def __init__(self, maxsize: int) -> None:
         self.maxsize = maxsize
-        self.enabled = True
         self.hits = 0
         self.misses = 0
         self._size = 0
-        self._maps: Dict[tuple, Dict[tuple, LayerCost]] = {}
+        self._maps: Dict[tuple, Dict[tuple, Any]] = {}
 
-    def map_for(self, prefix: tuple) -> Dict[tuple, "LayerCost"]:
+    def map_for(self, prefix: tuple) -> Dict[tuple, Any]:
         """The per-prefix entry dict (created on first use)."""
         entries = self._maps.get(prefix)
         if entries is None:
             entries = self._maps[prefix] = {}
         return entries
 
-    def insert(self, entries: Dict[tuple, "LayerCost"], key: tuple,
-               cost: "LayerCost") -> None:
+    def insert(self, entries: Dict[tuple, Any], key: tuple,
+               value: Any) -> None:
         """Insert one entry; flush if the bound is exceeded."""
-        entries[key] = cost
+        entries[key] = value
         self._size += 1
         if self._size > self.maxsize:
             self._flush()
 
     def _flush(self) -> None:
-        # Clear the per-prefix dicts in place so models holding a
+        # Clear the per-prefix dicts in place so clients holding a
         # reference see the flush too.
         for entries in self._maps.values():
             entries.clear()
@@ -109,17 +102,24 @@ class _LayerCostCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return self._size
 
-
-_LAYER_COST_CACHE = _LayerCostCache()
+#: Process-local cache of :class:`LayerCost` results.  The bi-level
+#: explorer re-prices identical ``(hardware, checkpoint, layer,
+#: mapping)`` combinations many times: pricing reads the mappings the
+#: SW-level scan already priced (once per design, as tile costs are
+#: environment-independent; a search's final pricing reads them once
+#: per environment), and repeat searches and fresh explorers revisit
+#: the same accelerators.  :class:`LayerCost` is frozen, so cached
+#: instances are safe to share.
+_LAYER_COST_CACHE = _TwoLevelMemo(maxsize=65536)
+_layer_cost_cache_enabled = True
 
 
 def configure_layer_cost_cache(enabled: bool) -> None:
     """Turn the process-wide layer-cost cache on or off (bench/testing
     hook)."""
-    _LAYER_COST_CACHE.enabled = enabled
+    global _layer_cost_cache_enabled
+    _layer_cost_cache_enabled = enabled
 
 
 def clear_layer_cost_cache() -> None:
@@ -242,7 +242,7 @@ class DataflowCostModel:
         profile = OBS.profile
         start = _time.perf_counter() if profile else 0.0
         cache = _LAYER_COST_CACHE
-        if not cache.enabled:
+        if not _layer_cost_cache_enabled:
             cost = self._layer_cost_uncached(layer, mapping.clamped(layer))
             outcome = "cost.layer_cost.uncached_seconds"
         else:

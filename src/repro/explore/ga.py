@@ -33,8 +33,8 @@ def genome_key(genome: Genome) -> tuple:
     """Canonical hashable key of a genome (order-insensitive).
 
     Floats are rounded to 12 significant decimals so that values which
-    only differ by representation noise share a cache entry.  Shared by
-    the GA's fitness cache and the bi-level explorer's design cache.
+    only differ by representation noise share a cache entry.  Keys the
+    GA's fitness cache.
     """
     return tuple(sorted((k, _hashable(v)) for k, v in genome.items()))
 
@@ -164,9 +164,6 @@ class GeneticAlgorithm:
         return best.genome, best.fitness
 
     # -- internals ----------------------------------------------------------------
-
-    def _evaluate(self, genome: Genome) -> EvaluatedGenome:
-        return self._evaluate_batch([genome])[0]
 
     def _evaluate_batch(self, genomes: List[Genome]) -> List[EvaluatedGenome]:
         """Evaluate one generation's genomes, deduplicated and cached.

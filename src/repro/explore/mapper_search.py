@@ -36,7 +36,7 @@ import math
 import time as _time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.dataflow.cost_model import DataflowCostModel
+from repro.dataflow.cost_model import DataflowCostModel, _TwoLevelMemo
 from repro.dataflow.directives import DataflowStyle
 from repro.dataflow.mapping import LayerMapping
 from repro.dataflow.tiling import pick_intermittent_dim
@@ -62,63 +62,17 @@ _ABSENT = object()
 _Prefix = List[Optional[Tuple[float, float, float]]]
 
 
-class _MapperMemo:
-    """Process-wide memo of whole SW-level search results.
-
-    Keyed like the layer-cost cache: a hashable *prefix* — ``(network,
-    environments, styles, checkpoint)``, everything that changes what
-    :meth:`MappingOptimizer.optimize` would return — resolved once per
-    optimizer to a per-prefix dict, then probed with the ``(EnergyDesign,
-    InferenceDesign)`` genome projection.  Values are the full mapping
-    tuple, or ``None`` for a projection whose SW-level search proved
-    unmappable (caching the *failure* matters: the GA revisits hopeless
-    corners).
-
-    This replaces PR 2's per-explorer ``_mapper_cache``, whose lifetime
-    was the bug behind ``mapper_hit_rate: 0.0`` in every bench mode:
-    the projection key was fine, but each run built a fresh explorer
-    (and the GA deduplicates identical genomes before fitness), so no
-    realistic population ever probed a warm dict.  Process scope makes
-    repeat runs — the memoized bench mode, campaign re-runs — actually
-    hit.
-    """
-
-    def __init__(self, maxsize: int = 8192) -> None:
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._size = 0
-        self._maps: dict = {}
-
-    def map_for(self, prefix: tuple) -> dict:
-        entries = self._maps.get(prefix)
-        if entries is None:
-            entries = self._maps[prefix] = {}
-        return entries
-
-    def insert(self, entries: dict, key: tuple,
-               mappings: Optional[Tuple[LayerMapping, ...]]) -> None:
-        entries[key] = mappings
-        self._size += 1
-        if self._size > self.maxsize:
-            self._flush()
-
-    def _flush(self) -> None:
-        for entries in self._maps.values():
-            entries.clear()
-        self._size = 0
-
-    def clear(self) -> None:
-        self._flush()
-        self._maps.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-
-_MAPPER_MEMO = _MapperMemo()
+#: Process-wide memo of whole SW-level search results.  Keyed like the
+#: layer-cost cache: a hashable *prefix* — ``(network, environments,
+#: styles, checkpoint)``, everything that changes what
+#: :meth:`MappingOptimizer.optimize` would return — resolved once per
+#: optimizer to a per-prefix dict, then probed with the
+#: ``(EnergyDesign, InferenceDesign)`` genome projection.  Values are
+#: the full mapping tuple, or ``None`` for a projection whose SW-level
+#: search proved unmappable (caching the *failure* matters: the GA
+#: revisits hopeless corners).  Process scope makes repeat runs — the
+#: memoized bench mode, campaign re-runs — hit.
+_MAPPER_MEMO = _TwoLevelMemo(maxsize=8192)
 
 
 def clear_mapper_memo() -> None:
