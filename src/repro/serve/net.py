@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
@@ -142,7 +143,9 @@ class ServeServer:
         request_id: Any = None
         try:
             payload = json.loads(line)
-            request_id = payload.get("id")
+            if isinstance(payload, dict):
+                request_id = payload.get("id")
+            _check_request(payload)
             response = await self._respond(payload)
         except ChrysalisError as exc:
             response = {"id": request_id, "ok": False,
@@ -180,6 +183,38 @@ class ServeServer:
                     for name, metrics in report.by_environment.items()},
             },
         }
+
+
+#: The request fields that must be strings when present.
+_STRING_FIELDS = ("workload", "environment", "fidelity")
+
+
+def _check_request(payload: Any) -> None:
+    """Raise :class:`ServeError` naming the first field of the wrong
+    JSON type; ``_respond`` may then use the payload as it is."""
+    if not isinstance(payload, dict):
+        raise ServeError(f"malformed request: a request line must be a "
+                         f"JSON object, got {type(payload).__name__}")
+    if "design" in payload and not isinstance(payload["design"], dict):
+        raise ServeError("malformed request: field 'design' must be an "
+                         "object")
+    for name in _STRING_FIELDS:
+        if name in payload and not isinstance(payload[name], str):
+            raise ServeError(f"malformed request: field {name!r} must be "
+                             f"a string")
+    deadline = payload.get("deadline_s")
+    if deadline is not None and not _finite_number(deadline):
+        raise ServeError("malformed request: field 'deadline_s' must be a "
+                         "finite number or null")
+
+
+def _finite_number(value: Any) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 @dataclass

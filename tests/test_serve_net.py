@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import evaluate, evaluate_batch
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
@@ -154,3 +158,119 @@ def test_server_close_fails_pending_client_calls(designs):
     report = asyncio.run(main())
     assert report.metrics == evaluate(designs[0], "har",
                                       fidelity="analytical").metrics
+
+
+#: Any value ``json.loads`` can return, non-finite floats included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=4)),
+    max_leaves=8)
+
+
+def _probes(design):
+    """Request lines of the wrong JSON shape, each with the field its
+    error response must name."""
+    valid = {"id": 3, "design": design, "workload": "har"}
+    return [
+        ([1, 2], "object"),
+        ("just a string", "object"),
+        (None, "object"),
+        ({"id": 1, "design": [], "workload": "har"}, "'design'"),
+        (dict(valid, environment=5), "'environment'"),
+        (dict(valid, workload=7), "'workload'"),
+        (dict(valid, workload=["har"]), "'workload'"),
+        (dict(valid, fidelity=1.5), "'fidelity'"),
+        (dict(valid, deadline_s="soon"), "'deadline_s'"),
+        (dict(valid, deadline_s=float("nan")), "'deadline_s'"),
+    ]
+
+
+def test_wrong_shaped_lines_get_one_error_each(designs):
+    design = design_to_dict(designs[0])
+    probes = _probes(design)
+
+    async def scenario(service, host, port):
+        reader, writer = await asyncio.open_connection(host, port)
+        responses = []
+        for payload, _ in probes:
+            writer.write(json.dumps(payload).encode() + b"\n")
+            responses.append(json.loads(
+                await asyncio.wait_for(reader.readline(), timeout=5.0)))
+        writer.write(json.dumps({"id": 11, "design": design,
+                                 "workload": "har"}).encode() + b"\n")
+        good = json.loads(await asyncio.wait_for(reader.readline(), 5.0))
+        writer.close()
+        await writer.wait_closed()
+        return responses, good
+
+    responses, good = _run_with_server(scenario)
+    for (payload, field), response in zip(probes, responses):
+        assert response["ok"] is False, payload
+        assert response["error"] == "ServeError", response
+        assert field in response["message"], response
+        expected_id = payload.get("id") if isinstance(payload, dict) else None
+        assert response["id"] == expected_id
+    assert good["ok"] is True and good["id"] == 11
+
+
+@pytest.fixture(scope="module")
+def server_address():
+    """One service and server on a background event loop."""
+    loop = asyncio.new_event_loop()
+    started = threading.Event()
+    state = {}
+
+    async def serve():
+        service = EvaluationService()
+        async with service, ServeServer(service) as server:
+            state["address"] = server.address
+            state["stop"] = asyncio.Event()
+            started.set()
+            await state["stop"].wait()
+
+    thread = threading.Thread(target=loop.run_until_complete,
+                              args=(serve(),))
+    thread.start()
+    assert started.wait(10.0)
+    yield state["address"]
+    loop.call_soon_threadsafe(state["stop"].set)
+    thread.join(10.0)
+    loop.close()
+
+
+def _exchange(address, line: bytes):
+    """Send one line, close the write side, return every response line."""
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(line + b"\n")
+        sock.shutdown(socket.SHUT_WR)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks).splitlines()
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=JSON_VALUES)
+def test_any_json_line_gets_exactly_one_response(server_address, value):
+    responses = _exchange(server_address, json.dumps(value).encode())
+    assert len(responses) == 1
+    assert json.loads(responses[0])["ok"] is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields=st.fixed_dictionaries({}, optional={
+    name: JSON_VALUES for name in ("id", "design", "workload",
+                                   "environment", "fidelity",
+                                   "deadline_s")}))
+def test_any_field_values_get_exactly_one_response(server_address, fields):
+    responses = _exchange(server_address, json.dumps(fields).encode())
+    assert len(responses) == 1
+    # compared as JSON text: a NaN id is echoed, but NaN != NaN
+    assert (json.dumps(json.loads(responses[0])["id"])
+            == json.dumps(fields.get("id")))
