@@ -35,7 +35,7 @@ from repro.environments import (
     ScenarioGenerator,
     environment_by_name,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _config_field
 from repro.explore.objectives import Objective, ObjectiveKind
 
 _SPEC_SCHEMA_VERSION = 1
@@ -125,16 +125,14 @@ class ObjectiveSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ObjectiveSpec":
-        try:
-            kind = data["kind"]
-        except KeyError:
-            raise ConfigurationError(
-                "objective entry is missing 'kind'") from None
-        sp_cap = data.get("sp_cap_cm2")
-        lat_cap = data.get("lat_cap_s")
-        return cls(kind=str(kind),
-                   sp_cap_cm2=None if sp_cap is None else float(sp_cap),
-                   lat_cap_s=None if lat_cap is None else float(lat_cap))
+        record = "objective entry"
+        return cls(
+            kind=_config_field(record, data, "kind", str,
+                               missing="objective entry is missing 'kind'"),
+            sp_cap_cm2=_config_field(record, data, "sp_cap_cm2",
+                                     _optional_float, default=None),
+            lat_cap_s=_config_field(record, data, "lat_cap_s",
+                                    _optional_float, default=None))
 
     def to_dict(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {"kind": self.kind}
@@ -378,41 +376,51 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        version = data.get("schema_version", _SPEC_SCHEMA_VERSION)
+        record = "campaign spec"
+        version = _config_field(record, data, "schema_version",
+                                default=_SPEC_SCHEMA_VERSION)
         if version != _SPEC_SCHEMA_VERSION:
             raise ConfigurationError(
                 f"unsupported campaign-spec schema version {version!r} "
                 f"(expected {_SPEC_SCHEMA_VERSION})"
             )
         _reject_unknown_keys(data, _SPEC_KEYS)
-        try:
-            name = data["name"]
-            workloads = data["workloads"]
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"campaign spec is missing field {missing}") from None
+        name = _config_field(record, data, "name", str)
+        workloads = _config_field(record, data, "workloads", _strings)
         ga = data.get("ga", {})
         if not isinstance(ga, Mapping):
             raise ConfigurationError("campaign-spec 'ga' must be an object")
         _reject_unknown_keys(ga, _GA_KEYS, prefix="ga.")
-        budget = data.get("candidate_time_budget_s")
-        generator = data.get("generator")
         return cls(
-            name=str(name),
-            workloads=tuple(str(w) for w in workloads),
-            objectives=tuple(ObjectiveSpec.from_dict(o)
-                             for o in data.get("objectives", ())),
-            scenarios=tuple(str(s) for s in data.get("scenarios", ())),
-            setups=tuple(str(s) for s in data.get("setups", ("existing",))),
-            environments=tuple(str(e)
-                               for e in data.get("environments", ("paper",))),
-            seeds=tuple(int(s) for s in data.get("seeds", (0,))),
-            population=int(ga.get("population", 12)),
-            generations=int(ga.get("generations", 8)),
-            candidate_time_budget_s=None if budget is None else float(budget),
-            max_attempts=int(data.get("max_attempts", 3)),
-            generator=(None if generator is None
-                       else ScenarioGenerator.from_dict(generator)),
+            name=name,
+            workloads=workloads,
+            objectives=_config_field(
+                record, data, "objectives",
+                lambda entries: tuple(ObjectiveSpec.from_dict(o)
+                                      for o in entries), default=()),
+            scenarios=_config_field(record, data, "scenarios", _strings,
+                                    default=()),
+            setups=_config_field(record, data, "setups", _strings,
+                                 default=("existing",)),
+            environments=_config_field(record, data, "environments",
+                                       _strings, default=("paper",)),
+            seeds=_config_field(record, data, "seeds",
+                                lambda seeds: tuple(int(s) for s in seeds),
+                                default=(0,)),
+            population=_config_field("campaign-spec 'ga'", ga, "population",
+                                     int, default=12),
+            generations=_config_field("campaign-spec 'ga'", ga,
+                                      "generations", int, default=8),
+            candidate_time_budget_s=_config_field(
+                record, data, "candidate_time_budget_s", _optional_float,
+                default=None),
+            max_attempts=_config_field(record, data, "max_attempts", int,
+                                       default=3),
+            generator=_config_field(
+                record, data, "generator",
+                lambda generator: (None if generator is None else
+                                   ScenarioGenerator.from_dict(generator)),
+                default=None),
         )
 
     @classmethod
@@ -435,6 +443,14 @@ class CampaignSpec:
             raise ConfigurationError(
                 f"cannot read campaign spec {path}: {error}") from None
         return cls.from_json(text)
+
+
+def _strings(values: Any) -> Tuple[str, ...]:
+    return tuple(str(value) for value in values)
+
+
+def _optional_float(value: Any) -> Optional[float]:
+    return None if value is None else float(value)
 
 
 def _reject_unknown_keys(data: Mapping[str, Any], known: frozenset,

@@ -243,6 +243,9 @@ def _merged(segments: List[TraceSegment]) -> Tuple[TraceSegment, ...]:
 def _day_steps(step_s: float) -> int:
     if step_s <= 0.0:
         raise ConfigurationError(f"step_s must be positive, got {step_s}")
+    if not step_s >= 1.0:  # also rejects NaN
+        raise ConfigurationError(
+            f"step_s must be at least 1 s, got {step_s}")
     steps = round(DAY_S / step_s)
     if steps < 1 or abs(steps * step_s - DAY_S) > 1e-6:
         raise ConfigurationError(
@@ -278,7 +281,7 @@ def cloud_trace(base: LightEnvironment, sigma: float = 0.4,
     frozen into the trace so the result is content-hashable and
     bit-reproducible across processes.
     """
-    if sigma < 0.0:
+    if not sigma >= 0.0:  # also rejects NaN
         raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
     if not 0.0 < floor <= 1.0:
         raise ConfigurationError(f"floor must be in (0, 1], got {floor}")
@@ -287,8 +290,10 @@ def cloud_trace(base: LightEnvironment, sigma: float = 0.4,
     segments = []
     for i in range(steps):
         clear = base.k_eh_at((i + 0.5) * step_s / 3600.0)
-        attenuation = (1.0 if sigma == 0.0 else
-                       min(1.0, max(floor, rng.lognormvariate(0.0, sigma))))
+        # exp(min(0, z)) clips a log-normal draw at 1 before exp can
+        # overflow; the values are those of min(1, lognormvariate).
+        attenuation = (1.0 if sigma == 0.0 else max(floor, math.exp(
+            min(0.0, rng.normalvariate(0.0, sigma)))))
         segments.append(TraceSegment(step_s, clear * attenuation))
     return TraceEnvironment(name=name or f"cloudy-{base.name}-{seed}",
                             segments=_merged(segments))

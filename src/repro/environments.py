@@ -34,7 +34,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.scenarios import SCENARIOS, scenario_by_name
 from repro.energy.environment import LightEnvironment
@@ -45,7 +45,7 @@ from repro.energy.traces import (
     schedule_trace,
     trickle_trace,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, _config_field
 
 #: Prefix marking an environment label that names a SWaP scenario preset
 #: (the scenario supplies both the environments and the objective).
@@ -107,16 +107,14 @@ class EnvironmentSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EnvironmentSpec":
-        try:
-            name, kind = data["name"], data["kind"]
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"environment spec is missing field {missing}") from None
+        record = "environment spec"
+        name = _config_field(record, data, "name", str)
+        kind = _config_field(record, data, "kind", str)
         params = data.get("params", {})
         if not isinstance(params, Mapping):
             raise ConfigurationError(
                 "environment spec 'params' must be an object")
-        return cls.create(str(name), str(kind), **dict(params))
+        return cls.create(name, kind, **dict(params))
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -149,20 +147,29 @@ _PRESETS = {
 }
 
 
+def _param(spec: EnvironmentSpec, name: str, convert: Callable[[Any], Any],
+           **options: Any) -> Any:
+    """One builder parameter of ``spec``, converted by
+    :func:`repro.errors._config_field` (``default=``, ``missing=``)."""
+    return _config_field(f"{spec.kind} environment {spec.name!r}",
+                         spec.param_dict(), name, convert, **options)
+
+
 def _base_light(spec: EnvironmentSpec) -> LightEnvironment:
-    p = spec.param_dict()
     return LightEnvironment(
-        cloudiness=float(p.get("cloudiness", 0.15)),
-        panel_efficiency=float(p.get("panel_efficiency", 0.18)),
-        peak_elevation_deg=float(p.get("peak_elevation_deg", 70.0)),
-        deployment_factor=float(p.get("deployment_factor", 0.10)),
+        cloudiness=_param(spec, "cloudiness", float, default=0.15),
+        panel_efficiency=_param(spec, "panel_efficiency", float,
+                                default=0.18),
+        peak_elevation_deg=_param(spec, "peak_elevation_deg", float,
+                                  default=70.0),
+        deployment_factor=_param(spec, "deployment_factor", float,
+                                 default=0.10),
         name=spec.name,
     )
 
 
 def _build_preset(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
-    p = spec.param_dict()
-    preset = str(p.get("preset", spec.name))
+    preset = _param(spec, "preset", str, default=spec.name)
     try:
         return tuple(_PRESETS[preset]())
     except KeyError:
@@ -172,49 +179,41 @@ def _build_preset(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
 
 
 def _build_scenario(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
-    scenario = str(spec.param_dict().get("scenario", spec.name))
+    scenario = _param(spec, "scenario", str, default=spec.name)
     return tuple(scenario_by_name(scenario).environments)
 
 
 def _build_diurnal(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
-    p = spec.param_dict()
     base = _base_light(spec)
-    return (diurnal_trace(base, step_s=float(p.get("step_s", 3600.0)),
+    return (diurnal_trace(base,
+                          step_s=_param(spec, "step_s", float, default=3600.0),
                           name=spec.name),)
 
 
 def _build_cloudy(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
-    p = spec.param_dict()
     base = _base_light(spec)
     return (cloud_trace(base,
-                        sigma=float(p.get("sigma", 0.4)),
-                        floor=float(p.get("floor", 0.05)),
-                        seed=int(p.get("seed", 0)),
-                        step_s=float(p.get("step_s", 600.0)),
+                        sigma=_param(spec, "sigma", float, default=0.4),
+                        floor=_param(spec, "floor", float, default=0.05),
+                        seed=_param(spec, "seed", int, default=0),
+                        step_s=_param(spec, "step_s", float, default=600.0),
                         name=spec.name),)
 
 
 def _build_schedule(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
-    p = spec.param_dict()
-    try:
-        k_on = float(p["k_on"])
-    except KeyError:
-        raise ConfigurationError(
-            f"schedule environment {spec.name!r} needs 'k_on'") from None
-    return (schedule_trace(k_on,
-                           k_off=float(p.get("k_off", 0.0)),
-                           on_hour=float(p.get("on_hour", 8.0)),
-                           off_hour=float(p.get("off_hour", 18.0)),
-                           name=spec.name),)
+    k_on = _param(spec, "k_on", float, missing=(
+        f"schedule environment {spec.name!r} needs 'k_on'"))
+    return (schedule_trace(
+        k_on,
+        k_off=_param(spec, "k_off", float, default=0.0),
+        on_hour=_param(spec, "on_hour", float, default=8.0),
+        off_hour=_param(spec, "off_hour", float, default=18.0),
+        name=spec.name),)
 
 
 def _build_trickle(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
-    p = spec.param_dict()
-    try:
-        k_eh = float(p["k_eh"])
-    except KeyError:
-        raise ConfigurationError(
-            f"trickle environment {spec.name!r} needs 'k_eh'") from None
+    k_eh = _param(spec, "k_eh", float, missing=(
+        f"trickle environment {spec.name!r} needs 'k_eh'"))
     return (trickle_trace(k_eh, name=spec.name),)
 
 
@@ -229,6 +228,11 @@ _BUILDERS = {
 
 #: Kinds :class:`ScenarioGenerator` can draw from.
 GENERATED_KINDS = ("diurnal", "cloudy", "schedule", "trickle")
+
+#: Most scenarios one generator expands into.  Expansion registers
+#: every scenario eagerly (about 0.25 ms each), so an unbounded count
+#: read from a campaign spec would hang the process that loads it.
+_MAX_GENERATED = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +390,10 @@ class ScenarioGenerator:
         if self.count < 1:
             raise ConfigurationError(
                 f"generator count must be at least 1, got {self.count}")
+        if self.count > _MAX_GENERATED:
+            raise ConfigurationError(
+                f"generator count must be at most {_MAX_GENERATED}, "
+                f"got {self.count}")
         object.__setattr__(self, "families", tuple(self.families))
         if not self.families:
             raise ConfigurationError(
@@ -421,17 +429,16 @@ class ScenarioGenerator:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioGenerator":
-        try:
-            name = data["name"]
-        except KeyError:
-            raise ConfigurationError(
-                "scenario generator is missing 'name'") from None
+        record = "scenario generator"
         return cls(
-            name=str(name),
-            seed=int(data.get("seed", 0)),
-            count=int(data.get("count", 100)),
-            families=tuple(str(f) for f in
-                           data.get("families", GENERATED_KINDS)),
+            name=_config_field(record, data, "name", str,
+                               missing="scenario generator is missing 'name'"),
+            seed=_config_field(record, data, "seed", int, default=0),
+            count=_config_field(record, data, "count", int, default=100),
+            families=_config_field(
+                record, data, "families",
+                lambda families: tuple(str(f) for f in families),
+                default=GENERATED_KINDS),
         )
 
 
