@@ -21,6 +21,15 @@ The model is intentionally analytical (no cycle simulation): CHRYSALIS
 calls it millions of times inside the bi-level search.  Its fidelity
 target is faithful *ordering* of design points, which the step-based
 simulator cross-checks.
+
+Each price comes in two halves.  :meth:`_TileGeometry.of` is the half
+the layer and the mapping fix (loop bounds, operand bytes, the style's
+resident/streaming split, the base NVM traffic), all integer
+arithmetic; :meth:`DataflowCostModel._tile_cost` prices one geometry on
+one accelerator.  A future-AuT search sizes a new accelerator for every
+genome, so the layer-cost cache keeps the geometry of each raw
+``(layer, mapping)`` pair next to its :class:`LayerCost` entries, and a
+miss on a new accelerator redoes only the hardware's float chain.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.dataflow.directives import DataflowStyle
 from repro.dataflow.mapping import LayerMapping
@@ -114,6 +123,14 @@ class _TwoLevelMemo:
 _LAYER_COST_CACHE = _TwoLevelMemo(maxsize=65536)
 _layer_cost_cache_enabled = True
 
+#: The :class:`_TileGeometry` of every raw ``(layer, mapping)`` pair the
+#: cache has missed on, keyed like its entries but shared by every
+#: accelerator.  It lives and dies with the layer-cost cache: emptied
+#: by :func:`clear_layer_cost_cache`, flushed at the same bound (serve
+#: requests may carry arbitrary mappings), and neither read nor filled
+#: while the cache is off.
+_TILE_GEOMETRY: Dict[tuple, "_TileGeometry"] = {}
+
 
 def configure_layer_cost_cache(enabled: bool) -> None:
     """Turn the process-wide layer-cost cache on or off (bench/testing
@@ -123,8 +140,11 @@ def configure_layer_cost_cache(enabled: bool) -> None:
 
 
 def clear_layer_cost_cache() -> None:
-    """Drop all entries and reset the hit/miss counters."""
+    """Drop all entries, the tile geometries they were priced from, and
+    the hit/miss counters: the next search starts as a fresh process
+    would."""
     _LAYER_COST_CACHE.clear()
+    _TILE_GEOMETRY.clear()
 
 
 def layer_cost_cache_stats() -> Tuple[int, int]:
@@ -210,6 +230,50 @@ class LayerCost:
         return self.tile.fits_vm
 
 
+class _TileGeometry(NamedTuple):
+    """The half of one tile's Eqs. 4-6 that the layer and the mapping
+    fix, before any accelerator is read.
+
+    Its counts and byte volumes are integer arithmetic over the clamped
+    mapping's loop bounds, so one geometry prices exactly on every
+    accelerator.
+    """
+
+    n_tiles: int  # N_tile of the clamped mapping
+    style: DataflowStyle
+    macs: int  # 0 for embeddings (table lookups)
+    out_bytes: int
+    spatial_extent: int  # iterations of the spatial dimension
+    resident_bytes: int  # the operand the style pins in the PE caches
+    streaming: Tuple[Tuple[str, int], ...]  # the others, named
+    streaming_bytes: int
+    nvm_read: int  # Fig. 4 step 1, plus the C-split partial-sum round trip
+    nvm_write: int  # Fig. 4 step 5
+    total_bytes: int  # in + w + out
+
+    @classmethod
+    def of(cls, layer: Layer, mapping: LayerMapping) -> "_TileGeometry":
+        """The geometry of ``layer`` under ``mapping`` (clamped here)."""
+        mapping = mapping.clamped(layer)
+        n_tiles = mapping.effective_n_tiles(layer)
+        tile_dims = mapping.tile_dims(layer)
+        macs = math.prod(tile_dims.values())
+        if layer.kind is LayerKind.EMBEDDING:
+            # Table lookups: no datapath ops at all.
+            macs = 0
+        in_bytes, w_bytes, out_bytes = _tile_tensor_bytes(layer, tile_dims)
+        resident_bytes, streaming = _split_operands(
+            mapping.style, in_bytes, w_bytes, out_bytes)
+        nvm_read = in_bytes + w_bytes
+        if mapping.tile_dim == "C" and n_tiles > 1:
+            # Reduction split: partial outputs round-trip through NVM.
+            nvm_read += out_bytes
+        return cls(n_tiles, mapping.style, macs, out_bytes,
+                   tile_dims[mapping.spatial_dim], resident_bytes, streaming,
+                   sum(size for _, size in streaming), nvm_read, out_bytes,
+                   in_bytes + w_bytes + out_bytes)
+
+
 class DataflowCostModel:
     """Evaluates mappings against an accelerator configuration."""
 
@@ -234,16 +298,19 @@ class DataflowCostModel:
         Entries are keyed by the *raw* mapping; clamping is
         deterministic, so two raw mappings that clamp to the same
         effective mapping simply occupy two entries with equal values.
-        In profile mode each call is timed into one histogram per
-        outcome — cache hit, cache miss, or cache disabled — so the
-        report can show the hit/miss latency split; otherwise the
-        clock is never read (the hit path is microseconds).
+        A miss prices the pair's :class:`_TileGeometry`, built once per
+        pair for every accelerator; with the cache off, the geometry is
+        built afresh on every call.  In profile mode each call is timed
+        into one histogram per outcome — cache hit, cache miss, or cache
+        disabled — so the report can show the hit/miss latency split;
+        otherwise the clock is never read (the hit path is
+        microseconds).
         """
         profile = OBS.profile
         start = _time.perf_counter() if profile else 0.0
         cache = _LAYER_COST_CACHE
         if not _layer_cost_cache_enabled:
-            cost = self._layer_cost_uncached(layer, mapping.clamped(layer))
+            cost = self._priced(layer, _TileGeometry.of(layer, mapping))
             outcome = "cost.layer_cost.uncached_seconds"
         else:
             key = (layer, mapping)
@@ -253,20 +320,19 @@ class DataflowCostModel:
                 outcome = "cost.layer_cost.hit_seconds"
             else:
                 cache.misses += 1
-                cost = self._layer_cost_uncached(layer,
-                                                 mapping.clamped(layer))
+                geometry = _TILE_GEOMETRY.get(key)
+                if geometry is None:
+                    geometry = _TileGeometry.of(layer, mapping)
+                    if len(_TILE_GEOMETRY) >= cache.maxsize:
+                        _TILE_GEOMETRY.clear()
+                    _TILE_GEOMETRY[key] = geometry
+                cost = self._priced(layer, geometry)
                 cache.insert(self._cache_map, key, cost)
                 outcome = "cost.layer_cost.miss_seconds"
         if profile:
             OBS.registry.histogram(outcome).observe(
                 _time.perf_counter() - start)
         return cost
-
-    def _layer_cost_uncached(self, layer: Layer,
-                             mapping: LayerMapping) -> LayerCost:
-        n_tiles = mapping.effective_n_tiles(layer)
-        tile = self._tile_cost(layer, mapping, n_tiles)
-        return LayerCost(layer_name=layer.name, n_tiles=n_tiles, tile=tile)
 
     def single_pe_time(self, layer: Layer) -> float:
         """``T_df`` of Eq. 6: whole-layer compute time on one PE, s."""
@@ -278,43 +344,32 @@ class DataflowCostModel:
 
         Exactly ``[self.layer_cost(layer, m) for m in mappings]``: the
         same cache probes and hit/miss counts, and the same float chain
-        (:meth:`_tile_cost` is the only implementation of Eqs. 4-6).
+        (:meth:`_TileGeometry.of` and :meth:`_tile_cost` are the only
+        implementation of Eqs. 4-6).
         """
         return [self.layer_cost(layer, mapping) for mapping in mappings]
 
     # -- internals ----------------------------------------------------------------
 
-    def _tile_cost(self, layer: Layer, mapping: LayerMapping,
-                   n_tiles: int) -> TileCost:
+    def _priced(self, layer: Layer, geometry: _TileGeometry) -> LayerCost:
+        return LayerCost(layer_name=layer.name, n_tiles=geometry.n_tiles,
+                         tile=self._tile_cost(layer, geometry))
+
+    def _tile_cost(self, layer: Layer, geometry: _TileGeometry) -> TileCost:
+        """Price one tile's geometry on this accelerator (Eqs. 4-6)."""
+        (n_tiles, style, macs, out_bytes, spatial_extent, resident_bytes,
+         streaming, streaming_bytes, nvm_read, nvm_write,
+         total_bytes) = geometry
         hw = self.hardware
-        tile_dims = mapping.tile_dims(layer)
-        macs = math.prod(tile_dims.values())
-        if layer.kind is LayerKind.EMBEDDING:
-            # Table lookups: no datapath ops at all.
-            macs = 0
-
-        in_bytes, w_bytes, out_bytes = self._tile_tensor_bytes(layer, mapping,
-                                                               tile_dims)
-
-        spatial_extent = tile_dims[mapping.spatial_dim]
         active_pes = max(1, min(hw.pes.n_pes, spatial_extent))
 
         # --- VM <-> PE reuse analysis -------------------------------------
-        resident_bytes, streaming = self._split_operands(
-            mapping.style, in_bytes, w_bytes, out_bytes
-        )
-        streaming_bytes = sum(size for _, size in streaming)
         cache_budget = _RESIDENT_CACHE_SHARE * active_pes * hw.pes.cache_bytes_per_pe
         n_sub = max(1, math.ceil(resident_bytes / max(cache_budget, 1.0)))
-        penalty = hw.traffic_penalty(mapping.style)
+        penalty = hw.traffic_penalty(style)
         vm_traffic = (resident_bytes + n_sub * streaming_bytes) * penalty
 
         # --- NVM traffic (Fig. 4 steps 1 and 5) ----------------------------
-        nvm_read = in_bytes + w_bytes
-        nvm_write = out_bytes
-        if mapping.tile_dim == "C" and n_tiles > 1:
-            # Reduction split: partial outputs round-trip through NVM.
-            nvm_read += out_bytes
         vm_capacity = hw.vm.size_bytes
         for name, size in streaming:
             if size <= vm_capacity or n_sub <= 1:
@@ -329,7 +384,7 @@ class DataflowCostModel:
                 nvm_read += size * (n_sub - 1)
         # Partial sums spill to VM whenever outputs are not the resident
         # operand and the resident set had to be sub-blocked.
-        if mapping.style is not DataflowStyle.OUTPUT_STATIONARY:
+        if style is not DataflowStyle.OUTPUT_STATIONARY:
             vm_traffic += out_bytes * max(0, n_sub - 1) * 2.0
 
         # --- times -----------------------------------------------------------
@@ -360,7 +415,7 @@ class DataflowCostModel:
         static_energy = hw.static_power * latency
 
         # --- checkpointing ----------------------------------------------------------
-        working_set = min(in_bytes + w_bytes + out_bytes, hw.vm.size_bytes)
+        working_set = min(total_bytes, hw.vm.size_bytes)
         if n_tiles > 1:
             ckpt_bytes = self.checkpoint.checkpoint_bytes(working_set)
             ckpt_energy = self.checkpoint.expected_tile_overhead_energy(
@@ -391,58 +446,57 @@ class DataflowCostModel:
             checkpoint_bytes=ckpt_bytes,
             checkpoint_energy=ckpt_energy,
             checkpoint_time=ckpt_time,
-            fits_vm=in_bytes + w_bytes + out_bytes <= hw.vm.size_bytes,
+            fits_vm=total_bytes <= hw.vm.size_bytes,
         )
 
-    @staticmethod
-    def _split_operands(
-        style: DataflowStyle, in_bytes: float, w_bytes: float,
-        out_bytes: float,
-    ) -> Tuple[float, Tuple[Tuple[str, float], ...]]:
-        """Resident volume and named streaming volumes for a style."""
-        if style is DataflowStyle.WEIGHT_STATIONARY:
-            return w_bytes, (("in", in_bytes), ("out", out_bytes))
-        if style is DataflowStyle.OUTPUT_STATIONARY:
-            return out_bytes, (("in", in_bytes), ("w", w_bytes))
-        if style is DataflowStyle.INPUT_STATIONARY:
-            return in_bytes, (("w", w_bytes), ("out", out_bytes))
-        raise MappingError(f"unknown dataflow style {style!r}")
 
-    @staticmethod
-    def _tile_tensor_bytes(layer: Layer, mapping: LayerMapping,
-                           tile_dims: Dict[str, int]) -> Tuple[float, float, float]:
-        """(input, weight, output) bytes of one energy-cycle tile."""
-        bpe = layer.bytes_per_element
-        d = tile_dims
-        out_elems = d["K"] * d["Y"] * d["X"]
+def _split_operands(
+    style: DataflowStyle, in_bytes: int, w_bytes: int, out_bytes: int,
+) -> Tuple[int, Tuple[Tuple[str, int], ...]]:
+    """Resident volume and named streaming volumes for a style."""
+    if style is DataflowStyle.WEIGHT_STATIONARY:
+        return w_bytes, (("in", in_bytes), ("out", out_bytes))
+    if style is DataflowStyle.OUTPUT_STATIONARY:
+        return out_bytes, (("in", in_bytes), ("w", w_bytes))
+    if style is DataflowStyle.INPUT_STATIONARY:
+        return in_bytes, (("w", w_bytes), ("out", out_bytes))
+    raise MappingError(f"unknown dataflow style {style!r}")
 
-        if layer.kind in (LayerKind.CONV, LayerKind.DEPTHWISE_CONV,
-                          LayerKind.POOL):
-            stride = getattr(layer, "stride", 1)
-            in_h = halo_extent(d["Y"], d["R"], stride)
-            in_w = halo_extent(d["X"], d["S"], stride)
-            if layer.kind is LayerKind.CONV:
-                in_ch = d["C"]
-                w_elems = d["K"] * d["C"] * d["R"] * d["S"]
-            else:
-                # Depthwise / pooling: channels come from K, no contraction.
-                in_ch = d["K"]
-                has_weights = layer.params > 0
-                w_elems = d["K"] * d["R"] * d["S"] if has_weights else 0
-            in_elems = in_ch * in_h * in_w
-        elif layer.kind is LayerKind.DENSE:
-            in_elems = d["Y"] * d["C"]
-            w_elems = d["K"] * d["C"]
-        elif layer.kind is LayerKind.MATMUL:
-            in_elems = d["Y"] * d["C"] + d["C"] * d["K"]
-            w_elems = 0
-        elif layer.kind is LayerKind.EMBEDDING:
-            in_elems = d["Y"]
-            w_elems = d["Y"] * math.prod(layer.output_shape) // max(
-                layer.output_shape[0], 1
-            )
-            out_elems = w_elems
+
+def _tile_tensor_bytes(layer: Layer,
+                       tile_dims: Dict[str, int]) -> Tuple[int, int, int]:
+    """(input, weight, output) bytes of one energy-cycle tile."""
+    bpe = layer.bytes_per_element
+    d = tile_dims
+    out_elems = d["K"] * d["Y"] * d["X"]
+
+    if layer.kind in (LayerKind.CONV, LayerKind.DEPTHWISE_CONV,
+                      LayerKind.POOL):
+        stride = getattr(layer, "stride", 1)
+        in_h = halo_extent(d["Y"], d["R"], stride)
+        in_w = halo_extent(d["X"], d["S"], stride)
+        if layer.kind is LayerKind.CONV:
+            in_ch = d["C"]
+            w_elems = d["K"] * d["C"] * d["R"] * d["S"]
         else:
-            raise MappingError(f"unsupported layer kind {layer.kind!r}")
+            # Depthwise / pooling: channels come from K, no contraction.
+            in_ch = d["K"]
+            has_weights = layer.params > 0
+            w_elems = d["K"] * d["R"] * d["S"] if has_weights else 0
+        in_elems = in_ch * in_h * in_w
+    elif layer.kind is LayerKind.DENSE:
+        in_elems = d["Y"] * d["C"]
+        w_elems = d["K"] * d["C"]
+    elif layer.kind is LayerKind.MATMUL:
+        in_elems = d["Y"] * d["C"] + d["C"] * d["K"]
+        w_elems = 0
+    elif layer.kind is LayerKind.EMBEDDING:
+        in_elems = d["Y"]
+        w_elems = d["Y"] * math.prod(layer.output_shape) // max(
+            layer.output_shape[0], 1
+        )
+        out_elems = w_elems
+    else:
+        raise MappingError(f"unsupported layer kind {layer.kind!r}")
 
-        return in_elems * bpe, w_elems * bpe, out_elems * bpe
+    return in_elems * bpe, w_elems * bpe, out_elems * bpe

@@ -258,3 +258,83 @@ class TestLayerCostCache:
             assert small.tile.compute_time > large.tile.compute_time
         finally:
             clear_layer_cost_cache()
+
+    # -- the tile geometry shared across accelerators ----------------------
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Every ``(layer, mapping)`` whose tile geometry is built, in
+        order, from a cold cache."""
+        from repro.dataflow import cost_model
+
+        built = []
+        build = cost_model._TileGeometry.of.__func__
+
+        def counted(cls, layer, mapping):
+            built.append((layer, mapping))
+            return build(cls, layer, mapping)
+
+        monkeypatch.setattr(cost_model._TileGeometry, "of",
+                            classmethod(counted))
+        cost_model.configure_layer_cost_cache(enabled=True)
+        cost_model.clear_layer_cost_cache()
+        yield built
+        cost_model.configure_layer_cost_cache(enabled=True)
+        cost_model.clear_layer_cost_cache()
+
+    def test_second_accelerator_prices_from_shared_geometry(self, conv,
+                                                            builds):
+        from repro.dataflow.cost_model import (configure_layer_cost_cache,
+                                               layer_cost_cache_stats)
+
+        small = model_for(tpu_like(n_pes=8)).layer_cost(conv, ws(n_tiles=4))
+        assert (len(builds), layer_cost_cache_stats()) == (1, (0, 1))
+        large = model_for(tpu_like(n_pes=64)).layer_cost(conv, ws(n_tiles=4))
+        # One more miss, counted once, and no second geometry.
+        assert (len(builds), layer_cost_cache_stats()) == (1, (0, 2))
+        configure_layer_cost_cache(enabled=False)
+        assert large == model_for(tpu_like(n_pes=64)).layer_cost(
+            conv, ws(n_tiles=4))
+        assert small != large
+
+    def test_clear_drops_every_geometry(self, conv, builds):
+        from repro.dataflow.cost_model import clear_layer_cost_cache
+
+        for _ in range(3):
+            # A fresh model per round, as each search builds its own.
+            model = model_for(tpu_like())
+            model.layer_cost(conv, ws(n_tiles=4))
+            model.layer_cost(conv, ws(n_tiles=4))
+            clear_layer_cost_cache()
+        # Each miss after a clear rebuilds, the hits in between do not.
+        assert len(builds) == 3
+        model_for(eyeriss_like()).layer_cost(conv, ws(n_tiles=4))
+        assert len(builds) == 4
+
+    def test_cache_off_neither_reads_nor_fills_geometry(self, conv, builds):
+        from repro.dataflow import cost_model
+
+        model = model_for(tpu_like())
+        cost_model.configure_layer_cost_cache(enabled=False)
+        model.layer_cost(conv, ws(n_tiles=4))
+        model.layer_cost(conv, ws(n_tiles=4))
+        assert len(builds) == 2 and not cost_model._TILE_GEOMETRY
+        cost_model.configure_layer_cost_cache(enabled=True)
+        warm = model.layer_cost(conv, ws(n_tiles=4))
+        assert len(builds) == 3 and len(cost_model._TILE_GEOMETRY) == 1
+        cost_model.configure_layer_cost_cache(enabled=False)
+        assert model_for(eyeriss_like()).layer_cost(conv, ws(n_tiles=4))
+        assert model.layer_cost(conv, ws(n_tiles=4)) == warm
+        assert len(builds) == 5 and len(cost_model._TILE_GEOMETRY) == 1
+
+    def test_geometry_flushes_at_the_cache_bound(self, conv, builds,
+                                                 monkeypatch):
+        from repro.dataflow import cost_model
+
+        monkeypatch.setattr(cost_model._LAYER_COST_CACHE, "maxsize", 2)
+        model = model_for(tpu_like())
+        sizes = []
+        for n_tiles in (1, 2, 4, 8):
+            model.layer_cost(conv, ws(n_tiles=n_tiles))
+            sizes.append(len(cost_model._TILE_GEOMETRY))
+        assert sizes == [1, 2, 1, 2]

@@ -9,7 +9,9 @@ reproduce them exactly:
   mapper (``mapper_search._ladder``) enumerates, for every layer of five zoo
   networks covering each layer kind the cost model prices, on four
   accelerators; priced through both ``layer_cost`` and
-  ``layer_cost_batch`` from a cold cache;
+  ``layer_cost_batch`` from a cold cache, and through ``layer_cost``
+  with the cache cleared once per network, where three accelerators
+  price from the tile geometry the first one built;
 * ``metrics`` — analytical :func:`repro.evaluate` and
   :func:`repro.evaluate_batch` results per environment, for seeded
   designs from both design spaces plus the infeasible zoo of
@@ -104,15 +106,26 @@ def _tile_record(mapping, cost) -> List[str]:
             + [_hex(getattr(cost.tile, name)) for name in TILE_FIELDS])
 
 
-def tile_costs(path: str) -> Dict[str, Any]:
-    """Digests of every rung's cost, priced via ``path`` from cold."""
+def tile_costs(path: str, clear_per_network: bool = False
+               ) -> Dict[str, Any]:
+    """Digests of every rung's cost, priced via ``path`` from cold.
+
+    The cache is cleared before each (accelerator, network) pair, or,
+    with ``clear_per_network``, once per network, so that every
+    accelerator after the first prices from the tile geometry another
+    accelerator built.
+    """
     out: Dict[str, Any] = {}
-    for acc_name, inference in accelerators().items():
-        hardware = inference.build()
-        model = DataflowCostModel(
-            hardware, CheckpointModel(nvm=hardware.nvm.technology))
-        for net_name in TILE_NETWORKS:
+    hardwares = {name: inference.build()
+                 for name, inference in accelerators().items()}
+    for net_name in TILE_NETWORKS:
+        if clear_per_network:
             clear_layer_cost_cache()
+        for acc_name, hardware in hardwares.items():
+            if not clear_per_network:
+                clear_layer_cost_cache()
+            model = DataflowCostModel(
+                hardware, CheckpointModel(nvm=hardware.nvm.technology))
             layers: Dict[str, List[str]] = {}
             columns: Dict[str, List[str]] = {name: [] for name in TILE_FIELDS}
             for layer, ladder in _ladders(getattr(zoo, net_name)()):
@@ -252,9 +265,7 @@ def golden() -> Dict[str, Any]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("path", ["layer_cost", "layer_cost_batch"])
-def test_tile_costs_match_golden(golden, path):
-    got = tile_costs(path)
+def _assert_tile_costs_match(golden, got):
     moved = [f"{pair} {part}:{name}"
              for pair, entry in golden["tile_costs"].items()
              for part in ("layers", "fields")
@@ -262,6 +273,18 @@ def test_tile_costs_match_golden(golden, path):
              if got.get(pair, {}).get(part, {}).get(name) != digest]
     assert not moved, "tile costs moved: " + ", ".join(moved)
     assert got == golden["tile_costs"]
+
+
+@pytest.mark.parametrize("path", ["layer_cost", "layer_cost_batch"])
+def test_tile_costs_match_golden(golden, path):
+    _assert_tile_costs_match(golden, tile_costs(path))
+
+
+def test_tile_costs_match_golden_from_shared_geometry(golden):
+    """Three of the four accelerators price every rung from tile
+    geometry built on another one."""
+    _assert_tile_costs_match(
+        golden, tile_costs("layer_cost", clear_per_network=True))
 
 
 @pytest.mark.parametrize("path", ["evaluate", "evaluate_batch"])
