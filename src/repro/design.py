@@ -13,6 +13,7 @@ lowers them onto the component models, and the explorer mutates them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Tuple
 
@@ -40,13 +41,21 @@ class EnergyDesign:
     pmic: PowerManagementIC = field(default_factory=PowerManagementIC)
 
     def __post_init__(self) -> None:
-        if self.panel_area_cm2 <= 0:
+        # Chained comparisons reject NaN and infinities at the price of
+        # the sign checks alone: serving parses one design per request.
+        if not 0.0 < self.panel_area_cm2 < math.inf:
             raise ConfigurationError(
-                f"panel area must be positive, got {self.panel_area_cm2}"
+                f"panel_area_cm2 must be positive and finite, "
+                f"got {self.panel_area_cm2}"
             )
-        if self.capacitance_f <= 0:
+        if not 0.0 < self.capacitance_f < math.inf:
             raise ConfigurationError(
-                f"capacitance must be positive, got {self.capacitance_f}"
+                f"capacitance_f must be positive and finite, "
+                f"got {self.capacitance_f}"
+            )
+        if not 0.0 <= self.k_cap < math.inf:
+            raise ConfigurationError(
+                f"k_cap must be non-negative and finite, got {self.k_cap}"
             )
 
     def build_panel(self) -> SolarPanel:
@@ -78,16 +87,18 @@ class InferenceDesign:
     clock_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_pes <= 0:
-            raise ConfigurationError(f"n_pes must be positive, got {self.n_pes}")
-        if self.cache_bytes_per_pe <= 0:
+        if not 0 < self.n_pes < math.inf:
             raise ConfigurationError(
-                f"cache_bytes_per_pe must be positive, "
+                f"n_pes must be positive and finite, got {self.n_pes}")
+        if not 0 < self.cache_bytes_per_pe < math.inf:
+            raise ConfigurationError(
+                f"cache_bytes_per_pe must be positive and finite, "
                 f"got {self.cache_bytes_per_pe}"
             )
-        if self.clock_scale <= 0:
+        if not 0.0 < self.clock_scale < math.inf:
             raise ConfigurationError(
-                f"clock_scale must be positive, got {self.clock_scale}"
+                f"clock_scale must be positive and finite, "
+                f"got {self.clock_scale}"
             )
 
     @classmethod

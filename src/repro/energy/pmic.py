@@ -17,6 +17,7 @@ cold start from 600 mV, VBAT_OK window programmable (default 3.0 V on,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -51,17 +52,23 @@ class PowerManagementIC:
     v_cold_start: float = 0.6
 
     def __post_init__(self) -> None:
-        if not 0 < self.v_off < self.v_on:
+        if not 0 < self.v_off < self.v_on < math.inf:
             raise ConfigurationError(
-                f"need 0 < v_off < v_on, got v_off={self.v_off}, v_on={self.v_on}"
+                f"need 0 < v_off < v_on < inf, got v_off={self.v_off}, "
+                f"v_on={self.v_on}"
             )
         for name in ("boost_efficiency", "buck_efficiency"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ConfigurationError(f"{name} must be in (0, 1], got {value}")
-        if self.quiescent_power < 0:
+        if not 0.0 <= self.quiescent_power < math.inf:
             raise ConfigurationError(
-                f"quiescent_power must be non-negative, got {self.quiescent_power}"
+                f"quiescent_power must be non-negative and finite, "
+                f"got {self.quiescent_power}"
+            )
+        if not -math.inf < self.v_cold_start < math.inf:
+            raise ConfigurationError(
+                f"v_cold_start must be finite, got {self.v_cold_start}"
             )
 
     # -- power paths -----------------------------------------------------------

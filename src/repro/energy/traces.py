@@ -53,12 +53,14 @@ class TraceSegment:
     k_eh: float  # W/cm^2 of panel area, same convention as LightEnvironment
 
     def __post_init__(self) -> None:
-        if not self.duration_s > 0.0:
+        if not 0.0 < self.duration_s < math.inf:
             raise ConfigurationError(
-                f"segment duration must be positive, got {self.duration_s}")
-        if self.k_eh < 0.0:
+                f"segment duration_s must be positive and finite, "
+                f"got {self.duration_s}")
+        if not 0.0 <= self.k_eh < math.inf:
             raise ConfigurationError(
-                f"segment k_eh must be non-negative, got {self.k_eh}")
+                f"segment k_eh must be non-negative and finite, "
+                f"got {self.k_eh}")
 
 
 @dataclass(frozen=True)

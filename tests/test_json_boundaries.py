@@ -4,22 +4,26 @@ Every field of those records is converted through one helper
 (``repro.errors._config_field``), so a value of the wrong type is a
 :class:`ConfigurationError` naming the record and the field, never a
 bare ``ValueError`` or ``TypeError``; the CLI then prints ``error:``
-and exits 2 instead of a traceback.
+and exits 2 instead of a traceback.  ``json.loads`` reads ``NaN`` and
+``Infinity``, so the records' own validation rejects non-finite
+numbers, and whatever parses holds finite values only.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.spec import CampaignSpec
 from repro.cli import main
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
-from repro.environments import EnvironmentSpec, register_environment
+from repro.environments import (EnvironmentSpec, environment_spec,
+                                register_environment)
 from repro.errors import ChrysalisError, ConfigurationError
 from repro.serialize import design_from_dict, design_to_dict
 from repro.units import uF
@@ -92,6 +96,31 @@ def _replace(record, path, value):
     return out
 
 
+def _numbers(value):
+    """Every number in a JSON-shaped value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [number for item in value for number in _numbers(item)]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return [value]
+    return []
+
+
+def _assert_finite_light(environments):
+    for environment in environments:
+        segments = getattr(environment, "segments", None)
+        if segments is None:
+            assert math.isfinite(environment.k_eh), environment
+        else:
+            for segment in segments:
+                assert math.isfinite(segment.duration_s), segment
+                assert math.isfinite(segment.k_eh), segment
+
+
+NAN, INF = float("nan"), float("inf")
+
+
 class TestDesignJson:
     @pytest.mark.parametrize("path, value, field", [
         (("inference", "family"), "gpu", "family"),
@@ -104,6 +133,29 @@ class TestDesignJson:
     def test_wrong_type_is_a_configuration_error(self, path, value, field):
         with pytest.raises(ConfigurationError, match=field):
             design_from_dict(_replace(_design_dict(), path, value))
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("energy", "panel_area_cm2"), NAN, "panel_area_cm2"),
+        (("energy", "panel_area_cm2"), INF, "panel_area_cm2"),
+        (("energy", "capacitance_f"), NAN, "capacitance_f"),
+        (("energy", "capacitance_f"), INF, "capacitance_f"),
+        (("energy", "k_cap"), NAN, "k_cap"),
+        (("energy", "k_cap"), INF, "k_cap"),
+        (("energy", "k_cap"), -1.0, "k_cap"),
+        (("energy", "pmic", "v_on"), INF, "v_on"),
+        (("energy", "pmic", "quiescent_power"), NAN, "quiescent_power"),
+        (("energy", "pmic", "quiescent_power"), INF, "quiescent_power"),
+        (("energy", "pmic", "v_cold_start"), NAN, "v_cold_start"),
+        (("energy", "pmic", "v_cold_start"), -INF, "v_cold_start"),
+        (("inference", "clock_scale"), NAN, "clock_scale"),
+        (("inference", "clock_scale"), INF, "clock_scale"),
+    ])
+    def test_non_finite_value_is_a_configuration_error(self, path, value,
+                                                       field):
+        # Through JSON text: json.loads reads NaN and Infinity.
+        text = json.dumps(_replace(_design_dict(), path, value))
+        with pytest.raises(ConfigurationError, match=field):
+            design_from_dict(json.loads(text))
 
     def test_missing_section_keeps_its_message(self):
         data = _design_dict()
@@ -118,6 +170,7 @@ class TestDesignJson:
         (("energy", "panel_area_cm2"), "big"),
         (("mappings",), "nope"),
         (("energy",), None),
+        (("energy", "panel_area_cm2"), NAN),
     ])
     def test_cli_prints_error_and_exits_2(self, tmp_path, capsys, command,
                                          path, value):
@@ -128,11 +181,16 @@ class TestDesignJson:
 
     @settings(max_examples=150, deadline=None)
     @given(path=st.sampled_from(DESIGN_PATHS), value=JSON_VALUES)
+    @example(path=("energy", "panel_area_cm2"), value=NAN)
+    @example(path=("energy", "k_cap"), value=INF)
+    @example(path=("inference", "clock_scale"), value=NAN)
     def test_fuzz_only_typed_errors_escape(self, path, value):
         try:
-            design_from_dict(_replace(_design_dict(), path, value))
+            design = design_from_dict(_replace(_design_dict(), path, value))
         except ChrysalisError:
-            pass
+            return
+        numbers = _numbers(design_to_dict(design))
+        assert all(math.isfinite(number) for number in numbers), numbers
 
 
 class TestCampaignSpecJson:
@@ -187,6 +245,24 @@ class TestEnvironmentSpecJson:
             register_environment(EnvironmentSpec.from_json(
                 json.dumps(record)))
 
+    @pytest.mark.parametrize("kind, name, value", [
+        ("trickle", "k_eh", NAN),
+        ("trickle", "k_eh", INF),
+        ("schedule", "k_on", NAN),
+        ("schedule", "k_on", INF),
+        ("schedule", "k_off", NAN),
+    ])
+    def test_non_finite_light_is_a_configuration_error(self, kind, name,
+                                                       value):
+        record = {"name": f"non-finite-{kind}-{name}", "kind": kind,
+                  "params": dict(ENV_KINDS[kind], **{name: value})}
+        spec = EnvironmentSpec.from_json(json.dumps(record))
+        with pytest.raises(ConfigurationError, match="k_eh"):
+            spec.build()
+        with pytest.raises(ConfigurationError, match="k_eh"):
+            register_environment(spec)
+        assert environment_spec(record["name"]) is None
+
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(sorted(ENV_KINDS)), data=st.data())
     def test_fuzz_only_typed_errors_escape(self, kind, data):
@@ -195,14 +271,18 @@ class TestEnvironmentSpecJson:
         params[name] = data.draw(JSON_VALUES)
         record = {"name": f"fuzz-{kind}", "kind": kind, "params": params}
         try:
-            EnvironmentSpec.from_json(json.dumps(record)).build()
+            built = EnvironmentSpec.from_json(json.dumps(record)).build()
         except ChrysalisError:
-            pass
+            return
+        _assert_finite_light(built)
 
     @settings(max_examples=60, deadline=None)
     @given(record=JSON_VALUES)
+    @example(record={"name": "fuzz-nan", "kind": "trickle",
+                     "params": {"k_eh": NAN}})
     def test_fuzz_any_json_value(self, record):
         try:
-            EnvironmentSpec.from_json(json.dumps(record)).build()
+            built = EnvironmentSpec.from_json(json.dumps(record)).build()
         except ChrysalisError:
-            pass
+            return
+        _assert_finite_light(built)

@@ -274,3 +274,17 @@ def test_any_field_values_get_exactly_one_response(server_address, fields):
     # compared as JSON text: a NaN id is echoed, but NaN != NaN
     assert (json.dumps(json.loads(responses[0])["id"])
             == json.dumps(fields.get("id")))
+
+
+def test_non_finite_design_gets_one_error_response(server_address,
+                                                   designs):
+    design = design_to_dict(designs[0])
+    design["energy"]["panel_area_cm2"] = float("nan")
+    line = json.dumps({"id": 4, "design": design, "workload": "har"})
+    assert '"panel_area_cm2": NaN' in line
+    responses = _exchange(server_address, line.encode())
+    assert len(responses) == 1
+    response = json.loads(responses[0])
+    assert response["ok"] is False and response["id"] == 4
+    assert response["error"] == "ConfigurationError"
+    assert "panel_area_cm2" in response["message"]

@@ -115,6 +115,16 @@ class TestTraceEnvironment:
         with pytest.raises(ConfigurationError, match="k_eh"):
             TraceSegment(1.0, -1e-4)
 
+    @pytest.mark.parametrize("duration_s, k_eh, field", [
+        (math.inf, 1e-4, "duration_s"),
+        (math.nan, 1e-4, "duration_s"),
+        (1.0, math.inf, "k_eh"),
+        (1.0, math.nan, "k_eh"),
+    ])
+    def test_validation_rejects_non_finite(self, duration_s, k_eh, field):
+        with pytest.raises(ConfigurationError, match=field):
+            TraceSegment(duration_s, k_eh)
+
 
 class TestGenerators:
     def test_diurnal_follows_the_haurwitz_staircase(self):
