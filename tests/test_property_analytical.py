@@ -7,9 +7,10 @@ if they break, the explorer's gradients point the wrong way.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dataflow.cost_model import TileCost
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
-from repro.sim.analytical import AnalyticalModel
+from repro.sim.analytical import AnalyticalModel, CycleBudget
 from repro.workloads import zoo
 
 panels = st.floats(min_value=1.0, max_value=30.0)
@@ -89,3 +90,36 @@ def test_feasibility_matches_min_tile_scan(panel, cap, n):
         return
     assert not all(model.tile_feasible(cost) for cost in model.plan()), (
         "evaluate() infeasible but every layer satisfied Eq. 8")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+
+
+def _tile(energy, time):
+    """A tile whose ``energy`` and ``total_time`` are exactly these."""
+    return TileCost(
+        macs=0, active_pes=1, compute_time=0.0, io_time=0.0, latency=time,
+        compute_energy=energy, vm_energy=0.0, nvm_read_bytes=0.0,
+        nvm_write_bytes=0.0, nvm_energy=0.0, static_energy=0.0,
+        working_set_bytes=0.0, checkpoint_bytes=0.0, checkpoint_energy=0.0,
+        checkpoint_time=0.0, fits_vm=True)
+
+
+@given(nets=st.lists(finite, min_size=2, max_size=2),
+       stored=non_negative, buck=st.floats(min_value=1e-3, max_value=1.0),
+       time=non_negative, energy=non_negative)
+@settings(max_examples=200, deadline=None)
+def test_eq3_never_decreases_as_net_grows(nets, stored, buck, time, energy):
+    """The SW-level scan checks Eq. 8 only in the environment with the
+    least ``net``: exact only because Eq. 3's ``available(t)`` never
+    decreases as ``net`` grows when ``t >= 0`` (no tolerance)."""
+    low, high = sorted(nets)
+    budgets = [CycleBudget(p_eh=1e-3, leak=1e-6, net=net, stored=stored,
+                           buck=buck, chain=0.8 * buck)
+               for net in (low, high)]
+    assert budgets[1].available(time) >= budgets[0].available(time)
+    tile = _tile(energy, time)
+    assert (tile.energy, tile.total_time) == (energy, time)
+    if budgets[0].fits(tile):
+        assert budgets[1].fits(tile)
