@@ -10,9 +10,8 @@ is wasted; the preferable panel (by lat*sp) sits in the interior.
 
 
 from _common import run_once, write_result
-from repro.design import AuTDesign, EnergyDesign, InferenceDesign
-from repro.explore.mapper_search import MappingOptimizer
-from repro.sim.evaluator import ChrysalisEvaluator
+from repro.design import EnergyDesign, InferenceDesign
+from repro.explore.sweeps import sweep
 from repro.units import uF
 from repro.workloads import zoo
 
@@ -22,34 +21,26 @@ APPS = ["simple_conv", "cifar10", "har", "kws"]
 
 
 def sweep_app(name):
-    network = zoo.workload_by_name(name)
-    evaluator = ChrysalisEvaluator(network)
-    optimizer = MappingOptimizer(network)
+    result = sweep(zoo.workload_by_name(name), "panel_area_cm2", PANELS_CM2,
+                   EnergyDesign(panel_area_cm2=PANELS_CM2[0],
+                                capacitance_f=CAPACITANCE),
+                   InferenceDesign.msp430())
     rows = []
-    for panel in PANELS_CM2:
-        energy = EnergyDesign(panel_area_cm2=panel, capacitance_f=CAPACITANCE)
-        inference = InferenceDesign.msp430()
-        mappings = optimizer.optimize(energy, inference)
-        if mappings is None:
+    for point in result.points:
+        if not point.feasible:
             rows.append(None)
             continue
-        design = AuTDesign(energy=energy, inference=inference,
-                           mappings=mappings)
-        metrics = evaluator.evaluate_average(design)
-        if not metrics.feasible:
-            rows.append(None)
-            continue
+        metrics = point.metrics
         consumed = (metrics.energy.inference + metrics.energy.checkpoint
                     + metrics.energy.static + metrics.energy.cap_leakage)
         rows.append({
-            "panel": panel,
+            "panel": point.value,
             "ckpt_mj": metrics.energy.checkpoint * 1e3,
             "infer_mj": metrics.energy.inference * 1e3,
             "total_mj": consumed * 1e3,
             "eff": metrics.system_efficiency,
-            "lat_sp": metrics.sustained_period * panel,
-            "n_tiles": sum(m.effective_n_tiles(layer)
-                           for m, layer in zip(mappings, network)),
+            "lat_sp": metrics.sustained_period * point.value,
+            "n_tiles": point.n_tiles_total,
         })
     return rows
 

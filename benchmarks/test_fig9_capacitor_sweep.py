@@ -7,9 +7,8 @@ preferable capacitor sizes minimise latency in the interior.
 """
 
 from _common import run_once, write_result
-from repro.design import AuTDesign, EnergyDesign, InferenceDesign
-from repro.explore.mapper_search import MappingOptimizer
-from repro.sim.evaluator import ChrysalisEvaluator
+from repro.design import EnergyDesign, InferenceDesign
+from repro.explore.sweeps import sweep
 from repro.units import uF, mF
 from repro.workloads import zoo
 
@@ -20,31 +19,22 @@ APPS = ["simple_conv", "cifar10", "har", "kws"]
 
 
 def sweep_app(name):
-    network = zoo.workload_by_name(name)
-    evaluator = ChrysalisEvaluator(network)
-    optimizer = MappingOptimizer(network)
+    result = sweep(zoo.workload_by_name(name), "capacitance_f", CAPACITORS,
+                   EnergyDesign(panel_area_cm2=PANEL_CM2,
+                                capacitance_f=CAPACITORS[0]),
+                   InferenceDesign.msp430())
     rows = []
-    for capacitance in CAPACITORS:
-        energy = EnergyDesign(panel_area_cm2=PANEL_CM2,
-                              capacitance_f=capacitance)
-        inference = InferenceDesign.msp430()
-        mappings = optimizer.optimize(energy, inference)
-        if mappings is None:
+    for point in result.points:
+        if not point.feasible:
             rows.append(None)
             continue
-        design = AuTDesign(energy=energy, inference=inference,
-                           mappings=mappings)
-        metrics = evaluator.evaluate_average(design)
-        if not metrics.feasible:
-            rows.append(None)
-            continue
+        metrics = point.metrics
         rows.append({
-            "cap_uF": capacitance * 1e6,
+            "cap_uF": point.value * 1e6,
             "ckpt_mj": metrics.energy.checkpoint * 1e3,
             "leak_mj": metrics.energy.cap_leakage * 1e3,
             "latency_s": metrics.sustained_period,
-            "n_tiles": sum(m.effective_n_tiles(layer)
-                           for m, layer in zip(mappings, network)),
+            "n_tiles": point.n_tiles_total,
         })
     return rows
 

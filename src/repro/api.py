@@ -24,8 +24,8 @@ snapshot of the evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.core.scenarios import Scenario
 from repro.design import AuTDesign
@@ -113,6 +113,28 @@ def _resolve_environments(
     if not envs:
         raise ConfigurationError("at least one environment is required")
     return envs
+
+
+def _observed(obs: bool, run: Callable[[], Any], name: str,
+              **tags: Any) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """``(run(), snapshot)``: under observability (``obs=True``, or an
+    enclosing enabled scope) ``run`` executes in a run scope named
+    ``name`` and the snapshot is that scope's; otherwise it is ``None``.
+    Observability that ``obs=True`` switched on is switched off and
+    reset afterwards, so the call leaves no trace in the globals."""
+    enabled_here = not obs_state.OBS.enabled
+    if enabled_here:
+        if not obs:
+            return run(), None
+        obs_state.enable(profile=True)
+    try:
+        with obs_state.run_scope(name, **tags) as scope:
+            result = run()
+        return result, scope.snapshot()
+    finally:
+        if enabled_here:
+            obs_state.disable()
+            obs_state.reset()
 
 
 def evaluate(design: AuTDesign,
@@ -205,24 +227,9 @@ def evaluate(design: AuTDesign,
             simulations=simulations,
         )
 
-    enabled_here = False
-    if obs and not obs_state.OBS.enabled:
-        obs_state.enable(profile=True)
-        enabled_here = True
-    try:
-        if obs_state.OBS.enabled:
-            with obs_state.run_scope("api.evaluate", workload=network.name,
-                                     fidelity=fidelity) as scope:
-                report = _run()
-            report.obs = scope.snapshot()
-        else:
-            report = _run()
-    finally:
-        if enabled_here:
-            # Leave no trace: the caller never turned observability on,
-            # so drop the residue the scope merged into the globals.
-            obs_state.disable()
-            obs_state.reset()
+    report, report_obs = _observed(obs, _run, "api.evaluate",
+                                   workload=network.name, fidelity=fidelity)
+    report.obs = report_obs
     return report
 
 
@@ -275,25 +282,11 @@ def evaluate_batch(designs: Sequence[AuTDesign],
             for design, (row, verdict) in zip(designs, priced)
         ]
 
-    enabled_here = False
-    if obs and not obs_state.OBS.enabled:
-        obs_state.enable(profile=True)
-        enabled_here = True
-    try:
-        if obs_state.OBS.enabled:
-            with obs_state.run_scope("api.evaluate_batch",
-                                     workload=network.name,
-                                     designs=len(designs)) as scope:
-                reports = _run()
-            snapshot = scope.snapshot()
-            for report in reports:
-                report.obs = snapshot
-        else:
-            reports = _run()
-    finally:
-        if enabled_here:
-            obs_state.disable()
-            obs_state.reset()
+    reports, snapshot = _observed(obs, _run, "api.evaluate_batch",
+                                  workload=network.name,
+                                  designs=len(designs))
+    for report in reports:
+        report.obs = snapshot
     return reports
 
 
@@ -352,25 +345,10 @@ def evaluate_many(requests: Sequence[EvalRequest],
                 reports[i] = report
         return reports
 
-    enabled_here = False
-    if obs and not obs_state.OBS.enabled:
-        obs_state.enable(profile=True)
-        enabled_here = True
-    try:
-        if obs_state.OBS.enabled:
-            with obs_state.run_scope("api.evaluate_many",
-                                     requests=len(requests),
-                                     groups=len(groups)) as scope:
-                reports = _run()
-            snapshot = scope.snapshot()
-            for report in reports:
-                report.obs = snapshot
-        else:
-            reports = _run()
-    finally:
-        if enabled_here:
-            obs_state.disable()
-            obs_state.reset()
+    reports, snapshot = _observed(obs, _run, "api.evaluate_many",
+                                  requests=len(requests), groups=len(groups))
+    for report in reports:
+        report.obs = snapshot
     return reports
 
 

@@ -25,7 +25,6 @@ from repro.campaign.fleet import (
     FleetCoordinator,
     FleetProgress,
     WorkerSummary,
-    run_fleet,
 )
 from repro.campaign.report import CampaignReport, ScenarioSummary
 from repro.campaign.runner import (
@@ -39,7 +38,6 @@ from repro.campaign.spec import (
     ObjectiveSpec,
     RunKey,
     expand_grid,
-    resolve_environments,
 )
 from repro.campaign.store import ResultStore, StoredRun, WorkerStatus
 
@@ -61,6 +59,5 @@ __all__ = [
     "WorkerStatus",
     "WorkerSummary",
     "expand_grid",
-    "resolve_environments",
     "run_campaign",
 ]

@@ -134,10 +134,6 @@ def retry_delay_s(run_hash: str, attempt: int,
     return raw * jitter
 
 
-def default_worker_id() -> str:
-    return f"{socket.gethostname()}:{os.getpid()}"
-
-
 class _LeaseHeartbeat(threading.Thread):
     """Extends one run's lease on a timer, over its own connection.
 
@@ -225,7 +221,7 @@ class CampaignWorker:
                  ) -> None:
         self.spec = spec
         self.store_path = str(store_path)
-        self.worker_id = worker_id or default_worker_id()
+        self.worker_id = worker_id or f"{socket.gethostname()}:{os.getpid()}"
         self.config = config or FleetConfig()
         self._execute = execute or self._default_execute
         self.on_progress = on_progress
@@ -489,16 +485,6 @@ class FleetCoordinator:
                     proc.kill()
 
 
-def run_fleet(spec_path, store_path, *, n_workers: int = 2,
-              config: Optional[FleetConfig] = None,
-              timeout_s: Optional[float] = None) -> FleetProgress:
-    """Convenience wrapper: load the spec, run a local fleet, return."""
-    spec = CampaignSpec.from_path(spec_path)
-    coordinator = FleetCoordinator(spec, spec_path, store_path,
-                                   n_workers=n_workers, config=config)
-    return coordinator.run(timeout_s=timeout_s)
-
-
 __all__ = [
     "CampaignWorker",
     "FleetConfig",
@@ -506,8 +492,6 @@ __all__ = [
     "FleetProgress",
     "RUN_DELAY_ENV",
     "WorkerSummary",
-    "default_worker_id",
     "retry_delay_s",
-    "run_fleet",
     "spawn_worker",
 ]

@@ -46,6 +46,7 @@ from repro.campaign.store import (
 )
 from repro.core.chrysalis import Chrysalis
 from repro.core.result import AuTSolution
+from repro.environments import environment_by_name
 from repro.errors import ChrysalisError
 from repro.explore.bilevel import SearchResult
 from repro.explore.ga import GAConfig
@@ -71,7 +72,7 @@ def execute_search(key: RunKey) -> Tuple[AuTSolution, Optional[SearchResult]]:
         network,
         setup=key.setup,
         objective=key.to_objective(),
-        environments=key.resolve_environments(),
+        environments=environment_by_name(key.environment),
         ga_config=GAConfig(population_size=key.population,
                            generations=key.generations,
                            seed=key.seed),
@@ -91,11 +92,11 @@ def _execute_pareto(key: RunKey, network,
     """
     from repro.explore.nsga2 import ParetoExplorer
 
-    tool = Chrysalis(network, setup=key.setup,
-                     environments=key.resolve_environments())
+    environments = environment_by_name(key.environment)
+    tool = Chrysalis(network, setup=key.setup, environments=environments)
     explorer = ParetoExplorer(
         network, tool.space,
-        environments=key.resolve_environments(),
+        environments=environments,
         ga_config=GAConfig(population_size=key.population,
                            generations=key.generations,
                            seed=key.seed),

@@ -27,11 +27,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.scenarios import scenario_by_name
-# SCENARIO_PREFIX is re-exported here for backward compatibility; its
-# canonical home is the unified registry in repro.environments.
 from repro.environments import (
     SCENARIO_PREFIX,
-    Environment,
     ScenarioGenerator,
     environment_by_name,
 )
@@ -68,16 +65,6 @@ def expand_grid(axes: Mapping[str, Sequence[Any]]) -> List[Dict[str, Any]]:
         cells = [dict(cell, **{name: value})
                  for cell in cells for value in values]
     return cells
-
-
-def resolve_environments(label: str) -> Tuple[Environment, ...]:
-    """The concrete environments an environment label qualifies in.
-
-    A thin delegate to the unified registry
-    (:func:`repro.environments.environment_by_name`), kept as the
-    campaign layer's historical entry point.
-    """
-    return environment_by_name(label)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +217,6 @@ class RunKey:
     def to_objective(self) -> Objective:
         return self.objective.to_objective()
 
-    def resolve_environments(self) -> Tuple[Environment, ...]:
-        return resolve_environments(self.environment)
-
 
 # ---------------------------------------------------------------------------
 # campaign specs
@@ -300,7 +284,7 @@ class CampaignSpec:
         for scenario in self.scenarios:
             scenario_by_name(scenario)
         for environment in self.environments:
-            resolve_environments(environment)
+            environment_by_name(environment)
         if self.generator is not None:
             # Register the generated scenarios eagerly so every process
             # that loads this spec (runner, fleet worker, reporter) can

@@ -172,12 +172,6 @@ class StoredRun:
     def scenario_label(self) -> str:
         return self.key.scenario_label
 
-    def lease_expired(self, now: float) -> bool:
-        """True for a ``running`` row whose claim has lapsed by ``now``."""
-        if self.status != STATUS_RUNNING:
-            return False
-        return self.lease_deadline is None or self.lease_deadline <= now
-
     def load_solution(self):
         """The stored winning solution as an ``AuTSolution`` (or None)."""
         from repro.serialize import solution_from_dict
@@ -586,10 +580,12 @@ class ResultStore:
         Claimable rows, in stable grid order: ``pending`` rows,
         ``failed`` rows that still have attempts left and whose backoff
         (``retry_at``) has elapsed, and ``running`` rows whose lease has
-        expired (crashed worker — claiming doubles as reaping).  The
-        winning row flips to ``running`` with ``lease_deadline = now +
-        ttl_s`` and its attempt counter incremented, all in one write
-        transaction, so two workers can never claim the same row.
+        expired (crashed worker — claiming doubles as reaping) and that
+        still have attempts left; :meth:`reap_stale` exhausts a spent
+        one.  The winning row flips to ``running`` with
+        ``lease_deadline = now + ttl_s`` and its attempt counter
+        incremented, all in one write transaction, so two workers can
+        never claim the same row.
 
         Returns the claimed row, or ``None`` when nothing is claimable
         right now (which is *not* the same as the campaign being done —
@@ -604,13 +600,14 @@ class ResultStore:
                 "status=? "
                 "OR (status=? AND (? IS NULL OR attempts<?) "
                 "    AND (retry_at IS NULL OR retry_at<=?)) "
-                "OR (status=? AND (lease_deadline IS NULL "
-                "    OR lease_deadline<=?))) "
+                "OR (status=? AND (? IS NULL OR attempts<?) "
+                "    AND (lease_deadline IS NULL OR lease_deadline<=?))) "
                 "ORDER BY workload, setup, environment, objective, seed "
                 "LIMIT 1",
                 (campaign, STATUS_PENDING,
                  STATUS_FAILED, max_attempts, max_attempts, now,
-                 STATUS_RUNNING, now)).fetchone()
+                 STATUS_RUNNING, max_attempts, max_attempts,
+                 now)).fetchone()
             if row is None:
                 return None
             history = _decode(row, "attempts_json", [])

@@ -7,7 +7,7 @@ the per-layer dataflow plan (``N_tile``, preferred dataflow style).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.design import AuTDesign
@@ -42,7 +42,8 @@ class AuTSolution:
     #: Candidate failures the search absorbed instead of crashing.
     absorbed_failures: int = 0
     #: Resilience of the winning design under fault injection, when a
-    #: fault-injected run has been attached with :meth:`with_resilience`.
+    #: fault-injected run has been attached with
+    #: ``dataclasses.replace(solution, resilience=report)``.
     resilience: Optional[ResilienceReport] = None
 
     # -- Table II output accessors ------------------------------------------
@@ -90,10 +91,6 @@ class AuTSolution:
             evaluations=result.history.evaluations,
             absorbed_failures=len(result.failures),
         )
-
-    def with_resilience(self, report: ResilienceReport) -> "AuTSolution":
-        """Copy of this solution annotated with a resilience report."""
-        return replace(self, resilience=report)
 
     def report(self) -> str:
         """Human-readable solution report."""

@@ -178,11 +178,6 @@ def _build_preset(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
         ) from None
 
 
-def _build_scenario(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
-    scenario = _param(spec, "scenario", str, default=spec.name)
-    return tuple(scenario_by_name(scenario).environments)
-
-
 def _build_diurnal(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
     base = _base_light(spec)
     return (diurnal_trace(base,
@@ -219,7 +214,6 @@ def _build_trickle(spec: EnvironmentSpec) -> Tuple[Environment, ...]:
 
 _BUILDERS = {
     "preset": _build_preset,
-    "scenario": _build_scenario,
     "diurnal": _build_diurnal,
     "cloudy": _build_cloudy,
     "schedule": _build_schedule,

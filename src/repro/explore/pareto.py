@@ -76,48 +76,3 @@ def hypervolume_2d(points: Sequence[ParetoPoint],
         area += width * height
         previous_y = point.values[1]
     return area
-
-
-def hypervolume_3d(points: Sequence[ParetoPoint],
-                   reference: Tuple[float, float, float]) -> float:
-    """Exact dominated hypervolume of a 3-D minimisation front.
-
-    Slab sweep: sort the (strictly inside-reference) points by the third
-    coordinate; between consecutive z-levels the dominated region's
-    cross-section is constant, so the volume is the 2-D hypervolume of
-    the points introduced so far times the slab thickness.  O(n^2 log n)
-    — exact, and plenty for report-sized fronts.
-    """
-    inside = [p for p in points
-              if all(v < r for v, r in zip(p.values, reference))]
-    if not inside:
-        return 0.0
-    ordered = sorted(inside, key=lambda p: p.values[2])
-    volume = 0.0
-    seen: List[ParetoPoint] = []
-    for index, point in enumerate(ordered):
-        seen.append(ParetoPoint(values=point.values[:2]))
-        z_low = point.values[2]
-        z_high = (ordered[index + 1].values[2]
-                  if index + 1 < len(ordered) else reference[2])
-        if z_high > z_low:
-            volume += (z_high - z_low) * hypervolume_2d(
-                seen, (reference[0], reference[1]))
-    return volume
-
-
-def hypervolume(points: Sequence[ParetoPoint],
-                reference: Sequence[float]) -> float:
-    """Dominated hypervolume, dispatching on the reference dimension.
-
-    Exact for 2-D and 3-D minimisation fronts; higher dimensions raise
-    (no approximation is silently substituted).
-    """
-    reference = tuple(reference)
-    if len(reference) == 2:
-        return hypervolume_2d(points, reference)
-    if len(reference) == 3:
-        return hypervolume_3d(points, reference)
-    raise ValueError(
-        f"exact hypervolume supports 2-D and 3-D fronts, got "
-        f"{len(reference)}-D reference")

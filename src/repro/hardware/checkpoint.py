@@ -107,11 +107,6 @@ class CheckpointModel:
         volume = self.checkpoint_bytes(working_set_bytes)
         return self.nvm.write_energy(volume) + self.nvm.read_energy(volume)
 
-    def commit_retry_time(self, working_set_bytes: float) -> float:
-        """Duration of one failed-and-retried commit, s."""
-        volume = self.checkpoint_bytes(working_set_bytes)
-        return self.nvm.write_time(volume) + self.nvm.read_time(volume)
-
     def expected_tile_overhead_energy(self, working_set_bytes: float) -> float:
         """Expected checkpoint energy charged to one tile (Eq. 5 term).
 

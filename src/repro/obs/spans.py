@@ -12,8 +12,6 @@ so a whole campaign run yields a tree like::
             eval.average
         search.final_pricing
           eval.average
-            analytical.evaluate
-              cost.plan
 
 The :class:`SpanRecorder` owns one such forest per run scope.  It is
 deliberately *not* thread-safe: CHRYSALIS parallelism is process-based
@@ -202,9 +200,3 @@ class LiveSpan:
             error=None if exc_type is None else exc_type.__name__,
         )
         return False  # never swallow the exception
-
-    def tag(self, **tags: Any) -> "LiveSpan":
-        """Attach tags discovered mid-span (e.g. result sizes)."""
-        if self._node is not None:
-            self._node.tags.update(tags)
-        return self

@@ -268,7 +268,8 @@ def solution_from_dict(data: Dict[str, Any]):
     its validating constructors and the full metrics blocks are
     restored, so a campaign store can hand back exactly the solution the
     search produced.  An attached resilience report is *not* serialized;
-    re-attach one with ``with_resilience`` after a fault-injected rerun.
+    re-attach one with ``dataclasses.replace(solution, resilience=...)``
+    after a fault-injected rerun.
     """
     from repro.core.result import AuTSolution, LayerPlanRow
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro import errors as errors_module
-from repro.campaign.spec import resolve_environments
+from repro.environments import environment_by_name
 from repro.errors import ChrysalisError, ServeError, ServiceClosedError
 from repro.sim.metrics import InferenceMetrics
 from repro.serialize import design_from_dict, design_to_dict, \
@@ -163,7 +163,7 @@ class ServeServer:
 
     async def _respond(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         design = design_from_dict(payload["design"])
-        environments = resolve_environments(
+        environments = environment_by_name(
             payload.get("environment", "paper"))
         report = await self.service.submit(
             design, payload["workload"],

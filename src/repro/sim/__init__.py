@@ -16,7 +16,7 @@ explorer calls.
 
 from repro.sim.analytical import AnalyticalModel
 from repro.sim.engine import SimulationResult, StepSimulator
-from repro.sim.evaluator import ChrysalisEvaluator, EvaluationMode
+from repro.sim.evaluator import ChrysalisEvaluator
 from repro.sim.intermittent import InferenceController
 from repro.sim.metrics import EnergyBreakdown, InferenceMetrics
 from repro.sim.trace import Event, EventKind, Trace
@@ -25,7 +25,6 @@ __all__ = [
     "AnalyticalModel",
     "ChrysalisEvaluator",
     "EnergyBreakdown",
-    "EvaluationMode",
     "Event",
     "EventKind",
     "InferenceController",

@@ -206,11 +206,6 @@ class AnalyticalModel:
         """Capacitor leakage power at the on-threshold, W (Eq. 2 x U)."""
         return self.budget.leak
 
-    @property
-    def net_charge_power(self) -> float:
-        """Power actually accumulating in storage, W."""
-        return self.budget.net
-
     def available_cycle_energy(self, execution_time: float = 0.0) -> float:
         """Rail-side energy available in one energy cycle, J (Eq. 3)."""
         return self.budget.available(execution_time)

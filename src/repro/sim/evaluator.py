@@ -7,12 +7,13 @@ step-based simulator (faithful; validation and final reporting).
 
 The paper averages every search over two solar environments (brighter
 and darker) "to ensure the system is able to run in both environments";
-:meth:`ChrysalisEvaluator.evaluate_average` implements that protocol.
+:func:`_evaluate_every_environment` is the one analytical implementation
+of that protocol, which :meth:`ChrysalisEvaluator.evaluate_average`,
+:func:`repro.api.evaluate` and the search all price through.
 """
 
 from __future__ import annotations
 
-import enum
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.design import AuTDesign
@@ -34,13 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.faults.injector import FaultInjector
 
 
-class EvaluationMode(enum.Enum):
-    """Which evaluation path to use."""
-
-    ANALYTICAL = "analytical"
-    STEP = "step"
-
-
 def build_harvester(design: AuTDesign, environment):
     """The harvester matching ``environment``'s kind.
 
@@ -59,7 +53,6 @@ class ChrysalisEvaluator:
 
     def __init__(self, network: Network,
                  environments: Optional[Sequence[LightEnvironment]] = None,
-                 mode: EvaluationMode = EvaluationMode.ANALYTICAL,
                  checkpoint: Optional[CheckpointModel] = None,
                  steps_per_tile: int = 16,
                  faults: Optional["FaultInjector"] = None,
@@ -74,7 +67,6 @@ class ChrysalisEvaluator:
         )
         if not self.environments:
             raise ConfigurationError("at least one environment is required")
-        self.mode = mode
         self.checkpoint = checkpoint
         self.steps_per_tile = steps_per_tile
         self.faults = faults
@@ -90,17 +82,15 @@ class ChrysalisEvaluator:
 
     def evaluate(self, design: AuTDesign,
                  environment: LightEnvironment) -> InferenceMetrics:
-        """Metrics of ``design`` on this evaluator's network."""
-        if self.mode is EvaluationMode.ANALYTICAL:
-            model = self._analytical(design, environment)
-            return model.evaluate()
-        return self.simulate(design, environment).metrics
+        """Analytical metrics of ``design`` in one environment, from a
+        fresh :class:`~repro.sim.analytical.AnalyticalModel`."""
+        return self._analytical(design, environment).evaluate()
 
     def simulate(self, design: AuTDesign, environment: LightEnvironment,
                  initial_voltage: Optional[float] = None,
                  faults: Optional["FaultInjector"] = None,
                  fast_forward: Optional[bool] = None) -> SimulationResult:
-        """Run the step-based simulator regardless of the default mode.
+        """Run the step-based simulator in one environment.
 
         ``initial_voltage`` defaults to the PMIC's on-threshold — the
         steady-state (amortised) semantics the paper's Eq. 7 uses, where
@@ -145,8 +135,6 @@ class ChrysalisEvaluator:
 
         Any infeasible environment makes the whole design infeasible —
         the paper requires the system "to run in both environments".
-        :func:`_evaluate_every_environment` is the same rule for many
-        designs at once.
         """
         return self.evaluate_row(design)[1]
 
@@ -154,15 +142,11 @@ class ChrysalisEvaluator:
                      ) -> Tuple[List[InferenceMetrics], InferenceMetrics]:
         """The metrics of each configured environment, in order, up to
         and including the first infeasible one, and the verdict that
-        :meth:`evaluate_average` returns: each environment is priced
-        once for both."""
-        with span("eval.average", mode=self.mode.value):
-            row: List[InferenceMetrics] = []
-            for environment in self.environments:
-                row.append(self.evaluate(design, environment))
-                if not row[-1].feasible:
-                    break
-            return row, _verdict(row)
+        :meth:`evaluate_average` returns: a batch of one through
+        :func:`_evaluate_every_environment`, so the design's accelerator
+        and plan are built once for every environment."""
+        return _evaluate_every_environment(
+            [design], self.network, self.environments, self.checkpoint)[0]
 
     # -- internals ------------------------------------------------------------------
 
@@ -204,8 +188,8 @@ def _evaluate_every_environment(
     environments: Sequence[LightEnvironment],
     checkpoint: Optional[CheckpointModel],
 ) -> List[Tuple[List[InferenceMetrics], InferenceMetrics]]:
-    """:meth:`ChrysalisEvaluator.evaluate_average` for many designs at
-    analytical fidelity.
+    """The paper's every-environment rule for many designs at analytical
+    fidelity.
 
     Tile costs (Eqs. 4-6) do not depend on the light, so each design's
     plan is built and summed once
@@ -220,7 +204,7 @@ def _evaluate_every_environment(
     """
     rows: List[List[InferenceMetrics]] = [[] for _ in designs]
     live = list(range(len(designs)))
-    with span("eval.average", mode=EvaluationMode.ANALYTICAL.value):
+    with span("eval.average"):
         model = BatchAnalyticalModel(network, environments[0], checkpoint)
         budgets = [CycleBudget.of(design.energy, environments[0])
                    for design in designs]

@@ -66,10 +66,6 @@ class InferenceController:
     # -- observers ------------------------------------------------------------
 
     @property
-    def exception_rate(self) -> float:
-        return self.checkpoint.exception_rate
-
-    @property
     def strategy(self) -> CheckpointStrategy:
         return self.checkpoint.strategy
 
@@ -143,11 +139,6 @@ class InferenceController:
         self.breakdown.checkpoint += energy
         self.checkpoint_retries += 1
         return energy
-
-    def checkpoint_retry_time(self) -> float:
-        """Duration of one failed commit + verify round, s."""
-        ws = self.current_layer.tile.working_set_bytes
-        return self.checkpoint.commit_retry_time(ws)
 
     def rollback_tile(self) -> Tuple[str, int]:
         """Revert the last completed tile after a corrupted commit.

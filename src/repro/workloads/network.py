@@ -82,10 +82,6 @@ class Network:
         return sum(layer.total_data_bytes for layer in self.layers)
 
     @property
-    def weight_bytes(self) -> int:
-        return sum(layer.weight_bytes for layer in self.layers)
-
-    @property
     def peak_activation_bytes(self) -> int:
         """Largest single activation tensor anywhere in the network."""
         sizes = [layer.input_bytes for layer in self.layers]

@@ -18,7 +18,7 @@ from repro.core.scenarios import scenario_by_name
 from repro.energy.environment import LightEnvironment
 from repro.errors import ConfigurationError
 from repro.obs import state as obs_state
-from repro.sim.evaluator import ChrysalisEvaluator, EvaluationMode
+from repro.sim.evaluator import ChrysalisEvaluator, _verdict
 from repro.workloads import zoo
 
 
@@ -37,12 +37,11 @@ class TestBitIdentity:
         envs = (brighter, darker)
         report = evaluate(msp_design, har_network, environments=envs,
                           fidelity="step")
-        direct = ChrysalisEvaluator(har_network, envs,
-                                    mode=EvaluationMode.STEP)
-        for env in envs:
-            expected = direct.simulate(msp_design, env).metrics
+        direct = ChrysalisEvaluator(har_network, envs)
+        row = [direct.simulate(msp_design, env).metrics for env in envs]
+        for env, expected in zip(envs, row):
             assert report.by_environment[env.name] == expected
-        assert report.metrics == direct.evaluate_average(msp_design)
+        assert report.metrics == _verdict(row)
 
     def test_analytical_matches_direct_evaluator(
             self, har_network, msp_design, brighter, darker):
@@ -149,10 +148,10 @@ class TestEnvironmentSets:
             self, har_network, msp_design, same_name):
         report = evaluate(msp_design, har_network, environments=same_name,
                           fidelity="step")
-        direct = ChrysalisEvaluator(har_network, same_name,
-                                    mode=EvaluationMode.STEP)
+        direct = ChrysalisEvaluator(har_network, same_name)
+        row = [direct.simulate(msp_design, env).metrics for env in same_name]
         assert report.feasible
-        assert report.metrics == direct.evaluate_average(msp_design)
+        assert report.metrics == _verdict(row)
 
 
 class TestObsCapture:

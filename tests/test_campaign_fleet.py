@@ -171,6 +171,24 @@ class TestClaim:
         assert store.get(key.run_hash).attempts == 2
         assert store.claim("camp", "w1", ttl_s=TTL, max_attempts=2) is None
 
+    def test_spent_expired_lease_is_not_claimable(self, store, clock):
+        # A run that kills every worker that claims it: each lease
+        # expires.  Claiming must stop at the cap, as for a failed row,
+        # and leave the spent row for reap_stale to exhaust.
+        [key] = fill(store, seeds=(0,))
+        claimed = 0
+        for _ in range(5):
+            if store.claim("camp", "w1", ttl_s=TTL,
+                           max_attempts=2) is not None:
+                claimed += 1
+            clock.advance(TTL + 0.001)
+        assert claimed == 2
+        assert store.get(key.run_hash).attempts == 2
+        assert store.reap_stale("camp", max_attempts=2) == [key.run_hash]
+        row = store.get(key.run_hash)
+        assert row.status == STATUS_EXHAUSTED
+        assert [e["outcome"] for e in row.attempt_history] == ["lost"] * 2
+
 
 class TestHeartbeat:
     def test_extends_deadline_monotonically(self, store, clock):

@@ -11,8 +11,8 @@ from repro.campaign.spec import (
     ObjectiveSpec,
     RunKey,
     expand_grid,
-    resolve_environments,
 )
+from repro.environments import environment_by_name
 from repro.errors import ConfigurationError
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
@@ -90,17 +90,20 @@ class TestRunKey:
             json.dumps(key.as_dict()))) == key
 
     def test_resolve_environments(self):
-        assert len(self._key().resolve_environments()) == 2  # paper pair
-        envs = self._key(environment="scenario:uav").resolve_environments()
+        # A key's label resolves through the registry, as the runner
+        # and the fleet resolve it.
+        assert len(environment_by_name(self._key().environment)) == 2
+        envs = environment_by_name(
+            self._key(environment="scenario:uav").environment)
         assert [e.name for e in envs] == ["brighter"]
 
     def test_unknown_environment_rejected(self):
         with pytest.raises(ConfigurationError, match="environment"):
-            resolve_environments("twilight")
+            environment_by_name("twilight")
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ConfigurationError, match="scenario"):
-            resolve_environments("scenario:moonbase")
+            environment_by_name("scenario:moonbase")
 
 
 class TestCampaignSpec:

@@ -12,7 +12,7 @@ from repro.energy.solar_panel import SolarPanel
 from repro.errors import SimulationError
 from repro.hardware.accelerators import AcceleratorFamily
 from repro.sim.engine import StepSimulator
-from repro.sim.evaluator import ChrysalisEvaluator, EvaluationMode
+from repro.sim.evaluator import ChrysalisEvaluator, _verdict
 from repro.sim.intermittent import InferenceController
 from repro.sim.analytical import AnalyticalModel
 from repro.units import uF
@@ -77,8 +77,9 @@ class TestEvaluatorModes:
         design = AuTDesign.with_default_mappings(
             EnergyDesign(panel_area_cm2=8.0, capacitance_f=uF(470)),
             InferenceDesign.msp430(), network, n_tiles=2)
-        evaluator = ChrysalisEvaluator(network, mode=EvaluationMode.STEP)
-        metrics = evaluator.evaluate_average(design)
+        evaluator = ChrysalisEvaluator(network)
+        metrics = _verdict([evaluator.simulate(design, env).metrics
+                            for env in evaluator.environments])
         assert metrics.feasible
         assert metrics.power_cycles >= 1
 

@@ -6,11 +6,7 @@ import textwrap
 
 import pytest
 
-from repro.campaign.spec import (
-    CampaignSpec,
-    ObjectiveSpec,
-    resolve_environments,
-)
+from repro.campaign.spec import CampaignSpec, ObjectiveSpec
 from repro.core.scenarios import SCENARIOS
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
@@ -52,9 +48,16 @@ class TestRegistryResolution:
             environment_by_name("scenario:nope")
 
     def test_campaign_resolve_delegates_to_the_registry(self):
-        assert resolve_environments("paper") == environment_by_name("paper")
+        spec = CampaignSpec(name="c", workloads=("har",),
+                            objectives=(ObjectiveSpec(kind="lat*sp"),),
+                            environments=("paper",))
+        (key,) = spec.expand()
+        assert environment_by_name(key.environment) == \
+            environment_by_name("paper")
         with pytest.raises(ConfigurationError, match="environment"):
-            resolve_environments("bogus")
+            CampaignSpec(name="c", workloads=("har",),
+                         objectives=(ObjectiveSpec(kind="lat*sp"),),
+                         environments=("bogus",))
 
     def test_builtin_presets_are_registered(self):
         labels = registered_environments()
@@ -169,7 +172,7 @@ class TestCampaignIntegration:
         assert len(keys) == 6
         for key in keys:
             assert key.environment.startswith("trace:")
-            (env,) = key.resolve_environments()
+            (env,) = environment_by_name(key.environment)
             assert isinstance(env, TraceEnvironment)
 
     def test_spec_round_trip_with_generator(self):
@@ -192,7 +195,7 @@ class TestCampaignIntegration:
         keys = spec.expand()
         assert len(keys) == 4  # 2 workloads x 2 scenarios
         for key in keys:
-            key.resolve_environments()
+            environment_by_name(key.environment)
 
 
 class TestServeKeys:

@@ -1,9 +1,8 @@
-"""Tests for the 2-D/3-D hypervolume metrics and their dispatcher."""
+"""Tests for the 2-D hypervolume metric."""
 
 import pytest
 
-from repro.explore.pareto import (ParetoPoint, hypervolume, hypervolume_2d,
-                                  hypervolume_3d)
+from repro.explore.pareto import ParetoPoint, hypervolume_2d
 
 
 def P(*values):
@@ -41,60 +40,3 @@ class TestHypervolume:
         base = hypervolume_2d([P(1, 3)], (4, 4))
         extended = hypervolume_2d([P(1, 3), P(3, 1)], (4, 4))
         assert extended > base
-
-
-class TestHypervolume3D:
-    def test_single_point_box(self):
-        assert hypervolume_3d([P(1, 1, 1)], (3, 3, 3)) == pytest.approx(8.0)
-
-    def test_staircase_volume(self):
-        # Points (1,2,1) and (2,1,2) vs reference (3,3,3), sweeping z:
-        # slab z in [1,2): only (1,2,1) dominates, area (3-1)*(3-2)=2,
-        #   thickness 1 -> 2;
-        # slab z in [2,3): both present, area of the 2-D staircase
-        #   {(1,2),(2,1)} vs (3,3) = 3, thickness 1 -> 3.
-        # Total 5.
-        assert hypervolume_3d([P(1, 2, 1), P(2, 1, 2)], (3, 3, 3)) == \
-            pytest.approx(5.0)
-
-    def test_dominated_points_ignored(self):
-        with_dominated = hypervolume_3d([P(1, 1, 1), P(2, 2, 2)], (3, 3, 3))
-        without = hypervolume_3d([P(1, 1, 1)], (3, 3, 3))
-        assert with_dominated == pytest.approx(without)
-
-    def test_points_beyond_reference_contribute_nothing(self):
-        assert hypervolume_3d([P(5, 5, 5)], (3, 3, 3)) == 0.0
-        mixed = hypervolume_3d([P(1, 1, 1), P(0.5, 0.5, 9)], (3, 3, 3))
-        assert mixed == pytest.approx(
-            hypervolume_3d([P(1, 1, 1)], (3, 3, 3)))
-
-    def test_empty_front(self):
-        assert hypervolume_3d([], (3, 3, 3)) == 0.0
-
-    def test_flat_front_is_area_times_depth(self):
-        # Same z everywhere: the volume extrudes the 2-D staircase.
-        points = [P(1, 2, 1), P(2, 1, 1)]
-        area = hypervolume_2d([P(1, 2), P(2, 1)], (3, 3))
-        assert hypervolume_3d(points, (3, 3, 3)) == \
-            pytest.approx(area * 2.0)
-
-    def test_adding_nondominated_point_grows_volume(self):
-        base = hypervolume_3d([P(1, 1, 2)], (4, 4, 4))
-        extended = hypervolume_3d([P(1, 1, 2), P(2, 2, 1)], (4, 4, 4))
-        assert extended > base
-
-
-class TestHypervolumeDispatch:
-    def test_two_dimensional_reference(self):
-        points = [P(1, 2), P(2, 1)]
-        assert hypervolume(points, (3, 3)) == \
-            pytest.approx(hypervolume_2d(points, (3, 3)))
-
-    def test_three_dimensional_reference(self):
-        points = [P(1, 2, 1), P(2, 1, 2)]
-        assert hypervolume(points, (3, 3, 3)) == \
-            pytest.approx(hypervolume_3d(points, (3, 3, 3)))
-
-    def test_higher_dimensions_raise(self):
-        with pytest.raises(ValueError):
-            hypervolume([P(1, 1, 1, 1)], (3, 3, 3, 3))

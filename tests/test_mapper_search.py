@@ -5,7 +5,8 @@ import pytest
 from repro.dataflow.mapping import LayerMapping
 from repro.design import EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
-from repro.explore.mapper_search import MappingOptimizer
+from repro.explore.mapper_search import (MappingOptimizer, clear_mapper_memo,
+                                         mapper_memo_stats)
 from repro.hardware.accelerators import AcceleratorFamily
 from repro.sim.analytical import AnalyticalModel
 from repro.design import AuTDesign
@@ -109,3 +110,20 @@ class TestExactness:
                            for model in models):
                     continue
                 assert best <= mean_energy(layer, candidate) * (1 + 1e-9)
+
+
+class TestMapperMemo:
+    def test_every_clear_reaches_a_long_lived_optimizer(self, har):
+        optimizer = MappingOptimizer(har)  # built once, kept across clears
+        key = (EnergyDesign(panel_area_cm2=8.0, capacitance_f=uF(470)),
+               InferenceDesign.msp430())
+        probes = []
+        for _ in range(3):
+            clear_mapper_memo()
+            probes.append(optimizer.memo_probe(key))
+            optimizer.memo_fill(key, None)
+        # Each probe after a clear misses: no clear leaves behind an
+        # entry the optimizer added after an earlier one.
+        assert probes == [(False, None)] * 3
+        assert mapper_memo_stats() == (0, 1)
+        clear_mapper_memo()

@@ -7,6 +7,7 @@ diff of the snapshot below.  Names outside it are not attributes of
 state the same version.
 """
 
+import importlib
 import os
 import pathlib
 import re
@@ -103,3 +104,56 @@ class TestShims:
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="does_not_exist"):
             repro.does_not_exist
+
+
+#: ``(module, dotted name)`` of every name 4.0 removed (docs/API.md).
+REMOVED_IN_4 = [
+    ("repro.sim", "EvaluationMode"),
+    ("repro.sim.evaluator", "EvaluationMode"),
+    ("repro.campaign", "run_fleet"),
+    ("repro.campaign.fleet", "run_fleet"),
+    ("repro.campaign.fleet", "default_worker_id"),
+    ("repro.campaign.store", "StoredRun.lease_expired"),
+    ("repro.core.result", "AuTSolution.with_resilience"),
+    ("repro.dataflow.cost_model", "LayerCost.memory_energy"),
+    ("repro.dataflow.cost_model", "LayerCost.fits_vm"),
+    ("repro.hardware.checkpoint", "CheckpointModel.commit_retry_time"),
+    ("repro.obs.spans", "LiveSpan.tag"),
+    ("repro.sim.analytical", "AnalyticalModel.net_charge_power"),
+    ("repro.sim.intermittent", "InferenceController.exception_rate"),
+    ("repro.sim.intermittent", "InferenceController.checkpoint_retry_time"),
+    ("repro.workloads.network", "Network.weight_bytes"),
+    ("repro.environments", "_build_scenario"),
+    ("repro.campaign", "resolve_environments"),
+    ("repro.campaign.spec", "resolve_environments"),
+    ("repro.campaign.spec", "RunKey.resolve_environments"),
+    ("repro.explore.pareto", "hypervolume_3d"),
+    ("repro.explore.pareto", "hypervolume"),
+]
+
+
+class TestRemovedIn4:
+    def test_removed_names_are_gone(self):
+        present = []
+        for module, dotted in REMOVED_IN_4:
+            owner = importlib.import_module(module)
+            *parents, name = dotted.split(".")
+            for parent in parents:
+                owner = getattr(owner, parent)
+            if hasattr(owner, name):
+                present.append(f"{module}.{dotted}")
+        assert present == []
+
+    def test_evaluator_mode_keyword_is_gone(self):
+        from repro.sim.evaluator import ChrysalisEvaluator
+
+        with pytest.raises(TypeError, match="mode"):
+            ChrysalisEvaluator(repro.zoo.har_cnn(), mode="step")
+
+    def test_scenario_spec_kind_is_gone_but_the_label_resolves(self):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="scenario"):
+            repro.EnvironmentSpec.create("uav-set", "scenario",
+                                         scenario="uav")
+        assert repro.environment_by_name("scenario:uav")

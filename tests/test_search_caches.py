@@ -117,19 +117,9 @@ class TestDesignCache:
         assert explorer.stats.mapper_hits >= 1
 
 
-def _record_evaluate_calls(evaluator):
-    """Wrap ``evaluator.evaluate``; returns the environment names it
-    is called with, in call order."""
-    calls = []
-    inner = evaluator.evaluate
-    evaluator.evaluate = lambda design, environment: (
-        calls.append(environment.name) or inner(design, environment))
-    return calls
-
-
 class TestFinalPricing:
     """The winner is priced once per environment, for both its average
-    and its per-environment metrics."""
+    and its per-environment metrics, from one accelerator and one plan."""
 
     GA = GAConfig(population_size=6, generations=2, seed=0)
 
@@ -137,13 +127,12 @@ class TestFinalPricing:
         clear_mapper_memo()
         explorer = BilevelExplorer(zoo.har_cnn(), DesignSpace.existing_aut(),
                                    Objective.lat_sp(), ga_config=self.GA)
-        calls = _record_evaluate_calls(explorer.evaluator)
         result = explorer.run()
-        assert calls == ["brighter", "darker"]
-        # The search's own hits plus one per layer per environment.
+        # The search's own hits plus one per layer, not one per layer
+        # per environment.
         hits, _ = layer_cost_cache_stats()
         assert result.stats.layer_cost_hits == 40
-        assert hits == 40 + 2 * len(explorer.network)
+        assert hits == 40 + len(explorer.network)
         assert result.metrics_by_env == {
             env.name: explorer.evaluator.evaluate(result.design, env)
             for env in explorer.environments}
@@ -154,9 +143,7 @@ class TestFinalPricing:
         explorer = ParetoExplorer(zoo.har_cnn(), DesignSpace.existing_aut(),
                                   ga_config=self.GA)
         evaluator = explorer._bilevel.evaluator
-        calls = _record_evaluate_calls(evaluator)
         result = explorer.search()
-        assert calls == ["brighter", "darker"]
         assert result.metrics_by_env == {
             env.name: evaluator.evaluate(result.design, env)
             for env in evaluator.environments}
