@@ -8,7 +8,7 @@ spaces into (near-)even chunks for the intermittent partition.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Mapping
 
 from repro.errors import MappingError
 
@@ -85,7 +85,7 @@ def halo_extent(out_tile: int, kernel: int, stride: int) -> int:
     return (out_tile - 1) * stride + kernel
 
 
-def pick_intermittent_dim(dims: Dict[str, int]) -> str:
+def pick_intermittent_dim(dims: Mapping[str, int]) -> str:
     """Heuristic default for which dimension InterTempMap splits.
 
     Prefer the output spatial height ``Y`` (slicing rows keeps input

@@ -7,8 +7,8 @@ runs it on a generation of one genome, which is how the serial search
 and NSGA-II evaluate; with ``GAConfig.batched`` the GA hands it each
 generation's uncached genomes in one call instead.  For a generation:
 
-* genomes are grouped by their :class:`InferenceDesign` projection, so
-  hardware is built once per distinct accelerator configuration;
+* each genome is lowered once, with placeholder mappings, and grouped
+  by its :class:`InferenceDesign` projection;
 * the SW-level mapping search runs once per group, after the mapper
   memo is probed: a group with one unseen projection goes through
   :meth:`~repro.explore.mapper_search.MappingOptimizer.optimize`, a
@@ -16,12 +16,19 @@ generation's uncached genomes in one call instead.  For a generation:
   :meth:`~repro.explore.mapper_search.MappingOptimizer.scan`, which
   walks the energy designs through each ladder together and prices
   the same rungs;
-* the lowered designs are priced by the paper's every-environment rule
+* the resolved mappings are swapped into the lowered designs, which
+  are priced by the paper's every-environment rule
   (:func:`repro.sim.evaluator._evaluate_every_environment`): each
   design's plan is built once, by one
   :class:`~repro.sim.analytical.BatchAnalyticalModel` for the
   generation, and priced in every environment, and the objective
   scores them.
+
+A search builds each accelerator once: the mapper's per-accelerator
+registry (:class:`~repro.sim.analytical._Accelerators`) holds its cost
+model, the scan prices its rungs on that model, and the pricing reads
+each plan from the same model, so every plan lookup is a layer-cost
+cache hit.
 
 So scores, lowered designs, Pareto points, failure records, mapper
 hit/miss counts and layer-cost hits and misses do not depend on how
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.dataflow.cost_model import layer_cost_cache_stats
@@ -150,26 +158,24 @@ class VectorizedGenomeEvaluator:
                     mappings.pop(i, None)
                 set_aside(indices, error)
 
-        # 3. Lower the mappable genomes.
+        # 3. Lower the mappable genomes: swap their mappings in.
         designs: Dict[int, "AuTDesign"] = {}
         for i in sorted(mappings):
             if mappings[i] is None:
                 # Unmappable projection: an infinite score, no failure.
                 outcomes[i] = GenomeOutcome(score=math.inf)
-                continue
-            try:
-                designs[i] = explorer.space.to_design(genomes[i],
-                                                      mappings[i])
-            except ChrysalisError as error:
-                outcomes[i] = _absorbed(genomes[i], error)
+            else:
+                designs[i] = replace(seeded[i], mappings=mappings[i])
 
-        # 4. Price them in every environment.
+        # 4. Price them in every environment, on the cost models the
+        # scan used.
         priced: List[tuple] = []
         if designs:
             try:
                 priced = _evaluate_every_environment(
                     list(designs.values()), explorer.network,
-                    explorer.environments, explorer.checkpoint)
+                    explorer.environments, explorer.checkpoint,
+                    explorer.mapper._accelerators)
             except ChrysalisError as error:
                 set_aside(list(designs), error)
                 designs = {}

@@ -1,8 +1,8 @@
 """Grid search — exhaustive sweep over a discretised design space.
 
-Used by the rationality-validation experiments (Figs. 8 and 9), which
-sweep one energy knob while pinning the other, and by the search-
-strategy ablation bench.
+Used by the search-strategy ablation bench.  The rationality-validation
+experiments (Figs. 8 and 9), which sweep one energy knob while pinning
+the other, run through :func:`repro.explore.sweeps.sweep` instead.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from __future__ import annotations
 import logging
 import math
 import time as _time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dataflow.cost_model import DataflowCostModel, _TwoLevelMemo
 from repro.dataflow.directives import DataflowStyle
@@ -45,7 +45,7 @@ from repro.energy.environment import LightEnvironment
 from repro.errors import MappingError
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import OBS, span
-from repro.sim.analytical import CycleBudget
+from repro.sim.analytical import CycleBudget, _Accelerators
 from repro.workloads.layers import Layer
 from repro.workloads.network import Network
 
@@ -117,6 +117,9 @@ class MappingOptimizer:
              for style in self.styles
              for tile_dim, spatial_dim in self._dim_pairs(layer)]
             for layer in self.network]
+        #: The search's per-accelerator registry of cost models, which
+        #: the generation evaluator prices the lowered designs on too.
+        self._accelerators = _Accelerators(checkpoint)
         #: Per accelerator: its cost model and, per layer and combo, the
         #: priced prefix of the ladder.
         self._tables: Dict[InferenceDesign,
@@ -169,8 +172,6 @@ class MappingOptimizer:
         if OBS.profile:
             OBS.registry.histogram("mapper.optimize_seconds").observe(
                 _time.perf_counter() - start)
-        if mappings is None:
-            OBS.registry.counter("mapper.unmappable").inc()
         return mappings
 
     def scan(self, inference: InferenceDesign,
@@ -194,6 +195,9 @@ class MappingOptimizer:
         environment, and no float operation of Eq. 3 decreases as
         ``net`` grows for ``t >= 0``, so a tile that fits there fits
         everywhere.
+
+        With observability on, each unmappable energy design counts
+        once in ``mapper.unmappable``, whichever call scanned it.
         """
         cost_model, tables = self._tables_for(inference)
         available = [min((CycleBudget.of(energy, environment)
@@ -232,8 +236,12 @@ class MappingOptimizer:
             for g in live:
                 rows[g].append(best[g])
         # A row cut short met a layer with no usable rung: unmappable.
-        return [tuple(row) if len(row) == len(self._ladders) else None
-                for row in rows]
+        scanned = [tuple(row) if len(row) == len(self._ladders) else None
+                   for row in rows]
+        if OBS.enabled and None in scanned:
+            OBS.registry.counter("mapper.unmappable").inc(
+                scanned.count(None))
+        return scanned
 
     # -- internals ----------------------------------------------------------------
 
@@ -241,12 +249,8 @@ class MappingOptimizer:
                     ) -> Tuple[DataflowCostModel, List[List[_Prefix]]]:
         entry = self._tables.get(inference)
         if entry is None:
-            hardware = inference.build()
-            checkpoint = self.checkpoint or CheckpointModel(
-                nvm=hardware.nvm.technology
-            )
             entry = self._tables[inference] = (
-                DataflowCostModel(hardware, checkpoint),
+                self._accelerators[inference],
                 [[[] for _ in ladders] for ladders in self._ladders])
         return entry
 
@@ -302,7 +306,7 @@ class MappingOptimizer:
         return max(candidates, key=lambda name: dims[name])
 
 
-def _ladder(mapper: MappingOptimizer, dims: Dict[str, int],
+def _ladder(mapper: MappingOptimizer, dims: Mapping[str, int],
             style: DataflowStyle, tile_dim: str,
             spatial_dim: str) -> List[LayerMapping]:
     """One combo's rungs in scan order.

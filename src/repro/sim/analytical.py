@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 
 from repro.dataflow.cost_model import DataflowCostModel, LayerCost, TileCost
 from repro.dataflow.mapping import LayerMapping
-from repro.design import AuTDesign, EnergyDesign
+from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import OBS, span
@@ -176,6 +176,34 @@ def price_plan(totals: PlanTotals, budget: CycleBudget) -> InferenceMetrics:
     )
 
 
+def _cost_model(inference: InferenceDesign,
+                checkpoint: Optional[CheckpointModel]) -> DataflowCostModel:
+    """A cost model on ``inference``'s accelerator, built here, priced
+    with ``checkpoint`` or else the default for the accelerator's NVM."""
+    hardware = inference.build()
+    return DataflowCostModel(
+        hardware, checkpoint or CheckpointModel(nvm=hardware.nvm.technology))
+
+
+class _Accelerators(dict):
+    """A search's per-accelerator registry: the :func:`_cost_model` of
+    each distinct :class:`InferenceDesign`, built on first lookup.
+
+    The model holds the built accelerator (``hardware``) and its
+    checkpoint model (``checkpoint``).  A search keeps one registry for
+    its whole run, so the SW-level scan and the every-environment
+    pricing build each accelerator once and price on the same model.
+    """
+
+    def __init__(self, checkpoint: Optional[CheckpointModel]) -> None:
+        super().__init__()
+        self.checkpoint = checkpoint
+
+    def __missing__(self, inference: InferenceDesign) -> DataflowCostModel:
+        cost_model = self[inference] = _cost_model(inference, self.checkpoint)
+        return cost_model
+
+
 class AnalyticalModel:
     """Evaluates an :class:`AuTDesign` on a network in one environment."""
 
@@ -186,11 +214,9 @@ class AnalyticalModel:
         self.design = design
         self.network = network
         self.environment = environment
-        self.hardware = design.inference.build()
-        self.checkpoint = checkpoint or CheckpointModel(
-            nvm=self.hardware.nvm.technology
-        )
-        self.cost_model = DataflowCostModel(self.hardware, self.checkpoint)
+        self.cost_model = _cost_model(design.inference, checkpoint)
+        self.hardware = self.cost_model.hardware
+        self.checkpoint = self.cost_model.checkpoint
         #: Eqs. 1-3, derived once: every Eq. 8 probe of the mapper reads it.
         self.budget = CycleBudget.of(design.energy, environment)
 
@@ -284,6 +310,10 @@ class BatchAnalyticalModel:
         self.network = network
         self.environment = environment
         self.checkpoint = checkpoint
+        #: A search's registry to price on (set by
+        #: :func:`~repro.sim.evaluator._evaluate_every_environment`);
+        #: ``None`` builds each group's accelerator per :meth:`plans` call.
+        self._accelerators: Optional[_Accelerators] = None
 
     # -- plan construction -----------------------------------------------------
 
@@ -306,11 +336,9 @@ class BatchAnalyticalModel:
             if budget.net > 0.0:
                 groups.setdefault(design.inference, []).append(index)
         for inference, indices in groups.items():
-            hardware = inference.build()
-            checkpoint = self.checkpoint or CheckpointModel(
-                nvm=hardware.nvm.technology
-            )
-            cost_model = DataflowCostModel(hardware, checkpoint)
+            cost_model = (_cost_model(inference, self.checkpoint)
+                          if self._accelerators is None
+                          else self._accelerators[inference])
             for layer_index, layer in enumerate(self.network):
                 costs = cost_model.layer_cost_batch(
                     layer,

@@ -25,7 +25,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import span
 from repro.sim.analytical import (AnalyticalModel, BatchAnalyticalModel,
-                                  CycleBudget, PlanTotals)
+                                  CycleBudget, PlanTotals, _Accelerators)
 from repro.sim.engine import SimulationResult, StepSimulator
 from repro.sim.intermittent import InferenceController
 from repro.sim.metrics import InferenceMetrics
@@ -187,6 +187,7 @@ def _evaluate_every_environment(
     network: Network,
     environments: Sequence[LightEnvironment],
     checkpoint: Optional[CheckpointModel],
+    accelerators: Optional[_Accelerators] = None,
 ) -> List[Tuple[List[InferenceMetrics], InferenceMetrics]]:
     """The paper's every-environment rule for many designs at analytical
     fidelity.
@@ -195,7 +196,10 @@ def _evaluate_every_environment(
     plan is built and summed once
     (:class:`~repro.sim.analytical.PlanTotals`), by a
     :class:`~repro.sim.analytical.BatchAnalyticalModel` bound to the
-    first environment, for the designs that can charge in it.
+    first environment, for the designs that can charge in it, on the
+    cost models of ``accelerators`` when a search passes its registry
+    (:class:`~repro.sim.analytical._Accelerators`, built with the same
+    ``checkpoint``), else on accelerators built for this call.
     Environment ``k`` then computes only its cycle budgets and prices
     the plans of the designs still feasible in every earlier
     environment.  Returns, per design, its metrics per environment up to
@@ -206,6 +210,7 @@ def _evaluate_every_environment(
     live = list(range(len(designs)))
     with span("eval.average"):
         model = BatchAnalyticalModel(network, environments[0], checkpoint)
+        model._accelerators = accelerators
         budgets = [CycleBudget.of(design.energy, environments[0])
                    for design in designs]
         totals = [PlanTotals.of(plan)

@@ -28,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -61,9 +62,10 @@ def _conv_out(size: int, kernel: int, stride: int, padding: int) -> int:
 class Layer:
     """Base class for all layers.
 
-    Subclasses populate the iteration-space bounds via :meth:`dims` and
-    the shape bookkeeping below.  ``bytes_per_element`` is the datatype
-    width shared by activations and weights.
+    Subclasses populate the iteration-space bounds via
+    :meth:`_loop_bounds` and the shape bookkeeping below.
+    ``bytes_per_element`` is the datatype width shared by activations
+    and weights.
     """
 
     name: str
@@ -81,8 +83,8 @@ class Layer:
     def kind(self) -> LayerKind:
         raise NotImplementedError
 
-    def dims(self) -> Dict[str, int]:
-        """The six loop bounds of the iteration space."""
+    def _loop_bounds(self) -> Dict[str, int]:
+        """The six loop bounds of the iteration space (see :meth:`dims`)."""
         raise NotImplementedError
 
     @property
@@ -99,6 +101,24 @@ class Layer:
         raise NotImplementedError
 
     # -- derived quantities --------------------------------------------------
+
+    def dims(self) -> Mapping[str, int]:
+        """The six loop bounds of the iteration space, as a read-only view.
+
+        The bounds are computed once per layer and shared by every call;
+        copy them (``dict(layer.dims())``) to change them.
+        """
+        try:
+            bounds = self._bounds
+        except AttributeError:
+            bounds = self._loop_bounds()
+            # Not a dataclass field, so equality, hashing and
+            # serialization stay defined by the fields alone.  Set like
+            # a field rather than through ``__dict__``: a materialized
+            # instance dict slows every attribute read, and so the hash
+            # of each layer-cost cache key, about twofold.
+            object.__setattr__(self, "_bounds", bounds)
+        return MappingProxyType(bounds)
 
     @property
     def macs(self) -> int:
@@ -185,7 +205,7 @@ class Conv2D(Layer):
     def out_width(self) -> int:
         return _conv_out(self.in_width, self._kernel_w, self.stride, self._padding_w)
 
-    def dims(self) -> Dict[str, int]:
+    def _loop_bounds(self) -> Dict[str, int]:
         return {
             "K": self.out_channels,
             "C": self.in_channels,
@@ -241,7 +261,7 @@ class DepthwiseConv2D(Layer):
     def out_width(self) -> int:
         return _conv_out(self.in_width, self.kernel, self.stride, self.padding)
 
-    def dims(self) -> Dict[str, int]:
+    def _loop_bounds(self) -> Dict[str, int]:
         # No channel contraction: C = 1 in the MAC product, K spans channels.
         return {
             "K": self.channels,
@@ -290,7 +310,7 @@ class Dense(Layer):
     def kind(self) -> LayerKind:
         return LayerKind.DENSE
 
-    def dims(self) -> Dict[str, int]:
+    def _loop_bounds(self) -> Dict[str, int]:
         return {
             "K": self.out_features,
             "C": self.in_features,
@@ -342,7 +362,7 @@ class Pool2D(Layer):
     def out_width(self) -> int:
         return _conv_out(self.in_width, self.kernel, self.stride, 0)
 
-    def dims(self) -> Dict[str, int]:
+    def _loop_bounds(self) -> Dict[str, int]:
         return {
             "K": self.channels,
             "C": 1,
@@ -393,7 +413,7 @@ class MatMul(Layer):
     def kind(self) -> LayerKind:
         return LayerKind.MATMUL
 
-    def dims(self) -> Dict[str, int]:
+    def _loop_bounds(self) -> Dict[str, int]:
         return {
             "K": self.out_features,
             "C": self.contract,
@@ -447,7 +467,7 @@ class Embedding(Layer):
     def kind(self) -> LayerKind:
         return LayerKind.EMBEDDING
 
-    def dims(self) -> Dict[str, int]:
+    def _loop_bounds(self) -> Dict[str, int]:
         # No compute: a degenerate iteration space.
         return {"K": 1, "C": 1, "R": 1, "S": 1, "Y": self.tokens, "X": 1}
 

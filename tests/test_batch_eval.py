@@ -24,6 +24,7 @@ from repro.explore.mapper_search import clear_mapper_memo, mapper_memo_stats
 from repro.explore.objectives import Objective
 from repro.explore.space import DesignSpace
 from repro.hardware.accelerators import AcceleratorFamily
+from repro.obs import state as obs_state
 from repro.sim.analytical import (AnalyticalModel, BatchAnalyticalModel,
                                   CycleBudget)
 from repro.units import uF
@@ -259,6 +260,57 @@ class TestBatchedSearchIdentity:
     def test_batched_recorded_in_summary(self):
         result = make_explorer(batched=True).run()
         assert "batched" in result.summary()
+
+
+def _cold_search(network, batched, **ga):
+    """A lat*sp search over the existing space from cleared caches."""
+    clear_mapper_memo()
+    clear_layer_cost_cache()
+    return BilevelExplorer(
+        network=network, space=DesignSpace.existing_aut(),
+        objective=Objective.lat_sp(),
+        ga_config=GAConfig(batched=batched, **ga)).run()
+
+
+class TestOneBuildPerAccelerator:
+    """A search builds each accelerator once: the SW-level scan and the
+    pricing of every genome share one cost model per accelerator.  Only
+    the final pricing of the winner builds it again."""
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_msp430_search_builds_twice(self, batched, monkeypatch):
+        builds = []
+        build = InferenceDesign.build
+        monkeypatch.setattr(InferenceDesign, "build",
+                            lambda self: builds.append(self) or build(self))
+        result = _cold_search(zoo.har_cnn(), batched, population_size=16,
+                              generations=10, seed=0)
+        assert result.stats.hw_evaluations > 80
+        assert builds == [InferenceDesign.msp430()] * 2
+
+
+class TestUnmappableCounter:
+    """``mapper.unmappable`` counts each unmappable energy design once,
+    whether one ``optimize`` call or a multi-design ``scan`` searched it,
+    so it reads the same for serial and batched searches."""
+
+    @staticmethod
+    def unmappable(batched):
+        obs_state.enable()
+        try:
+            with obs_state.run_scope("search") as scope:
+                _cold_search(zoo.kws_mlp(), batched, population_size=16,
+                             generations=6, seed=0)
+            return scope.snapshot()["metrics"]["counters"].get(
+                "mapper.unmappable", 0)
+        finally:
+            obs_state.disable()
+            obs_state.reset()
+
+    def test_serial_and_batched_count_alike(self):
+        serial = self.unmappable(False)
+        assert serial == 4
+        assert self.unmappable(True) == serial
 
 
 class TestGroupRerun:

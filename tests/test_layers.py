@@ -55,6 +55,24 @@ class TestConv2D:
         d = conv.dims()
         assert d["K"] * d["C"] * d["R"] * d["S"] * d["Y"] * d["X"] == conv.macs
 
+    def test_dims_are_built_once_and_read_only(self, conv, monkeypatch):
+        """Every ``dims()`` call reads one set of bounds, built on the
+        first call, that no caller can change; a copy can be changed."""
+        builds = []
+        bounds = Conv2D._loop_bounds
+        monkeypatch.setattr(Conv2D, "_loop_bounds",
+                            lambda self: builds.append(self) or bounds(self))
+        dims = conv.dims()
+        assert conv.macs == 16 * 3 * 3 * 3 * 32 * 32
+        assert conv.dims() == dims == {"K": 16, "C": 3, "R": 3, "S": 3,
+                                       "Y": 32, "X": 32}
+        assert builds == [conv]
+        with pytest.raises(TypeError):
+            dims["K"] = 1
+        copy = dict(dims)
+        copy["K"] = 1
+        assert conv.dims()["K"] == 16
+
     def test_data_bytes_scale_with_precision(self):
         int8 = Conv2D("c", in_channels=3, out_channels=4, in_height=8,
                       in_width=8)
