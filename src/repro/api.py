@@ -1,24 +1,24 @@
 """The single-entry evaluation API.
 
-Historically, pricing one design meant choosing between three entry
-points with three calling conventions: :class:`AnalyticalModel`
-(one environment, closed form), :class:`StepSimulator` (hand-built
-controllers), and :class:`ChrysalisEvaluator` (network-level, but mode
-flags and per-call overrides grew organically).  :func:`evaluate` is the
-one front door::
+:func:`evaluate` prices one design on one workload::
 
     from repro import evaluate
 
     report = evaluate(design, "har_cnn", fidelity="step")
     print(report.metrics.e2e_latency)
 
-It resolves workloads by name, scenarios into environment sets, runs
-either fidelity through the exact same code paths the old entry points
-used (results are bit-identical to calling them directly), and returns
-an :class:`EvaluationReport` carrying the averaged metrics, the
-per-environment breakdown, the raw simulation results (step fidelity),
-and — when requested with ``obs=True`` — a self-contained observability
-snapshot of the evaluation.
+It resolves the workload by name and the scenario into an environment
+set, then runs the paper's every-environment rule at the chosen
+fidelity (:mod:`repro.sim.evaluator` holds both forms): the design's
+plan is built once and priced, or step-simulated, in each environment
+up to and including the first infeasible one.  Results are
+bit-identical to :meth:`ChrysalisEvaluator.evaluate` and
+:meth:`ChrysalisEvaluator.simulate` per environment.  The returned
+:class:`EvaluationReport` carries the verdict, the per-environment
+breakdown, the simulation results (step fidelity) and, with
+``obs=True``, a self-contained observability snapshot of the call.
+:func:`evaluate_batch` and :func:`evaluate_many` price many designs at
+analytical fidelity, and :func:`serve` builds the evaluation service.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from repro.hardware.checkpoint import CheckpointModel
 from repro.obs import state as obs_state
 from repro.sim.engine import SimulationResult
 from repro.sim.evaluator import (ChrysalisEvaluator,
-                                 _evaluate_every_environment, _verdict)
+                                 _evaluate_every_environment,
+                                 _simulate_every_environment)
 from repro.sim.metrics import InferenceMetrics
 from repro.workloads import zoo
 from repro.workloads.network import Network
@@ -115,6 +116,28 @@ def _resolve_environments(
     return envs
 
 
+def _by_name(environments: Sequence[LightEnvironment],
+             values: Sequence[Any]) -> Dict[str, Any]:
+    """``values`` keyed by environment name (a later namesake wins)."""
+    return dict(zip([environment.name for environment in environments],
+                    values))
+
+
+def _analytical_reports(designs: Sequence[AuTDesign], network: Network,
+                        envs: Sequence[LightEnvironment],
+                        checkpoint: Optional[CheckpointModel]
+                        ) -> List[EvaluationReport]:
+    """One analytical report per design from one run of the rule, for
+    :func:`evaluate_batch` and :func:`evaluate` (a batch of one)."""
+    return [
+        EvaluationReport(design=design, workload=network.name,
+                         fidelity="analytical", metrics=verdict,
+                         by_environment=_by_name(envs, row))
+        for design, (row, verdict) in zip(designs, _evaluate_every_environment(
+            designs, network, envs, checkpoint))
+    ]
+
+
 def _observed(obs: bool, run: Callable[[], Any], name: str,
               **tags: Any) -> Tuple[Any, Optional[Dict[str, Any]]]:
     """``(run(), snapshot)``: under observability (``obs=True``, or an
@@ -191,41 +214,19 @@ def evaluate(design: AuTDesign,
     envs = _resolve_environments(scenario, environments)
 
     def _run() -> EvaluationReport:
-        simulations: Optional[Dict[str, SimulationResult]] = None
         if fidelity == "analytical":
-            # A batch of one: the rule evaluate_batch prices with.
-            ((row, average),) = _evaluate_every_environment(
-                [design], network, envs, checkpoint)
-        else:
-            evaluator = ChrysalisEvaluator(
-                network, envs,
-                checkpoint=checkpoint,
-                steps_per_tile=steps_per_tile,
-                faults=faults,
-                max_steps=max_steps,
-                time_budget_s=time_budget_s,
-                fast_forward=fast_forward,
-            )
-            simulations = {}
-            row = []
-            for environment in envs:
-                result = evaluator.simulate(design, environment)
-                simulations[environment.name] = result
-                row.append(result.metrics)
-                if not result.metrics.feasible:
-                    # The paper's protocol: one failing environment
-                    # fails the design.
-                    break
-            average = _verdict(row)
+            return _analytical_reports([design], network, envs, checkpoint)[0]
+        evaluator = ChrysalisEvaluator(
+            network, envs, checkpoint=checkpoint,
+            steps_per_tile=steps_per_tile, faults=faults,
+            max_steps=max_steps, time_budget_s=time_budget_s,
+            fast_forward=fast_forward)
+        results, verdict = _simulate_every_environment(evaluator, design)
         return EvaluationReport(
-            design=design,
-            workload=network.name,
-            fidelity=fidelity,
-            metrics=average,
-            by_environment={environment.name: metrics
-                            for environment, metrics in zip(envs, row)},
-            simulations=simulations,
-        )
+            design=design, workload=network.name, fidelity=fidelity,
+            metrics=verdict,
+            by_environment=_by_name(envs, [r.metrics for r in results]),
+            simulations=_by_name(envs, results))
 
     report, report_obs = _observed(obs, _run, "api.evaluate",
                                    workload=network.name, fidelity=fidelity)
@@ -253,9 +254,8 @@ def evaluate_batch(designs: Sequence[AuTDesign],
     fidelity="analytical", ...)`` for the same design — same averaged
     metrics, same per-environment breakdown (environments up to and
     including the first infeasible one), same infeasibility verdicts.
-    The step simulator has no batched form; asking for it is a
-    :class:`ConfigurationError` at :func:`evaluate`'s door, and this
-    function simply does not take a fidelity.
+    The step simulator has no batched form, so this function does not
+    take a fidelity.
 
     Returns one :class:`EvaluationReport` per design, in order; an
     empty design list returns an empty list.
@@ -266,25 +266,9 @@ def evaluate_batch(designs: Sequence[AuTDesign],
     if not designs:
         return []
 
-    def _run() -> List[EvaluationReport]:
-        priced = _evaluate_every_environment(designs, network, envs,
-                                             checkpoint)
-        return [
-            EvaluationReport(
-                design=design,
-                workload=network.name,
-                fidelity="analytical",
-                metrics=verdict,
-                by_environment={environment.name: metrics
-                                for environment, metrics in zip(envs, row)},
-                simulations=None,
-            )
-            for design, (row, verdict) in zip(designs, priced)
-        ]
-
-    reports, snapshot = _observed(obs, _run, "api.evaluate_batch",
-                                  workload=network.name,
-                                  designs=len(designs))
+    reports, snapshot = _observed(
+        obs, lambda: _analytical_reports(designs, network, envs, checkpoint),
+        "api.evaluate_batch", workload=network.name, designs=len(designs))
     for report in reports:
         report.obs = snapshot
     return reports

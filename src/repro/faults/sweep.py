@@ -50,18 +50,20 @@ def run_faults_sweep(design: AuTDesign, network: Network,
                      max_steps: int = 500_000) -> List[FaultSweepCell]:
     """Stress ``design`` across scaled fault intensities.
 
-    A run that raises any :class:`~repro.errors.ChrysalisError` (budget
-    exhaustion included) or reports an infeasible result counts as a
-    non-survivor for its cell rather than aborting the sweep.
+    The plan is built once, before any run, so a design that does not
+    fit ``network`` raises.  Only a run's own errors count against
+    survival: a run that raises a :class:`~repro.errors.ChrysalisError`
+    (budget exhaustion included) or ends infeasible is a non-survivor
+    of its cell rather than aborting the sweep.
     """
     if seeds_per_cell < 1:
         raise ConfigurationError(
             f"seeds_per_cell must be at least 1, got {seeds_per_cell}"
         )
     base = base if base is not None else FaultConfig.stress()
-    evaluator = ChrysalisEvaluator(network, environments=(environment,),
-                                   checkpoint=checkpoint,
-                                   max_steps=max_steps)
+    _, run = ChrysalisEvaluator(
+        network, environments=(environment,), checkpoint=checkpoint,
+        max_steps=max_steps)._planned(design, environment)
     cells: List[FaultSweepCell] = []
     for intensity in intensities:
         config = base.scaled(intensity)
@@ -70,8 +72,7 @@ def run_faults_sweep(design: AuTDesign, network: Network,
         for offset in range(seeds_per_cell):
             injector = FaultInjector(config.with_seed(base.seed + offset))
             try:
-                result = evaluator.simulate(design, environment,
-                                            faults=injector)
+                result = run(environment, faults=injector)
             except ChrysalisError:
                 continue
             reports.append(ResilienceReport.from_simulation(result))

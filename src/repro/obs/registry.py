@@ -161,6 +161,20 @@ def histogram_quantile(data: Mapping, q: float) -> Optional[float]:
 REPORT_QUANTILES = (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
 
 
+def _histogram_dict(histogram: Histogram) -> Dict[str, object]:
+    """JSON-ready form of one histogram, for :meth:`MetricsRegistry.as_dict`
+    and the evaluation service's ``ServeStats.as_dict``."""
+    return {
+        "count": histogram.count,
+        "sum": histogram.sum,
+        "min": None if histogram.count == 0 else histogram.min,
+        "max": None if histogram.count == 0 else histogram.max,
+        **{label: histogram.quantile(q) for label, q in REPORT_QUANTILES},
+        "buckets": {str(index): count
+                    for index, count in sorted(histogram.buckets.items())},
+    }
+
+
 class MetricsRegistry:
     """Interned instruments keyed by name, one namespace per kind."""
 
@@ -200,18 +214,8 @@ class MetricsRegistry:
                          for name, c in sorted(self._counters.items())},
             "gauges": {name: g.value
                        for name, g in sorted(self._gauges.items())},
-            "histograms": {
-                name: {
-                    "count": h.count,
-                    "sum": h.sum,
-                    "min": None if h.count == 0 else h.min,
-                    "max": None if h.count == 0 else h.max,
-                    **{label: h.quantile(q) for label, q in REPORT_QUANTILES},
-                    "buckets": {str(index): count
-                                for index, count in sorted(h.buckets.items())},
-                }
-                for name, h in sorted(self._histograms.items())
-            },
+            "histograms": {name: _histogram_dict(h)
+                           for name, h in sorted(self._histograms.items())},
         }
 
     def merge(self, snapshot: Optional[Dict[str, dict]]) -> None:

@@ -52,7 +52,7 @@ from repro.errors import (ChrysalisError, ConfigurationError,
                           EvaluationTimeout, ServiceClosedError,
                           ServiceOverloadError)
 from repro.hardware.checkpoint import CheckpointModel
-from repro.obs.registry import REPORT_QUANTILES, Histogram
+from repro.obs.registry import Histogram, _histogram_dict
 from repro.serve.keys import request_key
 from repro.workloads.network import Network
 
@@ -91,20 +91,6 @@ class ServeConfig:
             raise ConfigurationError(
                 f"drain_timeout_s must be positive, "
                 f"got {self.drain_timeout_s}")
-
-
-def _histogram_dict(histogram: Histogram) -> Dict[str, Any]:
-    """JSON-ready snapshot of one histogram, same shape the obs
-    registry exports (count/sum/min/max, p50/p90/p99, buckets)."""
-    return {
-        "count": histogram.count,
-        "sum": histogram.sum,
-        "min": None if histogram.count == 0 else histogram.min,
-        "max": None if histogram.count == 0 else histogram.max,
-        **{label: histogram.quantile(q) for label, q in REPORT_QUANTILES},
-        "buckets": {str(index): count
-                    for index, count in sorted(histogram.buckets.items())},
-    }
 
 
 @dataclass

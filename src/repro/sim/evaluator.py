@@ -6,16 +6,18 @@ from the closed-form model (fast; the search inner loop) or from the
 step-based simulator (faithful; validation and final reporting).
 
 The paper averages every search over two solar environments (brighter
-and darker) "to ensure the system is able to run in both environments";
-:func:`_evaluate_every_environment` is the one analytical implementation
-of that protocol, which :meth:`ChrysalisEvaluator.evaluate_average`,
-:func:`repro.api.evaluate` and the search all price through.
+and darker) "to ensure the system is able to run in both environments".
+Its analytical form, :func:`_evaluate_every_environment`, prices the
+search, :func:`repro.api.evaluate_batch` and analytical
+:func:`repro.api.evaluate`; its step form is
+:func:`_simulate_every_environment`.  Both build a design's plan once.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
+from repro.dataflow.cost_model import LayerCost
 from repro.design import AuTDesign
 from repro.energy.controller import EnergyController
 from repro.energy.environment import LightEnvironment
@@ -84,13 +86,14 @@ class ChrysalisEvaluator:
                  environment: LightEnvironment) -> InferenceMetrics:
         """Analytical metrics of ``design`` in one environment, from a
         fresh :class:`~repro.sim.analytical.AnalyticalModel`."""
-        return self._analytical(design, environment).evaluate()
+        return AnalyticalModel(design, self.network, environment,
+                               checkpoint=self.checkpoint).evaluate()
 
     def simulate(self, design: AuTDesign, environment: LightEnvironment,
                  initial_voltage: Optional[float] = None,
                  faults: Optional["FaultInjector"] = None,
                  fast_forward: Optional[bool] = None) -> SimulationResult:
-        """Run the step-based simulator in one environment.
+        """Run the step-based simulator in one environment (a batch of one).
 
         ``initial_voltage`` defaults to the PMIC's on-threshold — the
         steady-state (amortised) semantics the paper's Eq. 7 uses, where
@@ -105,28 +108,8 @@ class ChrysalisEvaluator:
         controls the cycle-skipping fast path; pass ``False`` when the
         complete per-event trace matters more than wall-clock time.
         """
-        model = self._analytical(design, environment)
-        plan = model.plan()
-        harvester = build_harvester(design, environment)
-        if initial_voltage is None:
-            initial_voltage = design.energy.pmic.v_on
-        injector = faults if faults is not None else self.faults
-        energy = EnergyController(
-            harvester=harvester,
-            capacitor=design.energy.build_capacitor(initial_voltage),
-            pmic=design.energy.pmic,
-            faults=injector.fresh() if injector is not None else None,
-        )
-        inference = InferenceController(plan=plan,
-                                        checkpoint=model.checkpoint)
-        if fast_forward is None:
-            fast_forward = self.fast_forward
-        simulator = StepSimulator(energy, inference,
-                                  steps_per_tile=self.steps_per_tile,
-                                  max_steps=self.max_steps,
-                                  time_budget_s=self.time_budget_s,
-                                  fast_forward=fast_forward)
-        return simulator.run()
+        _, run = self._planned(design, environment)
+        return run(environment, initial_voltage, faults, fast_forward)
 
     # -- the paper's two-environment protocol -------------------------------------
 
@@ -150,10 +133,34 @@ class ChrysalisEvaluator:
 
     # -- internals ------------------------------------------------------------------
 
-    def _analytical(self, design: AuTDesign,
-                    environment: LightEnvironment) -> AnalyticalModel:
-        return AnalyticalModel(design, self.network, environment,
-                               checkpoint=self.checkpoint)
+    def _planned(self, design: AuTDesign, environment: LightEnvironment
+                 ) -> Tuple[List[LayerCost], Callable[..., SimulationResult]]:
+        """``design``'s plan, built once on a model bound to ``environment``
+        (the plan does not depend on the light), and a function that runs
+        one :class:`StepSimulator` on it per call, in the environment it
+        is given, with :meth:`simulate`'s arguments and defaults."""
+        model = AnalyticalModel(design, self.network, environment,
+                                checkpoint=self.checkpoint)
+        plan = model.plan()
+
+        def run(environment, initial_voltage=None, faults=None,
+                fast_forward=None) -> SimulationResult:
+            if initial_voltage is None:
+                initial_voltage = design.energy.pmic.v_on
+            injector = faults if faults is not None else self.faults
+            energy = EnergyController(
+                harvester=build_harvester(design, environment),
+                capacitor=design.energy.build_capacitor(initial_voltage),
+                pmic=design.energy.pmic,
+                faults=injector.fresh() if injector is not None else None)
+            return StepSimulator(
+                energy, InferenceController(plan, model.checkpoint),
+                steps_per_tile=self.steps_per_tile, max_steps=self.max_steps,
+                time_budget_s=self.time_budget_s,
+                fast_forward=(self.fast_forward if fast_forward is None
+                              else fast_forward)).run()
+
+        return plan, run
 
 
 def _average_metrics(results: Sequence[InferenceMetrics]) -> InferenceMetrics:
@@ -229,3 +236,19 @@ def _evaluate_every_environment(
                     feasible.append(i)
             live = feasible
     return [(row, _verdict(row)) for row in rows]
+
+
+def _simulate_every_environment(
+    evaluator: ChrysalisEvaluator, design: AuTDesign,
+) -> Tuple[List[SimulationResult], InferenceMetrics]:
+    """The every-environment rule for one design at step fidelity: one
+    plan (:meth:`ChrysalisEvaluator._planned`), step-simulated in each of
+    ``evaluator``'s environments up to and including the first infeasible
+    one.  Returns those simulations and their :func:`_verdict`."""
+    _, run = evaluator._planned(design, evaluator.environments[0])
+    results: List[SimulationResult] = []
+    for environment in evaluator.environments:
+        results.append(run(environment))
+        if not results[-1].metrics.feasible:
+            break
+    return results, _verdict([result.metrics for result in results])

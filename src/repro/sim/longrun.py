@@ -11,7 +11,7 @@ To stay fast at day scale, each inference is priced by the analytical
 model at the hour's actual ``k_eh`` (re-using the closed forms the
 searches trust), and the day is advanced inference by inference —
 charging through the night is handled by the capacitor's closed-form
-charge time at each hour's harvest.
+charge time at each hour's harvest.  The design's plan is built once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from typing import Dict, List, Optional
 from repro.design import AuTDesign
 from repro.energy.environment import LightEnvironment
 from repro.hardware.checkpoint import CheckpointModel
-from repro.sim.analytical import AnalyticalModel
+from repro.sim.analytical import CycleBudget, PlanTotals, price_plan
+from repro.sim.evaluator import ChrysalisEvaluator
 from repro.workloads.network import Network
 
 _SECONDS_PER_DAY = 24 * 3600.0
@@ -93,6 +94,10 @@ def simulate_day(design: AuTDesign, network: Network,
     completions: List[float] = []
     t = start_hour * 3600.0
     count = 0
+    plan, run = ChrysalisEvaluator(
+        network, (environment,), checkpoint=checkpoint,
+    )._planned(design, environment)
+    totals = PlanTotals.of(plan)
 
     # Cache the per-hour evaluation: k_eh is constant within the hour.
     period_by_hour: Dict[int, float] = {}
@@ -105,15 +110,10 @@ def simulate_day(design: AuTDesign, network: Network,
             else:
                 frozen = _environment_with_k(environment, k_eh)
                 if use_step:
-                    from repro.sim.evaluator import ChrysalisEvaluator
-                    evaluator = ChrysalisEvaluator(
-                        network, environments=(frozen,),
-                        checkpoint=checkpoint)
-                    metrics = evaluator.simulate(design, frozen).metrics
+                    metrics = run(frozen).metrics
                 else:
-                    model = AnalyticalModel(design, network, frozen,
-                                            checkpoint=checkpoint)
-                    metrics = model.evaluate()
+                    metrics = price_plan(
+                        totals, CycleBudget.of(design.energy, frozen))
                 period_by_hour[hour] = (
                     metrics.sustained_period if metrics.feasible
                     else math.inf)

@@ -15,10 +15,13 @@ from repro.api import (FIDELITIES, EvalRequest, EvaluationReport, evaluate,
                        evaluate_batch, evaluate_many, serve)
 from repro.core.chrysalis import Chrysalis
 from repro.core.scenarios import scenario_by_name
+from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
 from repro.errors import ConfigurationError
 from repro.obs import state as obs_state
+from repro.sim.engine import StepSimulator
 from repro.sim.evaluator import ChrysalisEvaluator, _verdict
+from repro.units import uF
 from repro.workloads import zoo
 
 
@@ -96,13 +99,30 @@ class TestResolution:
         with pytest.raises(ConfigurationError, match="fidelity"):
             evaluate(msp_design, har_network, fidelity="spice")
 
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
     def test_infeasible_environment_short_circuits(
-            self, har_network, msp_design):
-        dark = LightEnvironment.indoor()
-        report = evaluate(msp_design, har_network,
-                          environments=(dark,), fidelity="analytical")
-        if not report.feasible:  # tiny panel indoors: expected path
-            assert report.metrics is report.by_environment[dark.name]
+            self, har_network, fidelity, monkeypatch):
+        # 1 cm² and 10 µF cannot bank one whole-layer tile in indoor
+        # light (Eq. 8), so the brighter environment is never priced.
+        design = AuTDesign.with_default_mappings(
+            EnergyDesign(panel_area_cm2=1.0, capacitance_f=uF(10)),
+            InferenceDesign.msp430(), har_network, n_tiles=1)
+        indoor = LightEnvironment.indoor()
+        runs = []
+        run = StepSimulator.run
+        monkeypatch.setattr(StepSimulator, "run",
+                            lambda self: runs.append(self) or run(self))
+        report = evaluate(design, har_network, fidelity=fidelity,
+                          environments=(indoor, LightEnvironment.brighter()))
+        assert not report.feasible
+        assert list(report.by_environment) == [indoor.name]
+        assert report.metrics is report.by_environment[indoor.name]
+        if fidelity == "step":
+            assert list(report.simulations) == [indoor.name]
+            assert len(runs) == 1
+            assert report.metrics is report.simulations[indoor.name].metrics
+        else:
+            assert report.simulations is None and not runs
 
 
 class TestEnvironmentSets:

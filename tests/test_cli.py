@@ -83,6 +83,19 @@ class TestSimulate:
         assert code in (1, 2)
 
 
+class TestFaultsSweep:
+    def test_one_row_per_intensity(self, capsys):
+        code = main(["faults-sweep", "har", "--environment", "brighter",
+                     "--cap", "470", "--intensities", "0", "1",
+                     "--seeds-per-cell", "2"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.split()[:2] == ["intensity", "survival"])
+        rows = lines[header + 2:]
+        assert [float(row.split()[0]) for row in rows] == [0.0, 1.0]
+
+
 class TestSerializationFlow:
     def test_search_writes_and_simulate_reloads(self, tmp_path, capsys):
         design_path = tmp_path / "design.json"

@@ -4,10 +4,13 @@ import itertools
 
 import pytest
 
+from repro.api import evaluate
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
 from repro.errors import ConfigurationError
+from repro.faults import run_faults_sweep
 from repro.sim.evaluator import ChrysalisEvaluator, _verdict
+from repro.sim.longrun import simulate_day
 from repro.units import uF
 from repro.workloads import zoo
 
@@ -112,6 +115,38 @@ class TestTwoEnvironmentProtocol:
     def test_empty_environments_rejected(self, network):
         with pytest.raises(ConfigurationError):
             ChrysalisEvaluator(network, environments=[])
+
+
+class TestOnePlanPerDesign:
+    """Every step caller builds a design's accelerator and plan once,
+    however many environments, fault seeds or hours it runs: the plan
+    does not depend on the light."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        builds = []
+        build = InferenceDesign.build
+        monkeypatch.setattr(InferenceDesign, "build",
+                            lambda self: builds.append(self) or build(self))
+        return builds
+
+    def test_step_evaluate_of_the_paper_pair(self, network, design, builds):
+        report = evaluate(design, network, fidelity="step")
+        assert report.feasible and len(report.simulations) == 2
+        assert builds == [design.inference]
+
+    def test_default_faults_sweep(self, network, design, builds):
+        cells = run_faults_sweep(design, network,
+                                 LightEnvironment.brighter())
+        assert [cell.runs for cell in cells] == [3] * 4
+        assert builds == [design.inference]
+
+    @pytest.mark.parametrize("use_step", [False, True])
+    def test_day(self, network, design, builds, use_step):
+        day = simulate_day(design, network, LightEnvironment.brighter(),
+                           use_step=use_step)
+        assert day.active_hours > 1
+        assert builds == [design.inference]
 
 
 class TestAnalyticalVsStep:

@@ -16,7 +16,8 @@ import pytest
 
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
-from repro.errors import EvaluationTimeout, FaultInjectionError
+from repro.errors import (ConfigurationError, EvaluationTimeout,
+                          FaultInjectionError)
 from repro.faults import (
     FaultConfig,
     FaultInjector,
@@ -235,3 +236,15 @@ class TestFaultsSweep:
         text = render_faults_sweep(cells)
         assert "intensity" in text and "survival" in text
         assert len(text.splitlines()) == 2 + len(cells)
+
+    def test_design_that_does_not_fit_the_network_raises(self):
+        # A har design (5 mappings) on cifar10 (10 layers) is a
+        # configuration error, as evaluate() and simulate_day() say: not
+        # a run that failed under faults, so no 0%-survival cells.
+        har, cifar = zoo.har_cnn(), zoo.cifar10_cnn()
+        design = AuTDesign.with_default_mappings(
+            EnergyDesign(panel_area_cm2=8.0, capacitance_f=uF(470)),
+            InferenceDesign.msp430(), har, n_tiles=1)
+        with pytest.raises(ConfigurationError, match="5 mappings"):
+            run_faults_sweep(design, cifar, LightEnvironment.brighter(),
+                             intensities=(0.0, 1.0), seeds_per_cell=1)

@@ -21,7 +21,8 @@ from repro.energy.environment import LightEnvironment
 from repro.errors import (ConfigurationError, EvaluationTimeout,
                           InfeasibleDesignError, ServiceClosedError,
                           ServiceOverloadError)
-from repro.serve import EvaluationService, ServeConfig, request_key
+from repro.obs.registry import MetricsRegistry
+from repro.serve import EvaluationService, ServeConfig, ServeStats, request_key
 from repro.units import uF
 from repro.workloads import zoo
 
@@ -449,3 +450,33 @@ def test_evaluate_many_empty_and_obs(har_designs):
                             obs=True)
     assert reports[0].obs is not None
     assert "spans" in reports[0].obs
+
+
+# ---------------------------------------------------------------------------
+# stats export: the form perfbench's serve host reads
+# ---------------------------------------------------------------------------
+
+
+def test_stats_export_matches_the_registry_form():
+    stats = ServeStats(requests=5, coalesced=2, evaluated=3, batches=2,
+                       shed=1, timeouts=0, failures=1)
+    registry = MetricsRegistry()
+    for value in (0.0, 2e-4, 3e-3, 3e-3, 0.75):
+        stats.latency_seconds.observe(value)
+        registry.histogram("serve.request_seconds").observe(value)
+    for value in (1.0, 4.0):
+        stats.batch_occupancy.observe(value)
+        registry.histogram("serve.batch_occupancy").observe(value)
+    registry.histogram("serve.queue_wait_seconds")  # never observed
+    histograms = registry.as_dict()["histograms"]
+    assert stats.as_dict() == {
+        "requests": 5, "coalesced": 2, "evaluated": 3, "batches": 2,
+        "shed": 1, "timeouts": 0, "failures": 1, "coalesce_rate": 0.4,
+        "latency_seconds": histograms["serve.request_seconds"],
+        "queue_wait_seconds": histograms["serve.queue_wait_seconds"],
+        "batch_occupancy": histograms["serve.batch_occupancy"],
+    }
+    assert histograms["serve.queue_wait_seconds"] == {
+        "count": 0, "sum": 0.0, "min": None, "max": None,
+        "p50": None, "p90": None, "p99": None, "buckets": {}}
+    assert histograms["serve.request_seconds"]["count"] == 5
