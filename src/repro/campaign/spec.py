@@ -183,20 +183,20 @@ class RunKey:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunKey":
-        try:
-            return cls(
-                workload=str(data["workload"]),
-                setup=str(data["setup"]),
-                environment=str(data["environment"]),
-                objective=ObjectiveSpec.from_dict(data["objective"]),
-                seed=int(data["seed"]),
-                population=int(data["population"]),
-                generations=int(data["generations"]),
-                candidate_time_budget_s=data.get("candidate_time_budget_s"),
-            )
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"run-key record is missing field {missing}") from None
+        record = "run-key record"
+        return cls(
+            workload=_config_field(record, data, "workload", str),
+            setup=_config_field(record, data, "setup", str),
+            environment=_config_field(record, data, "environment", str),
+            objective=_config_field(record, data, "objective",
+                                    ObjectiveSpec.from_dict),
+            seed=_config_field(record, data, "seed", int),
+            population=_config_field(record, data, "population", int),
+            generations=_config_field(record, data, "generations", int),
+            candidate_time_budget_s=_config_field(
+                record, data, "candidate_time_budget_s", _optional_number,
+                default=None),
+        )
 
     @property
     def run_hash(self) -> str:
@@ -435,6 +435,14 @@ def _strings(values: Any) -> Tuple[str, ...]:
 
 def _optional_float(value: Any) -> Optional[float]:
     return None if value is None else float(value)
+
+
+def _optional_number(value: Any) -> Optional[float]:
+    """``value`` itself if it is ``None`` or a JSON number: a stored run
+    key must hash as it was written, so ``5`` must not become ``5.0``."""
+    if value is None or type(value) in (int, float):
+        return value
+    raise TypeError(f"expected a number or null, got {value!r}")
 
 
 def _reject_unknown_keys(data: Mapping[str, Any], known: frozenset,

@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.campaign.spec import RunKey
-from repro.errors import StoreError
+from repro.errors import ConfigurationError, StoreError
 from repro.explore.pareto import ParetoPoint, pareto_front
 from repro.obs.state import OBS
 
@@ -220,6 +220,25 @@ def _decode(row: sqlite3.Row, column: str, default: Any = None) -> Any:
     except (TypeError, ValueError) as error:
         raise StoreError(f"run {row['run_hash']} has an unreadable "
                          f"{column}: {error}") from None
+
+
+def _run_key(row: sqlite3.Row) -> RunKey:
+    """A row's ``spec_json``, read back into its :class:`RunKey`."""
+    try:
+        return RunKey.from_dict(_decode(row, "spec_json"))
+    except ConfigurationError as error:
+        raise StoreError(f"run {row['run_hash']} has an unreadable "
+                         f"spec_json: {error}") from None
+
+
+def _attempts(row: sqlite3.Row) -> List[Dict[str, Any]]:
+    """A row's ``attempts_json`` audit trail, which must be a list."""
+    history = _decode(row, "attempts_json", [])
+    if not isinstance(history, list):
+        raise StoreError(f"run {row['run_hash']} has an unreadable "
+                         f"attempts_json: expected a list, got "
+                         f"{type(history).__name__}")
+    return history
 
 
 def _is_locked(error: sqlite3.Error) -> bool:
@@ -498,8 +517,7 @@ class ResultStore:
                 "lease_owner, lease_deadline FROM runs WHERE run_hash=?",
                 (key.run_hash,)).fetchone()
             attempts = 1 if row is None else max(row["attempts"], 1)
-            history = ([] if row is None
-                       else _decode(row, "attempts_json", []))
+            history = [] if row is None else _attempts(row)
             if worker_id is not None and row is not None:
                 holder = row["lease_owner"]
                 deadline = row["lease_deadline"]
@@ -596,7 +614,7 @@ class ResultStore:
         def body() -> Optional[str]:
             row = self._conn.execute(
                 "SELECT run_hash, status, lease_owner, attempts, "
-                "attempts_json FROM runs WHERE campaign=? AND ("
+                "attempts_json, spec_json FROM runs WHERE campaign=? AND ("
                 "status=? "
                 "OR (status=? AND (? IS NULL OR attempts<?) "
                 "    AND (retry_at IS NULL OR retry_at<=?)) "
@@ -610,7 +628,8 @@ class ResultStore:
                  now)).fetchone()
             if row is None:
                 return None
-            history = _decode(row, "attempts_json", [])
+            _run_key(row)  # lease only a run its claimant can read back
+            history = _attempts(row)
             if row["status"] == STATUS_RUNNING:
                 # Taking over an expired lease: audit the loss.
                 history.append({"attempt": row["attempts"],
@@ -693,7 +712,7 @@ class ResultStore:
                 params.append(campaign)
             reaped = []
             for row in self._conn.execute(sql, params).fetchall():
-                history = _decode(row, "attempts_json", [])
+                history = _attempts(row)
                 history.append({"attempt": row["attempts"],
                                 "worker": row["lease_owner"],
                                 "outcome": OUTCOME_LOST, "at": now})
@@ -880,16 +899,10 @@ class ResultStore:
     # -- row decoding --------------------------------------------------------
 
     def _to_stored(self, row: sqlite3.Row) -> StoredRun:
-        try:
-            key = RunKey.from_dict(_decode(row, "spec_json"))
-        except TypeError as error:
-            raise StoreError(
-                f"run {row['run_hash']} has an unreadable spec: {error}"
-            ) from None
         return StoredRun(
             run_hash=row["run_hash"],
             campaign=row["campaign"],
-            key=key,
+            key=_run_key(row),
             status=row["status"],
             score=row["score"],
             panel_cm2=row["panel_cm2"],
@@ -905,6 +918,6 @@ class ResultStore:
             lease_owner=row["lease_owner"],
             lease_deadline=row["lease_deadline"],
             retry_at=row["retry_at"],
-            attempt_history=_decode(row, "attempts_json", []),
+            attempt_history=_attempts(row),
             front=_decode(row, "front_json"),
         )

@@ -499,6 +499,10 @@ def _serve_design_pool(args: argparse.Namespace,
 
 
 def _serve_bench(args: argparse.Namespace) -> int:
+    for flag, value in (("--requests", args.requests),
+                        ("--concurrency", args.concurrency)):
+        if value < 1:
+            raise ChrysalisError(f"{flag} must be at least 1, got {value}")
     network = zoo.workload_by_name(args.workload)
     designs = _serve_design_pool(args, network)
     latencies: List[float] = []
@@ -760,8 +764,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "repeats of the same design coalesce "
                              "server-side")
     sbench.add_argument("--environment", default="paper",
-                        help="environment label (paper, brighter, "
-                             "darker, indoor, scenario:<name>)")
+                        help="any environment label the server's "
+                             "registry resolves: a preset, "
+                             "scenario:<name>, or a registered or "
+                             "generated trace label")
     sbench.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="per-request deadline")

@@ -9,7 +9,9 @@ module is now the single resolution path (mirroring
 ``workload_by_name`` in the zoo): every environment label used by
 :func:`repro.api.evaluate`, :func:`repro.api.evaluate_batch`, the serve
 layer, :class:`~repro.campaign.spec.CampaignSpec` and the CLI goes
-through :func:`environment_by_name`.
+through :func:`environment_by_name`.  As the zoo builds each network
+once, the registry builds each label's environments once, when the
+label is registered, and every lookup returns that same tuple.
 
 A label resolves, in order, to:
 
@@ -224,8 +226,9 @@ _BUILDERS = {
 GENERATED_KINDS = ("diurnal", "cloudy", "schedule", "trickle")
 
 #: Most scenarios one generator expands into.  Expansion registers
-#: every scenario eagerly (about 0.25 ms each), so an unbounded count
-#: read from a campaign spec would hang the process that loads it.
+#: every scenario eagerly (about 0.25 ms each), and the registry keeps
+#: each one's environments (about 4 KB), so an unbounded count read
+#: from a campaign spec would hang the process that loads it.
 _MAX_GENERATED = 10_000
 
 
@@ -235,19 +238,21 @@ _MAX_GENERATED = 10_000
 
 
 _REGISTRY: Dict[str, EnvironmentSpec] = {}
+#: Each registered label's environments, built once at registration.
+_BUILT: Dict[str, Tuple[Environment, ...]] = {}
 
 
 def register_environment(spec: EnvironmentSpec) -> EnvironmentSpec:
     """Register a spec under its name; returns the registered spec.
 
-    Registration is idempotent for identical content, but re-using a
-    name for *different* content is an error: the serve layer memoizes
-    resolved environment sets per label, so a silently rebound label
-    would serve stale environments.  Generated labels embed a content
-    hash of their parameters, making collisions impossible by
-    construction.
+    The spec is built once, here, which also validates it: a registered
+    label must resolve.  Registration is idempotent for identical
+    content and builds nothing then, but re-using a name for
+    *different* content is an error: the registry keeps each label's
+    built environments, so a silently rebound label would resolve to
+    stale ones.  Generated labels embed a content hash of their
+    parameters, making collisions impossible by construction.
     """
-    spec.build()  # validate eagerly: a registered label must resolve
     existing = _REGISTRY.get(spec.name)
     if existing is not None:
         if existing == spec:
@@ -255,6 +260,7 @@ def register_environment(spec: EnvironmentSpec) -> EnvironmentSpec:
         raise ConfigurationError(
             f"environment {spec.name!r} is already registered with "
             f"different content")
+    _BUILT[spec.name] = spec.build()
     _REGISTRY[spec.name] = spec
     return spec
 
@@ -274,13 +280,15 @@ def environment_by_name(label: str) -> Tuple[Environment, ...]:
 
     The single resolution path of the library (mirrors
     ``zoo.workload_by_name``): registered specs first, then
-    ``scenario:<name>`` scenario sets, then bare scenario names.
-    Raises :class:`~repro.errors.ConfigurationError` for unknown
-    labels, listing what is available.
+    ``scenario:<name>`` scenario sets, then bare scenario names.  A
+    label returns the same tuple on every call; every environment is a
+    frozen dataclass, so callers share it.  Raises
+    :class:`~repro.errors.ConfigurationError` for unknown labels,
+    listing what is available.
     """
-    spec = _REGISTRY.get(label)
-    if spec is not None:
-        return spec.build()
+    environments = _BUILT.get(label)
+    if environments is not None:
+        return environments
     if label.startswith(SCENARIO_PREFIX):
         return tuple(scenario_by_name(label[len(SCENARIO_PREFIX):])
                      .environments)

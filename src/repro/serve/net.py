@@ -12,8 +12,9 @@ Request line::
      "environment": "paper", "fidelity": "analytical",
      "deadline_s": 2.0}
 
-``environment`` is a campaign-style label (``"paper"``, ``"brighter"``,
-``"darker"``, ``"indoor"``, or ``"scenario:<name>"``); ``fidelity`` and
+``environment`` is any label the server's registry resolves (a preset
+such as ``"paper"``, ``"scenario:<name>"``, or a registered or
+generated trace label) and defaults to ``"paper"``; ``fidelity`` and
 ``deadline_s`` are optional.  Response line::
 
     {"id": 7, "ok": true, "report": {"workload": ..., "fidelity": ...,
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro import errors as errors_module
-from repro.environments import environment_by_name
 from repro.errors import ChrysalisError, ServeError, ServiceClosedError
 from repro.sim.metrics import InferenceMetrics
 from repro.serialize import design_from_dict, design_to_dict, \
@@ -163,11 +163,9 @@ class ServeServer:
 
     async def _respond(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         design = design_from_dict(payload["design"])
-        environments = environment_by_name(
-            payload.get("environment", "paper"))
         report = await self.service.submit(
             design, payload["workload"],
-            environments=environments,
+            scenario=payload.get("environment", "paper"),
             fidelity=payload.get("fidelity", "analytical"),
             deadline_s=payload.get("deadline_s"))
         return {
@@ -245,7 +243,11 @@ class ServeClient:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServeClient":
-        reader, writer = await asyncio.open_connection(host, port)
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+        except OSError as exc:  # refused, unreachable, unknown host
+            raise ServiceClosedError(
+                f"cannot connect to {host}:{port}: {exc}") from None
         return cls(reader, writer)
 
     async def __aenter__(self) -> "ServeClient":

@@ -213,7 +213,6 @@ class EvaluationService:
         self._evaluate_batch_fn = evaluate_batch_fn
         self._time_fn = time_fn
         self._networks: Dict[str, Network] = {}
-        self._env_sets: Dict[Any, Tuple[LightEnvironment, ...]] = {}
         self._keys: Dict[tuple, tuple] = {}
         self._inflight: Dict[str, _Pending] = {}
         self._queue: Optional[asyncio.Queue] = None
@@ -307,7 +306,7 @@ class EvaluationService:
                 f"unknown fidelity {fidelity!r}; expected one of "
                 f"{FIDELITIES}")
         network = self._resolve_workload(workload)
-        envs = self._resolve_environments(scenario, environments)
+        envs = _resolve_environments(scenario, environments)
         key, group = self._keys_for(design, network, envs, fidelity,
                                     checkpoint)
         if deadline_s is None:
@@ -374,21 +373,6 @@ class EvaluationService:
         """Interned workload resolution (a zoo name resolves to one
         Network per name already)."""
         return self._intern(_resolve_workload(workload))
-
-    def _resolve_environments(self, scenario: Any,
-                              environments: Optional[
-                                  Sequence[LightEnvironment]]
-                              ) -> Tuple[LightEnvironment, ...]:
-        """Memoized scenario-to-environment resolution for the common
-        by-name (or default) request shape."""
-        if environments is None and (scenario is None
-                                     or isinstance(scenario, str)):
-            envs = self._env_sets.get(scenario)
-            if envs is None:
-                envs = tuple(_resolve_environments(scenario, None))
-                self._env_sets[scenario] = envs
-            return envs
-        return tuple(_resolve_environments(scenario, environments))
 
     def _keys_for(self, design: AuTDesign, network: Network,
                   envs: Tuple[LightEnvironment, ...], fidelity: str,

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import asyncio
+import threading
+
 import pytest
 
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
+from repro.environments import EnvironmentSpec
 from repro.explore.mapper_search import clear_mapper_memo
 from repro.hardware.accelerators import AcceleratorFamily
+from repro.serve import EvaluationService, ServeServer
 from repro.units import uF
 from repro.workloads import zoo
 
@@ -72,3 +77,45 @@ def tpu_design(cifar_network):
                                 cache_bytes_per_pe=512)
     return AuTDesign.with_default_mappings(energy, inference, cifar_network,
                                            n_tiles=2)
+
+
+@pytest.fixture
+def spec_builds(monkeypatch):
+    """Names of the :class:`EnvironmentSpec` objects built during a test,
+    one entry per ``EnvironmentSpec.build`` call."""
+    names = []
+    build = EnvironmentSpec.build
+
+    def counted(spec):
+        names.append(spec.name)
+        return build(spec)
+
+    monkeypatch.setattr(EnvironmentSpec, "build", counted)
+    return names
+
+
+@pytest.fixture(scope="module")
+def server_address():
+    """One service and server on a background event loop; yields the
+    server's ``(host, port)``."""
+    loop = asyncio.new_event_loop()
+    started = threading.Event()
+    state = {}
+
+    async def serve():
+        service = EvaluationService()
+        async with service, ServeServer(service) as server:
+            state["address"] = server.address
+            state["stop"] = asyncio.Event()
+            started.set()
+            await state["stop"].wait()
+
+    thread = threading.Thread(target=loop.run_until_complete,
+                              args=(serve(),))
+    thread.start()
+    assert started.wait(10.0)
+    yield state["address"]
+    loop.call_soon_threadsafe(state["stop"].set)
+    thread.join(10.0)
+    assert not thread.is_alive()
+    loop.close()

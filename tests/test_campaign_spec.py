@@ -89,6 +89,14 @@ class TestRunKey:
         assert RunKey.from_dict(json.loads(
             json.dumps(key.as_dict()))) == key
 
+    @pytest.mark.parametrize("budget", [None, 5, 2.5])
+    def test_read_back_key_keeps_its_run_hash(self, budget):
+        # A worker records a claimed run under the hash of the key it
+        # read back, so an integer budget must not come back as a float.
+        key = self._key(candidate_time_budget_s=budget)
+        back = RunKey.from_dict(json.loads(json.dumps(key.as_dict())))
+        assert back.run_hash == key.run_hash
+
     def test_resolve_environments(self):
         # A key's label resolves through the registry, as the runner
         # and the fleet resolve it.

@@ -1,5 +1,6 @@
 """Tests for the SQLite campaign result store."""
 
+import json
 import multiprocessing
 import sqlite3
 import time
@@ -310,6 +311,63 @@ def _truncate(path, run_hash, column, text=None):
                      (text, run_hash))
     conn.commit()
     conn.close()
+
+
+def _spec_text(drop=(), **changes):
+    """``spec_json`` text of ``make_key()`` without the ``drop`` fields
+    and with ``changes`` applied."""
+    spec = {name: value for name, value in make_key().as_dict().items()
+            if name not in drop}
+    spec.update(changes)
+    return json.dumps(spec)
+
+
+class TestWrongShapedRows:
+    """JSON that decodes to the wrong shape is a StoreError naming the
+    run and column from every reader of that column, and a transaction
+    that meets it leaves the row as it was."""
+
+    @pytest.mark.parametrize("column, text", [
+        pytest.param("spec_json", _spec_text(seed="x"),
+                     id="seed-not-an-integer"),
+        pytest.param("spec_json", _spec_text(drop=("setup",)),
+                     id="missing-field"),
+        pytest.param("spec_json", _spec_text(objective={"kind": "wat"}),
+                     id="unknown-objective-kind"),
+        pytest.param("spec_json", _spec_text(candidate_time_budget_s="soon"),
+                     id="non-numeric-budget"),
+        pytest.param("attempts_json", "{}", id="attempts-object"),
+        pytest.param("attempts_json", "5", id="attempts-number"),
+        pytest.param("attempts_json", '"x"', id="attempts-string"),
+    ])
+    def test_every_reader_raises_store_error(self, tmp_path, column, text):
+        path = tmp_path / "camp.sqlite"
+        key = make_key()
+        with ResultStore(path) as store:
+            store.register("camp", [key])
+            store.claim("camp", "w1", ttl_s=10.0, now=0.0)
+        _truncate(path, key.run_hash, column, text=text)
+        readers = [lambda store: store.get(key.run_hash),
+                   lambda store: store.runs(),
+                   lambda store: store.claim("camp", "w2", now=100.0)]
+        if column == "attempts_json":
+            readers += [
+                lambda store: store.reap_stale(now=100.0),
+                lambda store: store.record_success(
+                    key, score=1.0, panel_cm2=4.0, latency_s=1.0,
+                    solution=SOLUTION, campaign="camp"),
+                lambda store: store.record_failure(key, "boom",
+                                                   campaign="camp"),
+            ]
+        with ResultStore(path) as store:
+            before = [tuple(row) for row in
+                      store._conn.execute("SELECT * FROM runs")]
+            for read in readers:
+                with pytest.raises(StoreError,
+                                   match=f"{key.run_hash}.*{column}"):
+                    read(store)
+            assert [tuple(row) for row in
+                    store._conn.execute("SELECT * FROM runs")] == before
 
 
 class TestCorruptRows:

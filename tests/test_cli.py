@@ -1,8 +1,19 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import select
+import signal
+import socket
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+from repro.environments import ScenarioGenerator
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestWorkloads:
@@ -94,6 +105,66 @@ class TestFaultsSweep:
                       if line.split()[:2] == ["intensity", "survival"])
         rows = lines[header + 2:]
         assert [float(row.split()[0]) for row in rows] == [0.0, 1.0]
+
+
+def _closed_port():
+    """A local port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestServe:
+    def test_bench_prints_one_summary_per_environment(self, server_address,
+                                                      capsys):
+        # The server shares this process's registry, so a generated
+        # trace label resolves there as it does here.
+        (label,) = ScenarioGenerator(name="cli-serve-bench", seed=1,
+                                     count=1, families=("cloudy",)).expand()
+        for environment in (label, "paper"):
+            code = main(["serve", "bench", "har",
+                         "--port", str(server_address[1]),
+                         "--requests", "16", "--environment", environment])
+            assert code == 0
+            (line,) = capsys.readouterr().out.splitlines()
+            assert line.startswith("16 request(s) over ")
+
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--concurrency", "0"],
+                     "--concurrency must be at least 1", id="concurrency-0"),
+        pytest.param(["--concurrency", "-1"],
+                     "--concurrency must be at least 1", id="concurrency-1"),
+        pytest.param(["--requests", "0"], "--requests must be at least 1",
+                     id="requests-0"),
+        pytest.param([], "cannot connect", id="no-server"),
+    ])
+    def test_bench_bad_input_prints_an_error(self, capsys, flags, message):
+        code = main(["serve", "bench", "har", "--port", str(_closed_port()),
+                     *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_run_serves_bench_traffic_until_interrupted(self):
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "run", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+        try:
+            assert select.select([server.stdout], [], [], 30.0)[0], \
+                "serve run printed no banner within 30 s"
+            banner = server.stdout.readline()
+            port = banner.split("listening on ")[1].split()[0].split(":")[1]
+            assert main(["serve", "bench", "har", "--port", port,
+                         "--requests", "8"]) == 0
+            server.send_signal(signal.SIGINT)
+            out, err = server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+        assert server.returncode == 0, err
+        assert "served 8 request(s)" in out
 
 
 class TestSerializationFlow:

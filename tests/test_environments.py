@@ -102,6 +102,35 @@ class TestRegistration:
         assert back.content_hash == spec.content_hash
 
 
+class TestBuiltOnce:
+    """A label's environments are built once, when it is registered, as
+    the zoo builds each network once."""
+
+    def test_a_label_resolves_to_the_same_tuple(self):
+        (label,) = ScenarioGenerator(name="same-tuple", seed=4,
+                                     count=1).expand()
+        for name in ("paper", label):
+            assert environment_by_name(name) is environment_by_name(name)
+
+    def test_identical_reregistration_builds_nothing(self, spec_builds):
+        register_environment(EnvironmentSpec.create(
+            "test:built-once", "cloudy", sigma=0.3, seed=3))
+        spec_builds.clear()
+        register_environment(EnvironmentSpec.create(
+            "test:built-once", "cloudy", sigma=0.3, seed=3))
+        assert spec_builds == []
+
+    def test_second_campaign_expand_builds_nothing(self, spec_builds):
+        spec = CampaignSpec(
+            name="built-once", workloads=("har",),
+            objectives=(ObjectiveSpec(kind="lat*sp"),), environments=(),
+            generator=ScenarioGenerator(name="built-once", seed=9, count=4))
+        keys = spec.expand()
+        spec_builds.clear()
+        assert spec.expand() == keys
+        assert spec_builds == []
+
+
 class TestScenarioGenerator:
     def test_expands_to_at_least_100_resolvable_scenarios(self):
         gen = ScenarioGenerator(name="big", seed=5, count=120)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
-import threading
 import time
 
 import pytest
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.api import evaluate, evaluate_batch
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
+from repro.environments import ScenarioGenerator
 from repro.errors import ConfigurationError, ServeError
 from repro.serve import EvaluationService, ServeClient, ServeServer
 from repro.serialize import design_to_dict
@@ -117,6 +117,26 @@ def test_remote_errors_map_back_to_library_types(designs):
                                        fidelity="analytical").feasible
 
 
+def test_trace_label_requests_build_no_environments(designs, spec_builds):
+    (label,) = ScenarioGenerator(name="net-built-once", seed=3, count=1,
+                                 families=("cloudy",)).expand()
+    spec_builds.clear()
+
+    async def scenario(service, host, port):
+        async with await ServeClient.connect(host, port) as client:
+            return await asyncio.gather(*[
+                client.evaluate(designs[index % len(designs)], "har",
+                                environment=label)
+                for index in range(8)])
+
+    remote = _run_with_server(scenario)
+    assert spec_builds == []
+    local = evaluate(designs[0], "har", scenario=label,
+                     fidelity="analytical")
+    assert remote[0].metrics == local.metrics
+    assert remote[0].by_environment == local.by_environment
+
+
 def test_malformed_request_line_gets_error_response(designs):
     async def scenario(service, host, port):
         reader, writer = await asyncio.open_connection(host, port)
@@ -214,31 +234,6 @@ def test_wrong_shaped_lines_get_one_error_each(designs):
         expected_id = payload.get("id") if isinstance(payload, dict) else None
         assert response["id"] == expected_id
     assert good["ok"] is True and good["id"] == 11
-
-
-@pytest.fixture(scope="module")
-def server_address():
-    """One service and server on a background event loop."""
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    state = {}
-
-    async def serve():
-        service = EvaluationService()
-        async with service, ServeServer(service) as server:
-            state["address"] = server.address
-            state["stop"] = asyncio.Event()
-            started.set()
-            await state["stop"].wait()
-
-    thread = threading.Thread(target=loop.run_until_complete,
-                              args=(serve(),))
-    thread.start()
-    assert started.wait(10.0)
-    yield state["address"]
-    loop.call_soon_threadsafe(state["stop"].set)
-    thread.join(10.0)
-    loop.close()
 
 
 def _exchange(address, line: bytes):
