@@ -21,7 +21,9 @@ batching), not thread counts.  Both arms run with the process-wide
 layer-cost cache *disabled*: with it on, the baseline silently memoizes
 the repeated designs and the benchmark would compare caching against
 caching instead of measuring what the service adds for requests the
-cache doesn't already hold.  (Serving never reads the mapper memo.)  A
+cache doesn't already hold.  The accelerator registry follows the
+cache, so the baseline builds an accelerator per request, as a cold
+process would.  (Serving never reads the mapper memo.)  A
 fidelity check pins the service's responses bit-identical to direct
 evaluation.
 

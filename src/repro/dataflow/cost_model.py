@@ -93,11 +93,12 @@ class _TwoLevelMemo:
     dies with its last client.
     """
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self, maxsize: int, *dependents: dict) -> None:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
         self._size = 0
+        self._dependents = dependents  # emptied by every flush too
         self._maps: Dict[tuple, _Entries] = {}
         self._live: "weakref.WeakValueDictionary[int, _Entries]" = (
             weakref.WeakValueDictionary())
@@ -122,6 +123,8 @@ class _TwoLevelMemo:
         # In place, so clients holding a dict see the flush too.
         for entries in self._live.values():
             entries.clear()
+        for dependent in self._dependents:
+            dependent.clear()
         self._maps.clear()
         self._size = 0
 
@@ -131,6 +134,16 @@ class _TwoLevelMemo:
         self.misses = 0
 
 
+#: The accelerator registry: ``(InferenceDesign, checkpoint)`` -> the
+#: :class:`DataflowCostModel` :func:`repro.sim.analytical._cost_model`
+#: built for it, shared by every caller (a model keeps no per-call
+#: state).  Emptied with the layer-cost cache, by a clear or an overflow
+#: flush, so a kept model's bucket is the one ``map_for`` returns; unused
+#: while the cache is off.  At most 4,096 models of about 1.9 KB each,
+#: bucket included (tracemalloc): about 8 MB.
+_COST_MODELS: Dict[tuple, "DataflowCostModel"] = {}
+_COST_MODELS_MAXSIZE = 4096
+
 #: Process-local cache of :class:`LayerCost` results.  The bi-level
 #: explorer re-prices identical ``(hardware, checkpoint, layer,
 #: mapping)`` combinations many times: pricing reads the mappings the
@@ -138,7 +151,7 @@ class _TwoLevelMemo:
 #: environment-independent), and repeat searches and fresh explorers
 #: revisit the same accelerators.  :class:`LayerCost` is frozen, so cached
 #: instances are safe to share.
-_LAYER_COST_CACHE = _TwoLevelMemo(maxsize=65536)
+_LAYER_COST_CACHE = _TwoLevelMemo(65536, _COST_MODELS)
 _layer_cost_cache_enabled = True
 
 #: The :class:`_TileGeometry` of every raw ``(layer, mapping)`` pair the
@@ -152,15 +165,16 @@ _TILE_GEOMETRY: Dict[tuple, "_TileGeometry"] = {}
 
 def configure_layer_cost_cache(enabled: bool) -> None:
     """Turn the process-wide layer-cost cache on or off (bench/testing
-    hook)."""
+    hook).  The accelerator registry follows it: while the cache is
+    off, every pricing call builds its accelerator afresh."""
     global _layer_cost_cache_enabled
     _layer_cost_cache_enabled = enabled
 
 
 def clear_layer_cost_cache() -> None:
-    """Drop all entries, the tile geometries they were priced from, and
-    the hit/miss counters: the next search starts as a fresh process
-    would."""
+    """Drop all entries, the tile geometries they were priced from, the
+    accelerator registry and the hit/miss counters: the next search
+    starts as a fresh process would."""
     _LAYER_COST_CACHE.clear()
     _TILE_GEOMETRY.clear()
 
@@ -299,6 +313,9 @@ class DataflowCostModel:
         #: share entries.
         self._cache_map = _LAYER_COST_CACHE.map_for(
             (hardware.cache_key(), checkpoint))
+        #: The accelerator's rail-on static draw, summed once for every
+        #: miss that prices a tile on it.
+        self._static_power = hardware.static_power
 
     # -- public API -----------------------------------------------------------
 
@@ -422,7 +439,7 @@ class DataflowCostModel:
         )
         nvm_energy = (hw.nvm.read_energy(nvm_read)
                       + hw.nvm.write_energy(nvm_write))
-        static_energy = hw.static_power * latency
+        static_energy = self._static_power * latency
 
         # --- checkpointing ----------------------------------------------------------
         working_set = min(total_bytes, hw.vm.size_bytes)

@@ -24,8 +24,8 @@ generation's uncached genomes in one call instead.  For a generation:
   generation, and priced in every environment, and the objective
   scores them.
 
-A search builds each accelerator once: the mapper's per-accelerator
-registry (:class:`~repro.sim.analytical._Accelerators`) holds its cost
+A search builds each accelerator once: the process's accelerator
+registry (:func:`~repro.sim.analytical._cost_model`) keeps its cost
 model, the scan prices its rungs on that model, and the pricing reads
 each plan from the same model, so every plan lookup is a layer-cost
 cache hit.
@@ -168,14 +168,13 @@ class VectorizedGenomeEvaluator:
                 designs[i] = replace(seeded[i], mappings=mappings[i])
 
         # 4. Price them in every environment, on the cost models the
-        # scan used.
+        # scan used (both read the accelerator registry).
         priced: List[tuple] = []
         if designs:
             try:
                 priced = _evaluate_every_environment(
                     list(designs.values()), explorer.network,
-                    explorer.environments, explorer.checkpoint,
-                    explorer.mapper._accelerators)
+                    explorer.environments, explorer.checkpoint)
             except ChrysalisError as error:
                 set_aside(list(designs), error)
                 designs = {}

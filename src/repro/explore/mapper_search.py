@@ -45,7 +45,7 @@ from repro.energy.environment import LightEnvironment
 from repro.errors import MappingError
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import OBS, span
-from repro.sim.analytical import CycleBudget, _Accelerators
+from repro.sim.analytical import CycleBudget, _cost_model
 from repro.workloads.layers import Layer
 from repro.workloads.network import Network
 
@@ -89,9 +89,9 @@ class MappingOptimizer:
     """Optimises per-layer mappings for a fixed hardware configuration.
 
     Each layer's ladders are built once.  Per accelerator, the optimizer
-    keeps a cost model and the priced prefix of every ladder for its
-    whole lifetime, so a rung is priced at most once per accelerator
-    however many energy designs reach it.
+    keeps the priced prefix of every ladder for its whole lifetime, so a
+    rung is priced at most once per accelerator however many energy
+    designs reach it.
     """
 
     def __init__(self, network: Network,
@@ -117,13 +117,9 @@ class MappingOptimizer:
              for style in self.styles
              for tile_dim, spatial_dim in self._dim_pairs(layer)]
             for layer in self.network]
-        #: The search's per-accelerator registry of cost models, which
-        #: the generation evaluator prices the lowered designs on too.
-        self._accelerators = _Accelerators(checkpoint)
-        #: Per accelerator: its cost model and, per layer and combo, the
-        #: priced prefix of the ladder.
-        self._tables: Dict[InferenceDesign,
-                           Tuple[DataflowCostModel, List[List[_Prefix]]]] = {}
+        #: Per accelerator, layer and combo: the priced prefix of the
+        #: ladder.
+        self._tables: Dict[InferenceDesign, List[List[_Prefix]]] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -247,12 +243,13 @@ class MappingOptimizer:
 
     def _tables_for(self, inference: InferenceDesign
                     ) -> Tuple[DataflowCostModel, List[List[_Prefix]]]:
-        entry = self._tables.get(inference)
-        if entry is None:
-            entry = self._tables[inference] = (
-                self._accelerators[inference],
-                [[[] for _ in ladders] for ladders in self._ladders])
-        return entry
+        tables = self._tables.get(inference)
+        if tables is None:
+            tables = self._tables[inference] = [
+                [[] for _ in ladders] for ladders in self._ladders]
+        # Looked up per scan, not kept: after a cache clear or flush the
+        # registry's new model is the one the generation's pricing reads.
+        return _cost_model(inference, self.checkpoint), tables
 
     def _price(self, cost_model: DataflowCostModel, layer: Layer,
                mapping: LayerMapping

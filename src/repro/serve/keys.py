@@ -9,17 +9,20 @@ therefore covers exactly the value content that can change an
 :class:`~repro.campaign.spec.RunKey` hashes — and nothing about the
 requesting client.
 
-Each request also carries a *group* key: the request key minus the
-design.  Requests sharing a group are mutually batchable — same
+Each request also carries a *group* key: the hash of everything but
+the design.  Requests sharing a group are mutually batchable — same
 workload, same environment set, same checkpoint model, analytical
 fidelity — so the micro-batcher can price a whole group through
-:func:`repro.api.evaluate_batch` in one call.
+:func:`repro.api.evaluate_batch` in one call.  The request key hashes
+the group key with the design, so a caller that has hashed a group
+once hashes only the design of each further request in it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.design import AuTDesign
@@ -47,7 +50,7 @@ def checkpoint_to_dict(checkpoint: Optional[CheckpointModel]
     if checkpoint is None:
         return None
     return {
-        "nvm": checkpoint.nvm.value,
+        "nvm": asdict(checkpoint.nvm),
         "header_bytes": checkpoint.header_bytes,
         "live_fraction": checkpoint.live_fraction,
         "exception_rate": checkpoint.exception_rate,
@@ -67,17 +70,25 @@ def request_key(design: AuTDesign, network: Network,
     """``(key, group)`` content hashes of one evaluation request.
 
     ``key`` names the full request (coalescing identity); ``group``
-    omits the design (micro-batching compatibility class).  Workloads
-    are named by ``network.name`` — zoo names are canonical, and custom
-    networks must use distinct names to stay distinct (the same rule
-    campaign specs follow).
+    omits the design (micro-batching compatibility class), and ``key``
+    hashes ``group`` with the design.  Workloads are named by
+    ``network.name`` — zoo names are canonical, and custom networks
+    must use distinct names to stay distinct (the same rule campaign
+    specs follow).
     """
-    shared: Dict[str, Any] = {
+    group = _group_key(network, environments, fidelity, checkpoint)
+    return _design_key(group, design), group
+
+
+def _group_key(network: Network, environments: Sequence[Environment],
+               fidelity: str, checkpoint: Optional[CheckpointModel]) -> str:
+    return _digest({
         "workload": network.name,
         "environments": [environment_to_dict(env) for env in environments],
         "fidelity": fidelity,
         "checkpoint": checkpoint_to_dict(checkpoint),
-    }
-    group = _digest(shared)
-    key = _digest(dict(shared, design=design_to_dict(design)))
-    return key, group
+    })
+
+
+def _design_key(group: str, design: AuTDesign) -> str:
+    return _digest({"group": group, "design": design_to_dict(design)})

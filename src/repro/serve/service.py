@@ -53,7 +53,7 @@ from repro.errors import (ChrysalisError, ConfigurationError,
                           ServiceOverloadError)
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.registry import Histogram, _histogram_dict
-from repro.serve.keys import request_key
+from repro.serve.keys import _design_key, _group_key
 from repro.workloads.network import Network
 
 
@@ -182,6 +182,14 @@ def _default_evaluate_batch(designs: Sequence[AuTDesign], network: Network,
                               checkpoint=checkpoint)
 
 
+def _bounded_put(memo: Dict[tuple, tuple], key: tuple, value: tuple) -> None:
+    """Insert into one of the service's key memos, clearing it first at
+    4,096 entries so a long-lived service stays bounded."""
+    if len(memo) >= 4096:
+        memo.clear()
+    memo[key] = value
+
+
 class EvaluationService:
     """Long-lived asyncio front end over the evaluation engine.
 
@@ -214,6 +222,7 @@ class EvaluationService:
         self._time_fn = time_fn
         self._networks: Dict[str, Network] = {}
         self._keys: Dict[tuple, tuple] = {}
+        self._groups: Dict[tuple, tuple] = {}
         self._inflight: Dict[str, _Pending] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[asyncio.Task] = None
@@ -378,24 +387,33 @@ class EvaluationService:
                   envs: Tuple[LightEnvironment, ...], fidelity: str,
                   checkpoint: Optional[CheckpointModel]
                   ) -> Tuple[str, str]:
-        """Memoized :func:`request_key` — hashing the request content
-        (canonical JSON + sha256) costs ~50 us, and a service exists
-        precisely because the same requests keep arriving.  The memo is
-        keyed by object identity (even value-hashing a frozen design
-        recurses through every mapping, ~30 us); the value pins the
-        referenced objects so their ids stay live.  Distinct-identity
-        but equal-value requests miss here, recompute, and land on the
-        same content hash — the fast path never changes the key."""
-        cache_key = (id(design), id(network), id(envs), fidelity,
-                     None if checkpoint is None else id(checkpoint))
+        """Memoized :func:`~repro.serve.keys.request_key` — hashing the
+        request content (canonical JSON + sha256) costs tens of
+        microseconds, hundreds for a long trace, and a service exists
+        precisely because the same requests keep arriving.  Both memos
+        are keyed by object identity (even value-hashing a frozen design
+        recurses through every mapping, ~30 us), and their values pin
+        the referenced objects so their ids stay live.  The request memo
+        serves in-process callers that resubmit a design object.  A TCP
+        request decodes a new design and misses it, but its workload is
+        interned and its label resolves to the registry's one tuple, so
+        the group memo hashes each label's environments once and the
+        request hashes only its design.  Equal-value objects of another
+        identity miss, recompute, and land on the same content hash —
+        the fast paths never change the key."""
+        group_id = (id(network), id(envs), fidelity, id(checkpoint))
+        cache_key = (id(design),) + group_id
         cached = self._keys.get(cache_key)
         if cached is None:
-            if len(self._keys) >= 4096:
-                self._keys.clear()  # bound the memo on a long-lived service
-            key, group = request_key(design, network, envs, fidelity,
-                                     checkpoint)
-            cached = (key, group, design, envs, checkpoint)
-            self._keys[cache_key] = cached
+            pinned = self._groups.get(group_id)
+            if pinned is None:
+                pinned = (_group_key(network, envs, fidelity, checkpoint),
+                          network, envs, checkpoint)
+                _bounded_put(self._groups, group_id, pinned)
+            group = pinned[0]
+            cached = (_design_key(group, design), group, design, envs,
+                      checkpoint)
+            _bounded_put(self._keys, cache_key, cached)
         return cached[0], cached[1]
 
     def _forget(self, key: str, future: "asyncio.Future") -> None:

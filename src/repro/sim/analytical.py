@@ -15,9 +15,10 @@ Each equation has one implementation: :class:`CycleBudget` holds
 Eqs. 1-3 and 8 for one energy design in one environment, and Eq. 7 is
 split in two: :meth:`PlanTotals.of` sums a priced plan, which the light
 does not touch, and :func:`price_plan` adds one environment's budget.
-:class:`AnalyticalModel` prices one design with them;
-:class:`BatchAnalyticalModel` prices many, building hardware once per
-accelerator.  ``tests/test_pricing_golden.py`` pins their outputs.
+:class:`AnalyticalModel` prices one design with them and
+:class:`BatchAnalyticalModel` many, on the one cost model per accelerator
+that :func:`_cost_model` keeps.  ``tests/test_pricing_golden.py`` pins
+their outputs.
 
 It is the inner-loop scorer of the explorer; the step simulator
 (:mod:`repro.sim.engine`) validates its fidelity in integration tests.
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.dataflow import cost_model as layer_costs
 from repro.dataflow.cost_model import DataflowCostModel, LayerCost, TileCost
 from repro.dataflow.mapping import LayerMapping
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
@@ -178,30 +180,26 @@ def price_plan(totals: PlanTotals, budget: CycleBudget) -> InferenceMetrics:
 
 def _cost_model(inference: InferenceDesign,
                 checkpoint: Optional[CheckpointModel]) -> DataflowCostModel:
-    """A cost model on ``inference``'s accelerator, built here, priced
-    with ``checkpoint`` or else the default for the accelerator's NVM."""
-    hardware = inference.build()
-    return DataflowCostModel(
-        hardware, checkpoint or CheckpointModel(nvm=hardware.nvm.technology))
+    """The cost model on ``inference``'s accelerator, priced with
+    ``checkpoint`` or else the default for the accelerator's NVM.
 
-
-class _Accelerators(dict):
-    """A search's per-accelerator registry: the :func:`_cost_model` of
-    each distinct :class:`InferenceDesign`, built on first lookup.
-
-    The model holds the built accelerator (``hardware``) and its
-    checkpoint model (``checkpoint``).  A search keeps one registry for
-    its whole run, so the SW-level scan and the every-environment
-    pricing build each accelerator once and price on the same model.
+    Built on first use and kept in the process's accelerator registry
+    (:data:`repro.dataflow.cost_model._COST_MODELS`) while the
+    layer-cost cache is on; with the cache off, built per call.
     """
-
-    def __init__(self, checkpoint: Optional[CheckpointModel]) -> None:
-        super().__init__()
-        self.checkpoint = checkpoint
-
-    def __missing__(self, inference: InferenceDesign) -> DataflowCostModel:
-        cost_model = self[inference] = _cost_model(inference, self.checkpoint)
-        return cost_model
+    registry = (layer_costs._COST_MODELS
+                if layer_costs._layer_cost_cache_enabled
+                else {})  # a throwaway while the cache is off
+    key = (inference, checkpoint)
+    cost_model = registry.get(key)
+    if cost_model is None:
+        hardware = inference.build()
+        cost_model = DataflowCostModel(hardware, checkpoint or CheckpointModel(
+            nvm=hardware.nvm.technology))
+        if len(registry) >= layer_costs._COST_MODELS_MAXSIZE:
+            registry.clear()
+        registry[key] = cost_model
+    return cost_model
 
 
 class AnalyticalModel:
@@ -292,9 +290,9 @@ class BatchAnalyticalModel:
     """Prices N ``(design, workload)`` pairs bound to one environment.
 
     One instance is bound to a ``(network, environment)`` pair and
-    evaluates many :class:`AuTDesign` candidates at once: hardware is
-    built once per distinct :class:`InferenceDesign`, every layer's tile
-    costs go through one
+    evaluates many :class:`AuTDesign` candidates at once: the designs
+    are grouped by :class:`InferenceDesign` and priced on its
+    :func:`_cost_model`, every layer's tile costs go through one
     :meth:`~repro.dataflow.cost_model.DataflowCostModel.layer_cost_batch`
     call per group, and each design is priced by :func:`price_plan`,
     the same Eq. 7 that :meth:`AnalyticalModel.evaluate` runs.  The
@@ -310,10 +308,6 @@ class BatchAnalyticalModel:
         self.network = network
         self.environment = environment
         self.checkpoint = checkpoint
-        #: A search's registry to price on (set by
-        #: :func:`~repro.sim.evaluator._evaluate_every_environment`);
-        #: ``None`` builds each group's accelerator per :meth:`plans` call.
-        self._accelerators: Optional[_Accelerators] = None
 
     # -- plan construction -----------------------------------------------------
 
@@ -336,9 +330,7 @@ class BatchAnalyticalModel:
             if budget.net > 0.0:
                 groups.setdefault(design.inference, []).append(index)
         for inference, indices in groups.items():
-            cost_model = (_cost_model(inference, self.checkpoint)
-                          if self._accelerators is None
-                          else self._accelerators[inference])
+            cost_model = _cost_model(inference, self.checkpoint)
             for layer_index, layer in enumerate(self.network):
                 costs = cost_model.layer_cost_batch(
                     layer,

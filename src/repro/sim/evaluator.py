@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.state import span
 from repro.sim.analytical import (AnalyticalModel, BatchAnalyticalModel,
-                                  CycleBudget, PlanTotals, _Accelerators)
+                                  CycleBudget, PlanTotals)
 from repro.sim.engine import SimulationResult, StepSimulator
 from repro.sim.intermittent import InferenceController
 from repro.sim.metrics import InferenceMetrics
@@ -194,7 +194,6 @@ def _evaluate_every_environment(
     network: Network,
     environments: Sequence[LightEnvironment],
     checkpoint: Optional[CheckpointModel],
-    accelerators: Optional[_Accelerators] = None,
 ) -> List[Tuple[List[InferenceMetrics], InferenceMetrics]]:
     """The paper's every-environment rule for many designs at analytical
     fidelity.
@@ -203,10 +202,7 @@ def _evaluate_every_environment(
     plan is built and summed once
     (:class:`~repro.sim.analytical.PlanTotals`), by a
     :class:`~repro.sim.analytical.BatchAnalyticalModel` bound to the
-    first environment, for the designs that can charge in it, on the
-    cost models of ``accelerators`` when a search passes its registry
-    (:class:`~repro.sim.analytical._Accelerators`, built with the same
-    ``checkpoint``), else on accelerators built for this call.
+    first environment, for the designs that can charge in it.
     Environment ``k`` then computes only its cycle budgets and prices
     the plans of the designs still feasible in every earlier
     environment.  Returns, per design, its metrics per environment up to
@@ -217,7 +213,6 @@ def _evaluate_every_environment(
     live = list(range(len(designs)))
     with span("eval.average"):
         model = BatchAnalyticalModel(network, environments[0], checkpoint)
-        model._accelerators = accelerators
         budgets = [CycleBudget.of(design.energy, environments[0])
                    for design in designs]
         totals = [PlanTotals.of(plan)

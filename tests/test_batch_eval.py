@@ -273,12 +273,12 @@ def _cold_search(network, batched, **ga):
 
 
 class TestOneBuildPerAccelerator:
-    """A search builds each accelerator once: the SW-level scan and the
-    pricing of every genome share one cost model per accelerator.  Only
-    the final pricing of the winner builds it again."""
+    """A search builds each accelerator once: the SW-level scan, the
+    pricing of every genome and the final pricing of the winner share
+    the process's one cost model per accelerator."""
 
     @pytest.mark.parametrize("batched", [False, True])
-    def test_msp430_search_builds_twice(self, batched, monkeypatch):
+    def test_msp430_search_builds_once(self, batched, monkeypatch):
         builds = []
         build = InferenceDesign.build
         monkeypatch.setattr(InferenceDesign, "build",
@@ -286,7 +286,7 @@ class TestOneBuildPerAccelerator:
         result = _cold_search(zoo.har_cnn(), batched, population_size=16,
                               generations=10, seed=0)
         assert result.stats.hw_evaluations > 80
-        assert builds == [InferenceDesign.msp430()] * 2
+        assert builds == [InferenceDesign.msp430()]
 
 
 class TestUnmappableCounter:

@@ -355,6 +355,75 @@ class TestLayerCostCache:
         assert sizes == [1, 2, 1, 2]
 
 
+    def test_registry_flushes_with_the_cache(self, conv, builds,
+                                             monkeypatch):
+        """A kept model's bucket stays the one ``map_for`` returns: an
+        overflow flush empties the accelerator registry too."""
+        from repro.dataflow import cost_model
+        from repro.design import InferenceDesign
+        from repro.hardware.accelerators import AcceleratorFamily
+        from repro.sim.analytical import _cost_model
+
+        monkeypatch.setattr(cost_model._LAYER_COST_CACHE, "maxsize", 2)
+        inference = InferenceDesign(family=AcceleratorFamily.TPU, n_pes=8)
+        model = _cost_model(inference, None)
+        prefix = (model.hardware.cache_key(), model.checkpoint)
+        for n_tiles in (1, 2):
+            assert _cost_model(inference, None) is model
+            model.layer_cost(conv, ws(n_tiles=n_tiles))
+        model.layer_cost(conv, ws(n_tiles=4))  # over the bound: flush
+        assert not cost_model._COST_MODELS
+        kept = _cost_model(inference, None)
+        assert kept is not model and _cost_model(inference, None) is kept
+        assert kept._cache_map is cost_model._LAYER_COST_CACHE.map_for(
+            prefix)
+        assert model._cache_map is not kept._cache_map
+
+
+    def test_racing_first_lookups_price_alike(self, conv, builds):
+        """Serve prices on one executor thread, but nothing stops two
+        threads' first lookups from racing: each may build, the registry
+        keeps one model per accelerator, and every caller prices alike."""
+        import sys
+        import threading
+
+        from repro.dataflow import cost_model
+        from repro.design import InferenceDesign
+        from repro.hardware.accelerators import AcceleratorFamily
+        from repro.sim.analytical import _cost_model
+
+        designs = [InferenceDesign(family=AcceleratorFamily.TPU, n_pes=n)
+                   for n in (4, 8, 16)]
+        expected = {design: _cost_model(design, None).layer_cost(
+            conv, ws(n_tiles=4)) for design in designs}
+        cost_model.clear_layer_cost_cache()
+        priced, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(50):
+                    for design in designs:
+                        priced.append((design, _cost_model(
+                            design, None).layer_cost(conv, ws(n_tiles=4))))
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(priced) == 4 * 50 * len(designs)
+        assert all(cost == expected[design] for design, cost in priced)
+        assert len(cost_model._COST_MODELS) == len(designs)
+
+
 class TestTwoLevelMemo:
     """The class behind the layer-cost cache and the mapper memo."""
 

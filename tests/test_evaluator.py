@@ -4,7 +4,10 @@ import itertools
 
 import pytest
 
-from repro.api import evaluate
+from repro.api import evaluate, evaluate_batch
+from repro.dataflow import cost_model
+from repro.dataflow.cost_model import (clear_layer_cost_cache,
+                                       configure_layer_cost_cache)
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
 from repro.errors import ConfigurationError
@@ -25,6 +28,20 @@ def design(network):
     return AuTDesign.with_default_mappings(
         EnergyDesign(panel_area_cm2=8.0, capacitance_f=uF(470)),
         InferenceDesign.msp430(), network, n_tiles=2)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The accelerators built during a test, from an empty registry."""
+    builds = []
+    build = InferenceDesign.build
+    monkeypatch.setattr(InferenceDesign, "build",
+                        lambda self: builds.append(self) or build(self))
+    configure_layer_cost_cache(enabled=True)
+    clear_layer_cost_cache()
+    yield builds
+    configure_layer_cost_cache(enabled=True)
+    clear_layer_cost_cache()
 
 
 class TestModes:
@@ -122,14 +139,6 @@ class TestOnePlanPerDesign:
     however many environments, fault seeds or hours it runs: the plan
     does not depend on the light."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        builds = []
-        build = InferenceDesign.build
-        monkeypatch.setattr(InferenceDesign, "build",
-                            lambda self: builds.append(self) or build(self))
-        return builds
-
     def test_step_evaluate_of_the_paper_pair(self, network, design, builds):
         report = evaluate(design, network, fidelity="step")
         assert report.feasible and len(report.simulations) == 2
@@ -147,6 +156,37 @@ class TestOnePlanPerDesign:
                            use_step=use_step)
         assert day.active_hours > 1
         assert builds == [design.inference]
+
+
+class TestOneBuildPerProcess:
+    """Every pricing call reads the process's accelerator registry, which
+    lives and dies with the layer-cost cache."""
+
+    def price(self, network, design):
+        for _ in range(2):
+            evaluate(design, network, fidelity="analytical")
+        evaluate_batch([design], network)
+
+    def test_evaluates_and_a_batch_build_once(self, network, design,
+                                              builds):
+        self.price(network, design)
+        evaluate(design, network, fidelity="step")
+        assert builds == [design.inference]
+
+    def test_a_clear_builds_again(self, network, design, builds):
+        self.price(network, design)
+        clear_layer_cost_cache()
+        self.price(network, design)
+        assert builds == [design.inference] * 2
+
+    def test_cache_off_builds_every_call(self, network, design, builds):
+        """bench_serve's premise: its cache-off baseline builds an
+        accelerator per request."""
+        configure_layer_cost_cache(enabled=False)
+        self.price(network, design)
+        evaluate(design, network, fidelity="step")
+        assert builds == [design.inference] * 4
+        assert not cost_model._COST_MODELS
 
 
 class TestAnalyticalVsStep:

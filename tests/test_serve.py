@@ -21,6 +21,8 @@ from repro.energy.environment import LightEnvironment
 from repro.errors import (ConfigurationError, EvaluationTimeout,
                           InfeasibleDesignError, ServiceClosedError,
                           ServiceOverloadError)
+from repro.hardware.checkpoint import CheckpointModel
+from repro.hardware.memory import FRAM
 from repro.obs.registry import MetricsRegistry
 from repro.serve import EvaluationService, ServeConfig, ServeStats, request_key
 from repro.units import uF
@@ -369,6 +371,23 @@ def test_request_key_is_content_based(har_designs):
     assert group_d != group_a
 
 
+def test_service_keys_equal_request_key(har_designs):
+    """The service's memoized keys are :func:`request_key`'s, first
+    time and memo hit alike, and for equal objects of a new identity."""
+    service = EvaluationService()
+    paper = tuple(LightEnvironment.paper_environments())
+    checkpoint = CheckpointModel(nvm=FRAM, exception_rate=0.2)
+    for _ in range(2):
+        for design in (har_designs[0], har_designs[1],
+                       _designs(zoo.har_cnn(), 1)[0]):
+            for envs in (paper, paper[:1], tuple(
+                    LightEnvironment.paper_environments())):
+                for fidelity in ("analytical", "step"):
+                    for ckpt in (None, checkpoint):
+                        args = (design, zoo.har_cnn(), envs, fidelity, ckpt)
+                        assert service._keys_for(*args) == request_key(*args)
+
+
 # ---------------------------------------------------------------------------
 # fidelity: the service must not change what is computed
 # ---------------------------------------------------------------------------
@@ -391,6 +410,29 @@ def test_service_results_bit_identical_to_direct_evaluate(har_designs):
         assert report.metrics == direct.metrics
         assert report.by_environment == direct.by_environment
         assert report.fidelity == "analytical"
+
+
+def test_checkpointed_requests_match_direct_evaluate(har_designs):
+    """A request with its own checkpoint model is keyed and priced with
+    it (its key once raised AttributeError)."""
+    service = EvaluationService()
+    checkpoint = CheckpointModel(nvm=FRAM, exception_rate=0.2)
+
+    async def main():
+        async with service:
+            return await asyncio.gather(*[
+                service.submit(har_designs[index % 2], "har",
+                               checkpoint=checkpoint)
+                for index in range(4)])
+
+    reports = asyncio.run(main())
+    assert service.stats.coalesced == 2
+    for index, report in enumerate(reports):
+        direct = evaluate(har_designs[index % 2], "har",
+                          fidelity="analytical", checkpoint=checkpoint)
+        assert report.metrics == direct.metrics
+        assert report.metrics != evaluate(har_designs[index % 2],
+                                          "har").metrics
 
 
 def test_serve_entrypoint_builds_configured_service():
