@@ -1,8 +1,8 @@
 """Serving: concurrent callers sharing one evaluation service.
 
 Six callers submit at once — four distinct designs plus one design
-submitted twice more on purpose.  The service content-hashes every
-request, so the duplicates coalesce onto a single in-flight evaluation
+submitted twice more on purpose.  The service compares requests by
+value, so the duplicates coalesce onto a single in-flight evaluation
 (watch ``coalesced`` in the stats line) and the distinct ones are
 priced together through one vectorized micro-batch instead of four
 scalar calls.  Responses are bit-identical to per-request

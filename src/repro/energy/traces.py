@@ -19,7 +19,9 @@ that is
   :meth:`TraceEnvironment.next_change_after` and ``sim/engine.py``).
 
 Traces are content-hashable and JSON-round-trippable, so campaign run
-keys and serve request keys can name them durably.  The generator
+keys can name them durably, and they compare by value, so the
+evaluation service never coalesces two traces that share a name but
+not their segments.  The generator
 helpers at the bottom build the four families the registry
 (:mod:`repro.environments`) exposes: diurnal clear-sky (via the
 existing Haurwitz model), cloud-stochastic attenuation, indoor on/off

@@ -4,7 +4,7 @@ Before this module, environments were resolved three different ways:
 preset classmethods on :class:`~repro.energy.environment.
 LightEnvironment`, ``scenario_by_name`` in :mod:`repro.core.scenarios`,
 and the private ``_resolve_environments`` in :mod:`repro.api` — and
-campaign specs / serve keys could only name the four presets.  This
+campaign specs / served requests could only name the four presets.  This
 module is now the single resolution path (mirroring
 ``workload_by_name`` in the zoo): every environment label used by
 :func:`repro.api.evaluate`, :func:`repro.api.evaluate_batch`, the serve
@@ -301,12 +301,11 @@ def environment_by_name(label: str) -> Tuple[Environment, ...]:
 
 
 def environment_to_dict(environment: Environment) -> Dict[str, Any]:
-    """Full value content of one resolved environment (hash input).
+    """Full value content of one resolved environment, as JSON data.
 
-    This is the single content-hash source for serve request keys: a
-    trace environment contributes its complete segment list, never just
-    its label, so two different traces under the same name can never
-    coalesce onto one cached evaluation.
+    A trace environment contributes its complete segment list, never
+    just its label, so two different traces under the same name give
+    different dicts.
     """
     if isinstance(environment, TraceEnvironment):
         return {"type": "trace", **environment.to_dict()}

@@ -3,10 +3,10 @@
 ``repro.serve`` turns independent single-request evaluation traffic
 into batched work on the vectorized analytical core:
 
-* :class:`EvaluationService` — the asyncio core: content-hash
-  coalescing of identical in-flight requests, bounded-latency
-  micro-batching onto :func:`repro.api.evaluate_batch`, admission
-  control, per-request deadlines, graceful drain.
+* :class:`EvaluationService` — the asyncio core: coalescing of
+  in-flight requests equal by value, bounded-latency micro-batching
+  onto :func:`repro.api.evaluate_batch`, admission control,
+  per-request deadlines, graceful drain.
 * :class:`ServeConfig` / :class:`ServeStats` — SLO knobs and
   service-lifetime accounting (throughput, p50/p99 latency, coalesce
   rate, batch occupancy).
@@ -17,7 +17,6 @@ Front door: :func:`repro.api.serve` (builds a configured service).
 Architecture notes live in ``docs/SERVING.md``.
 """
 
-from repro.serve.keys import request_key
 from repro.serve.net import RemoteReport, ServeClient, ServeServer
 from repro.serve.service import EvaluationService, ServeConfig, ServeStats
 
@@ -28,5 +27,4 @@ __all__ = [
     "ServeConfig",
     "ServeServer",
     "ServeStats",
-    "request_key",
 ]

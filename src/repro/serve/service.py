@@ -6,17 +6,18 @@ shape: many independent callers, one request each, no caller-side
 batching possible.  :class:`EvaluationService` recovers the amortized
 economics server-side:
 
-* **Coalescing** — requests are content-hashed
-  (:func:`repro.serve.keys.request_key`); while a key is in flight,
-  every further submission for it awaits the same future and the
-  evaluation runs once.
+* **Coalescing** — a request is its value, ``(design, network,
+  environments, fidelity, checkpoint)``, compared with ``==``; while
+  an equal request is in flight, every further submission awaits the
+  same future and the evaluation runs once.
 * **Micro-batching** — accepted requests queue into a work-conserving
   batcher: as soon as its queue drains it flushes what it holds, up to
   ``max_batch_size`` requests.  Each flush groups analytical requests
-  by compatibility class (same workload, environments, checkpoint) and
-  prices every group through one :func:`repro.api.evaluate_batch`
-  call, so a flush of N compatible requests builds each accelerator's
-  hardware once, not N times.
+  by ``(network, environments, checkpoint)`` value, as
+  :func:`repro.api.evaluate_many` does, and prices every group through
+  one :func:`repro.api.evaluate_batch` call, so a flush of N
+  compatible requests builds each accelerator's hardware once, not N
+  times.
 * **Admission control** — the queue is bounded (``max_queue``); when it
   is full new requests are shed with
   :class:`~repro.errors.ServiceOverloadError` instead of growing an
@@ -25,8 +26,10 @@ economics server-side:
 
 Responses are bit-identical to calling :func:`repro.api.evaluate`
 directly — the service changes *when and with whom* a request is
-priced, never *what* it computes.  Evaluation runs on a single worker
-thread, keeping the event loop responsive and the process-wide caches
+priced, never *what* it computes.  It keeps no memo of past requests:
+once a request completes, only the batcher's last batch may still
+refer to it.  Evaluation runs on a single worker thread,
+keeping the event loop responsive and the process-wide caches
 (layer-cost cache, mapper memo) uncontended.
 
 All dependencies are stdlib; tests inject ``evaluate_fn`` /
@@ -37,12 +40,13 @@ deterministic clock.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from repro.api import (FIDELITIES, EvaluationReport, _resolve_environments,
                        _resolve_workload)
@@ -53,8 +57,16 @@ from repro.errors import (ChrysalisError, ConfigurationError,
                           ServiceOverloadError)
 from repro.hardware.checkpoint import CheckpointModel
 from repro.obs.registry import Histogram, _histogram_dict
-from repro.serve.keys import _design_key, _group_key
 from repro.workloads.network import Network
+
+
+def _check_seconds(name: str, value: float) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is a positive,
+    finite number of seconds (the wire's rule for ``deadline_s``)."""
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(
+            f"{name} must be a positive, finite number of seconds, "
+            f"got {value}")
 
 
 @dataclass(frozen=True)
@@ -82,15 +94,9 @@ class ServeConfig:
         if self.max_queue < 1:
             raise ConfigurationError(
                 f"max_queue must be >= 1, got {self.max_queue}")
-        if self.default_deadline_s is not None \
-                and self.default_deadline_s <= 0.0:
-            raise ConfigurationError(
-                f"default_deadline_s must be positive, "
-                f"got {self.default_deadline_s}")
-        if self.drain_timeout_s <= 0.0:
-            raise ConfigurationError(
-                f"drain_timeout_s must be positive, "
-                f"got {self.drain_timeout_s}")
+        if self.default_deadline_s is not None:
+            _check_seconds("default_deadline_s", self.default_deadline_s)
+        _check_seconds("drain_timeout_s", self.drain_timeout_s)
 
 
 @dataclass
@@ -139,12 +145,37 @@ class ServeStats:
         }
 
 
+class _Key:
+    """A value with its hash computed once, for the service's dicts.
+
+    ``value`` holds frozen dataclasses, tuples of them, strings and
+    None, so ``==`` compares it by content.  The hash comes from
+    ``cheap``: parts that are cheap to hash and equal whenever the
+    values are equal, such as a design and a workload's name.  Hashing
+    a trace's segments or a network's layers on every probe would cost
+    more than the rest of the request's bookkeeping, and a namesake of
+    other content still differs at ``==``.
+    """
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: tuple, *cheap: Hashable) -> None:
+        self.value = value
+        self._hash = hash(cheap)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Key) and self._hash == other._hash \
+            and self.value == other.value
+
+
 @dataclass
 class _Pending:
     """One admitted, not-yet-priced request (the coalescing unit)."""
 
-    key: str
-    group: str
+    key: _Key
     design: AuTDesign
     network: Network
     environments: Tuple[LightEnvironment, ...]
@@ -182,14 +213,6 @@ def _default_evaluate_batch(designs: Sequence[AuTDesign], network: Network,
                               checkpoint=checkpoint)
 
 
-def _bounded_put(memo: Dict[tuple, tuple], key: tuple, value: tuple) -> None:
-    """Insert into one of the service's key memos, clearing it first at
-    4,096 entries so a long-lived service stays bounded."""
-    if len(memo) >= 4096:
-        memo.clear()
-    memo[key] = value
-
-
 class EvaluationService:
     """Long-lived asyncio front end over the evaluation engine.
 
@@ -220,10 +243,7 @@ class EvaluationService:
         self._evaluate_fn = evaluate_fn
         self._evaluate_batch_fn = evaluate_batch_fn
         self._time_fn = time_fn
-        self._networks: Dict[str, Network] = {}
-        self._keys: Dict[tuple, tuple] = {}
-        self._groups: Dict[tuple, tuple] = {}
-        self._inflight: Dict[str, _Pending] = {}
+        self._inflight: Dict[_Key, _Pending] = {}
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[asyncio.Task] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -314,15 +334,14 @@ class EvaluationService:
             raise ConfigurationError(
                 f"unknown fidelity {fidelity!r}; expected one of "
                 f"{FIDELITIES}")
-        network = self._resolve_workload(workload)
-        envs = _resolve_environments(scenario, environments)
-        key, group = self._keys_for(design, network, envs, fidelity,
-                                    checkpoint)
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
-        if deadline_s is not None and deadline_s <= 0.0:
-            raise ConfigurationError(
-                f"deadline_s must be positive, got {deadline_s}")
+        else:
+            _check_seconds("deadline_s", deadline_s)
+        network = _resolve_workload(workload)
+        envs = _resolve_environments(scenario, environments)
+        key = _Key((design, network, envs, fidelity, checkpoint),
+                   design, network.name, fidelity)
 
         started = self._loop.time()
         entry = self._inflight.get(key)
@@ -333,7 +352,7 @@ class EvaluationService:
             deadline = None if deadline_s is None \
                 else self._time_fn() + deadline_s
             entry = _Pending(
-                key=key, group=group, design=design, network=network,
+                key=key, design=design, network=network,
                 environments=envs, checkpoint=checkpoint, fidelity=fidelity,
                 future=self._loop.create_future(), deadline=deadline,
                 enqueued_at=started)
@@ -363,8 +382,8 @@ class EvaluationService:
         except asyncio.TimeoutError:
             self.stats.timeouts += 1
             raise EvaluationTimeout(
-                f"request {entry.key} missed its {deadline_s:g} s "
-                f"deadline") from None
+                f"{entry.fidelity} {entry.network.name!r} request missed "
+                f"its {deadline_s:g} s deadline") from None
         except EvaluationTimeout:
             # Expired in the queue (flush-side); counted per waiter here
             # so coalesced requests each show up in the SLO accounting.
@@ -373,50 +392,7 @@ class EvaluationService:
         self.stats.latency_seconds.observe(self._loop.time() - started)
         return report
 
-    def _intern(self, network: Network) -> Network:
-        """One canonical Network per name, so equal-by-value workloads
-        from repeated zoo lookups batch into the same group."""
-        return self._networks.setdefault(network.name, network)
-
-    def _resolve_workload(self, workload: Union[str, Network]) -> Network:
-        """Interned workload resolution (a zoo name resolves to one
-        Network per name already)."""
-        return self._intern(_resolve_workload(workload))
-
-    def _keys_for(self, design: AuTDesign, network: Network,
-                  envs: Tuple[LightEnvironment, ...], fidelity: str,
-                  checkpoint: Optional[CheckpointModel]
-                  ) -> Tuple[str, str]:
-        """Memoized :func:`~repro.serve.keys.request_key` — hashing the
-        request content (canonical JSON + sha256) costs tens of
-        microseconds, hundreds for a long trace, and a service exists
-        precisely because the same requests keep arriving.  Both memos
-        are keyed by object identity (even value-hashing a frozen design
-        recurses through every mapping, ~30 us), and their values pin
-        the referenced objects so their ids stay live.  The request memo
-        serves in-process callers that resubmit a design object.  A TCP
-        request decodes a new design and misses it, but its workload is
-        interned and its label resolves to the registry's one tuple, so
-        the group memo hashes each label's environments once and the
-        request hashes only its design.  Equal-value objects of another
-        identity miss, recompute, and land on the same content hash —
-        the fast paths never change the key."""
-        group_id = (id(network), id(envs), fidelity, id(checkpoint))
-        cache_key = (id(design),) + group_id
-        cached = self._keys.get(cache_key)
-        if cached is None:
-            pinned = self._groups.get(group_id)
-            if pinned is None:
-                pinned = (_group_key(network, envs, fidelity, checkpoint),
-                          network, envs, checkpoint)
-                _bounded_put(self._groups, group_id, pinned)
-            group = pinned[0]
-            cached = (_design_key(group, design), group, design, envs,
-                      checkpoint)
-            _bounded_put(self._keys, cache_key, cached)
-        return cached[0], cached[1]
-
-    def _forget(self, key: str, future: "asyncio.Future") -> None:
+    def _forget(self, key: _Key, future: "asyncio.Future") -> None:
         self._inflight.pop(key, None)
         if not future.cancelled():
             future.exception()  # mark retrieved; waiters may have gone
@@ -458,8 +434,8 @@ class EvaluationService:
                 continue  # waiter-side deadline already fired
             if entry.deadline is not None and now >= entry.deadline:
                 self._fail(entry, EvaluationTimeout(
-                    f"request {entry.key} expired in queue before "
-                    f"evaluation started"))
+                    f"{entry.fidelity} {entry.network.name!r} request "
+                    f"expired in queue before evaluation started"))
                 continue
             live.append(entry)
         if not live:
@@ -467,11 +443,13 @@ class EvaluationService:
         self.stats.batches += 1
         self.stats.batch_occupancy.observe(float(len(live)))
 
-        groups: Dict[str, List[_Pending]] = {}
+        groups: Dict[_Key, List[_Pending]] = {}
         singles: List[_Pending] = []
         for entry in live:
             if entry.fidelity == "analytical":
-                groups.setdefault(entry.group, []).append(entry)
+                group = _Key((entry.network, entry.environments,
+                              entry.checkpoint), entry.network.name)
+                groups.setdefault(group, []).append(entry)
             else:
                 singles.append(entry)
 

@@ -8,9 +8,8 @@ import pytest
 
 from repro.campaign.spec import CampaignSpec, ObjectiveSpec
 from repro.core.scenarios import SCENARIOS
-from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
-from repro.energy.traces import TraceEnvironment, TraceSegment
+from repro.energy.traces import TraceEnvironment
 from repro.environments import (
     GENERATED_KINDS,
     EnvironmentSpec,
@@ -21,9 +20,6 @@ from repro.environments import (
     registered_environments,
 )
 from repro.errors import ConfigurationError
-from repro.serve.keys import request_key
-from repro.units import uF
-from repro.workloads import zoo
 
 
 class TestRegistryResolution:
@@ -225,40 +221,3 @@ class TestCampaignIntegration:
         assert len(keys) == 4  # 2 workloads x 2 scenarios
         for key in keys:
             environment_by_name(key.environment)
-
-
-class TestServeKeys:
-    def _design(self):
-        network = zoo.workload_by_name("har")
-        design = AuTDesign.with_default_mappings(
-            EnergyDesign(panel_area_cm2=1.0, capacitance_f=uF(10)),
-            InferenceDesign.msp430(), network, n_tiles=128)
-        return design, network
-
-    def test_different_traces_same_name_never_coalesce(self):
-        # The bug this PR fixes: hashing only the environment *name*
-        # would coalesce two different traces onto one cached result.
-        design, network = self._design()
-        a = TraceEnvironment("same-name", (TraceSegment(10.0, 1e-4),))
-        b = TraceEnvironment("same-name", (TraceSegment(10.0, 2e-4),))
-        key_a, group_a = request_key(design, network, (a,), "analytical")
-        key_b, group_b = request_key(design, network, (b,), "analytical")
-        assert key_a != key_b
-        assert group_a != group_b
-
-    def test_trace_and_light_under_same_name_are_distinct(self):
-        design, network = self._design()
-        light = LightEnvironment.darker()
-        trace = TraceEnvironment(light.name, (TraceSegment(10.0, 1e-4),))
-        key_l, _ = request_key(design, network, (light,), "analytical")
-        key_t, _ = request_key(design, network, (trace,), "analytical")
-        assert key_l != key_t
-
-    def test_equal_environments_still_coalesce(self):
-        design, network = self._design()
-        a = TraceEnvironment("t", (TraceSegment(10.0, 1e-4),))
-        b = TraceEnvironment("t", (TraceSegment(10.0, 1e-4),))
-        key_a, group_a = request_key(design, network, (a,), "analytical")
-        key_b, group_b = request_key(design, network, (b,), "analytical")
-        assert key_a == key_b
-        assert group_a == group_b

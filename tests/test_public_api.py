@@ -157,3 +157,20 @@ class TestRemovedIn4:
             repro.EnvironmentSpec.create("uav-set", "scenario",
                                          scenario="uav")
         assert repro.environment_by_name("scenario:uav")
+
+
+#: ``(module, dotted name)`` of every name 5.0 removed (docs/API.md).
+REMOVED_IN_5 = [
+    ("repro.serve", "request_key"),
+]
+
+
+class TestRemovedIn5:
+    def test_removed_names_are_gone(self):
+        present = [f"{module}.{name}" for module, name in REMOVED_IN_5
+                   if hasattr(importlib.import_module(module), name)]
+        assert present == []
+
+    def test_serve_keys_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.serve.keys")

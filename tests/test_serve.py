@@ -10,23 +10,31 @@ bit-identity against direct :func:`repro.api.evaluate` calls.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import gc
+import math
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.api import EvalRequest, evaluate, evaluate_many, serve
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.energy.environment import LightEnvironment
+from repro.energy.traces import TraceEnvironment, TraceSegment
 from repro.errors import (ConfigurationError, EvaluationTimeout,
                           InfeasibleDesignError, ServiceClosedError,
                           ServiceOverloadError)
 from repro.hardware.checkpoint import CheckpointModel
 from repro.hardware.memory import FRAM
 from repro.obs.registry import MetricsRegistry
-from repro.serve import EvaluationService, ServeConfig, ServeStats, request_key
+from repro.serialize import design_from_dict, design_to_dict
+from repro.serve import EvaluationService, ServeConfig, ServeStats
 from repro.units import uF
 from repro.workloads import zoo
+from repro.workloads.layers import Dense
+from repro.workloads.network import Network
 
 
 def _designs(network, count):
@@ -168,7 +176,8 @@ def test_deadline_expired_in_queue_raises_structured_timeout(har_designs):
                 service.submit(har_designs[0], "har", deadline_s=1.0))
             await asyncio.sleep(0)  # let the submission enqueue
             clock.now = 100.0       # deadline long gone by flush time
-            with pytest.raises(EvaluationTimeout):
+            with pytest.raises(EvaluationTimeout, match="analytical "
+                               "'har_cnn' request expired in queue"):
                 await task
 
     asyncio.run(main())
@@ -282,7 +291,9 @@ def test_waiter_deadline_fires_while_evaluation_runs(har_designs):
     async def main():
         async with service:
             started = time.monotonic()
-            with pytest.raises(EvaluationTimeout, match="deadline"):
+            with pytest.raises(EvaluationTimeout, match="analytical "
+                               "'har_cnn' request missed its 0.05 s "
+                               "deadline"):
                 await service.submit(har_designs[0], "har",
                                      deadline_s=0.05)
             waited = time.monotonic() - started
@@ -302,6 +313,32 @@ def test_config_validation():
         ServeConfig(max_queue=0)
     with pytest.raises(ConfigurationError):
         ServeConfig(default_deadline_s=0.0)
+
+
+_NON_FINITE = [math.nan, math.inf]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=str)
+@pytest.mark.parametrize("knob", ["default_deadline_s", "drain_timeout_s"])
+def test_config_rejects_non_finite_seconds(knob, value):
+    with pytest.raises(ConfigurationError, match=f"{knob} must be a "
+                       f"positive, finite number"):
+        ServeConfig(**{knob: value})
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=str)
+def test_submit_rejects_non_finite_deadline(har_designs, value):
+    fake = _FakeBatchEval()
+    service = EvaluationService(evaluate_batch_fn=fake)
+
+    async def main():
+        async with service:
+            await service.submit(har_designs[0], "har", deadline_s=value)
+
+    with pytest.raises(ConfigurationError, match="deadline_s must be a "
+                       "positive, finite number"):
+        asyncio.run(main())
+    assert fake.calls == []
 
 
 def test_submit_validates_fidelity_and_deadline(har_designs):
@@ -348,44 +385,133 @@ def test_evaluation_failure_propagates_without_killing_service(
 
 
 # ---------------------------------------------------------------------------
-# request keys
+# request identity: a request is its value
 # ---------------------------------------------------------------------------
 
 
-def test_request_key_is_content_based(har_designs):
-    network = zoo.har_cnn()
-    envs = tuple(LightEnvironment.paper_environments())
-    key_a, group_a = request_key(har_designs[0], network, envs,
-                                 "analytical")
-    key_b, group_b = request_key(har_designs[0], zoo.har_cnn(), envs,
-                                 "analytical")
-    assert (key_a, group_a) == (key_b, group_b)  # equal values, equal keys
+class _FakeEval:
+    """Stand-in for the scalar evaluate: records calls, returns markers."""
 
-    key_c, group_c = request_key(har_designs[1], network, envs,
-                                 "analytical")
-    assert key_c != key_a
-    assert group_c == group_a  # same batch-compatibility class
+    def __init__(self):
+        self.calls = []
 
-    key_d, group_d = request_key(har_designs[0], network, envs, "step")
-    assert key_d != key_a
-    assert group_d != group_a
+    def __call__(self, design, network, environments, checkpoint, fidelity):
+        self.calls.append(fidelity)
+        return ("report", design)
 
 
-def test_service_keys_equal_request_key(har_designs):
-    """The service's memoized keys are :func:`request_key`'s, first
-    time and memo hit alike, and for equal objects of a new identity."""
+def _submit_together(*requests):
+    """Submit ``(design, keywords)`` har requests in one wave; return the
+    service and the batch and scalar fakes that priced them."""
+    batch, scalar = _FakeBatchEval(), _FakeEval()
+    service = EvaluationService(evaluate_fn=scalar, evaluate_batch_fn=batch)
+
+    async def main():
+        async with service:
+            await asyncio.gather(*[service.submit(design, "har", **keywords)
+                                   for design, keywords in requests])
+
+    asyncio.run(main())
+    return service, batch, scalar
+
+
+def test_decoded_design_coalesces_with_the_live_object(har_designs):
+    decoded = design_from_dict(design_to_dict(har_designs[0]))
+    assert decoded is not har_designs[0]
+    service, batch, _ = _submit_together((har_designs[0], {}), (decoded, {}))
+    assert service.stats.coalesced == 1
+    assert batch.calls == [1]
+
+
+_LIGHT = LightEnvironment.brighter()
+_TRACE = TraceEnvironment("same-name", (TraceSegment(10.0, 1e-4),))
+
+#: ``(first, second)`` request keywords that name different requests.
+_APART = {
+    "fidelity": ({}, {"fidelity": "step"}),
+    "checkpoint": ({}, {"checkpoint": CheckpointModel(
+        nvm=FRAM, exception_rate=0.2)}),
+    "environment content": (
+        {"environments": (_LIGHT,)},
+        {"environments": (dataclasses.replace(_LIGHT, cloudiness=0.5),)}),
+    "traces sharing a name": (
+        {"environments": (_TRACE,)},
+        {"environments": (TraceEnvironment(
+            "same-name", (TraceSegment(10.0, 2e-4),)),)}),
+    "light and trace sharing a name": (
+        {"environments": (_LIGHT,)},
+        {"environments": (TraceEnvironment(
+            _LIGHT.name, (TraceSegment(10.0, 1e-4),)),)}),
+}
+
+
+@pytest.mark.parametrize("first, second", list(_APART.values()),
+                         ids=list(_APART))
+def test_requests_differing_in_value_are_priced_apart(har_designs, first,
+                                                      second):
+    service, batch, scalar = _submit_together((har_designs[0], first),
+                                              (har_designs[0], second))
+    assert service.stats.coalesced == 0
+    assert service.stats.evaluated == 2
+    # one evaluation each; analytical ones in flush groups of one
+    assert batch.calls == [1] * (2 - len(scalar.calls))
+
+
+@pytest.mark.parametrize("environments", [
+    lambda: (TraceEnvironment("same-name", (TraceSegment(10.0, 1e-4),)),),
+    lambda: list(LightEnvironment.paper_environments()),
+], ids=["equal traces", "environment lists"])
+def test_requests_equal_in_value_coalesce(har_designs, environments):
+    service, batch, _ = _submit_together(
+        (har_designs[0], {"environments": environments()}),
+        (har_designs[0], {"environments": environments()}))
+    assert service.stats.coalesced == 1
+    assert batch.calls == [1]
+
+
+def test_namesake_networks_are_priced_as_themselves():
+    """A custom network that shares an earlier one's name is priced as
+    itself, in flight together and alone later."""
+    har = zoo.har_cnn()
+    wide = Network.chain(har.name, har.input_shape, har.layers[:3] + (
+        Dense("fc1", in_features=512, out_features=32),
+        Dense("fc2", in_features=32, out_features=6)))
+    design = AuTDesign.with_default_mappings(
+        EnergyDesign(panel_area_cm2=8.0, capacitance_f=uF(470)),
+        InferenceDesign.msp430(), har, n_tiles=1)
     service = EvaluationService()
-    paper = tuple(LightEnvironment.paper_environments())
-    checkpoint = CheckpointModel(nvm=FRAM, exception_rate=0.2)
-    for _ in range(2):
-        for design in (har_designs[0], har_designs[1],
-                       _designs(zoo.har_cnn(), 1)[0]):
-            for envs in (paper, paper[:1], tuple(
-                    LightEnvironment.paper_environments())):
-                for fidelity in ("analytical", "step"):
-                    for ckpt in (None, checkpoint):
-                        args = (design, zoo.har_cnn(), envs, fidelity, ckpt)
-                        assert service._keys_for(*args) == request_key(*args)
+
+    async def main():
+        async with service:
+            together = await asyncio.gather(service.submit(design, har),
+                                            service.submit(design, wide))
+            return together + [await service.submit(design, wide)]
+
+    on_har, on_wide, wide_alone = asyncio.run(main())
+    direct_har = evaluate(design, har, fidelity="analytical").metrics
+    direct_wide = evaluate(design, wide, fidelity="analytical").metrics
+    assert direct_wide.e2e_latency > direct_har.e2e_latency
+    assert on_har.metrics == direct_har
+    assert on_wide.metrics == direct_wide
+    assert wide_alone.metrics == direct_wide
+    assert service.stats.coalesced == 0
+
+
+def test_service_keeps_no_design_after_its_request():
+    """Sequential requests leave nothing behind but the batcher's last
+    batch: no memo, interning or pinning outlives a request."""
+    designs = _designs(zoo.har_cnn(), 3)
+    alive = [weakref.ref(design) for design in designs]
+    service = EvaluationService()
+
+    async def main():
+        async with service:
+            while designs:
+                await service.submit(designs.pop(), "har")
+            gc.collect()
+            return sum(ref() is not None for ref in alive)
+
+    assert asyncio.run(main()) <= 1
 
 
 # ---------------------------------------------------------------------------

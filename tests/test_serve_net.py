@@ -15,7 +15,7 @@ from repro.api import evaluate, evaluate_batch
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.environments import ScenarioGenerator
 from repro.errors import ConfigurationError, ServeError
-from repro.serve import EvaluationService, ServeClient, ServeServer, keys
+from repro.serve import EvaluationService, ServeClient, ServeServer
 from repro.serialize import design_to_dict
 from repro.units import uF
 from repro.workloads import zoo
@@ -131,37 +131,11 @@ def test_trace_label_requests_build_no_environments(designs, spec_builds):
 
     remote = _run_with_server(scenario)
     assert spec_builds == []
-    local = evaluate(designs[0], "har", scenario=label,
-                     fidelity="analytical")
-    assert remote[0].metrics == local.metrics
-    assert remote[0].by_environment == local.by_environment
-
-
-def test_trace_label_requests_hash_its_environments_once(designs,
-                                                         monkeypatch):
-    """Every TCP request decodes a new design, but its label resolves to
-    the registry's one tuple, so the service hashes the environments
-    once per label, not once per request."""
-    (label,) = ScenarioGenerator(name="net-hashed-once", seed=5, count=1,
-                                 families=("cloudy",)).expand()
-    hashed = []
-    to_dict = keys.environment_to_dict
-    monkeypatch.setattr(keys, "environment_to_dict",
-                        lambda env: hashed.append(env) or to_dict(env))
-
-    async def scenario(service, host, port):
-        async with await ServeClient.connect(host, port) as client:
-            return await asyncio.gather(*[
-                client.evaluate(designs[index % len(designs)], "har",
-                                environment=label)
-                for index in range(8)])
-
-    remote = _run_with_server(scenario)
-    assert len(hashed) == 1
-    assert [report.metrics for report in remote] == [
-        evaluate(designs[index % len(designs)], "har", scenario=label,
-                 fidelity="analytical").metrics
-        for index in range(8)]
+    for index, report in enumerate(remote):
+        local = evaluate(designs[index % len(designs)], "har",
+                         scenario=label, fidelity="analytical")
+        assert report.metrics == local.metrics
+        assert report.by_environment == local.by_environment
 
 
 def test_requests_build_no_accelerator_after_the_first(designs,
