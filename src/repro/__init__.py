@@ -56,7 +56,7 @@ from repro.faults import FaultConfig, run_faults_sweep
 from repro.sim.evaluator import ChrysalisEvaluator
 from repro.workloads import zoo
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 #: The blessed public surface (tests/test_public_api.py snapshots it).
 __all__ = [

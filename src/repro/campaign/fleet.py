@@ -46,6 +46,7 @@ bit-identical to a single-process :class:`CampaignRunner`.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pathlib
 import socket
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.runner import execute_search, success_payload
-from repro.campaign.spec import CampaignSpec, RunKey
+from repro.campaign.spec import CampaignSpec, RunKey, _check_attempts
 from repro.campaign.store import (
     DEFAULT_LEASE_TTL_S,
     STATUS_DONE,
@@ -96,17 +97,21 @@ class FleetConfig:
     max_attempts: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.lease_ttl_s <= 0:
-            raise ConfigurationError("lease_ttl_s must be positive")
-        if self.heartbeat_s is not None and self.heartbeat_s <= 0:
-            raise ConfigurationError("heartbeat_s must be positive")
+        # A NaN TTL would store a NULL lease deadline, which any other
+        # worker may claim at once.
+        for name in ("lease_ttl_s", "heartbeat_s", "poll_s",
+                     "backoff_base_s", "backoff_cap_s"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be a positive, finite number of "
+                    f"seconds, got {value}")
         if self.heartbeat_s is not None \
                 and self.heartbeat_s >= self.lease_ttl_s:
             raise ConfigurationError(
                 "heartbeat_s must be shorter than lease_ttl_s "
                 "(a beat slower than the TTL loses every lease)")
-        if self.poll_s <= 0:
-            raise ConfigurationError("poll_s must be positive")
+        _check_attempts(self.max_attempts)
 
     @property
     def heartbeat_interval_s(self) -> float:

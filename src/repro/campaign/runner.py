@@ -37,7 +37,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.campaign.spec import PARETO_KIND, CampaignSpec, RunKey
+from repro.campaign.spec import (
+    PARETO_KIND,
+    CampaignSpec,
+    RunKey,
+    _check_attempts,
+)
 from repro.campaign.store import (
     STATUS_DONE,
     STATUS_EXHAUSTED,
@@ -47,7 +52,7 @@ from repro.campaign.store import (
 from repro.core.chrysalis import Chrysalis
 from repro.core.result import AuTSolution
 from repro.environments import environment_by_name
-from repro.errors import ChrysalisError
+from repro.errors import ChrysalisError, ConfigurationError
 from repro.explore.bilevel import SearchResult
 from repro.explore.ga import GAConfig
 from repro.obs.state import OBS, run_scope
@@ -229,6 +234,10 @@ class CampaignRunner:
                  max_attempts: Optional[int] = None,
                  on_progress: Optional[Callable[[RunOutcome], None]] = None,
                  ) -> None:
+        if max_runs is not None and max_runs < 0:
+            raise ConfigurationError(
+                f"max_runs must be non-negative, got {max_runs}")
+        _check_attempts(max_attempts)
         self.spec = spec
         self.store = store
         self.max_runs = max_runs

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pathlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -273,8 +274,12 @@ class CampaignSpec:
             raise ConfigurationError("population must be at least 2")
         if self.generations < 1:
             raise ConfigurationError("generations must be at least 1")
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be at least 1")
+        _check_attempts(self.max_attempts)
+        budget = self.candidate_time_budget_s
+        if budget is not None and not 0.0 < budget < math.inf:
+            raise ConfigurationError(
+                f"candidate_time_budget_s must be a positive, finite "
+                f"number of seconds, got {budget}")
         for setup in self.setups:
             if setup not in _SETUPS:
                 raise ConfigurationError(
@@ -435,6 +440,14 @@ def _strings(values: Any) -> Tuple[str, ...]:
 
 def _optional_float(value: Any) -> Optional[float]:
     return None if value is None else float(value)
+
+
+def _check_attempts(max_attempts: Optional[int]) -> None:
+    """A retry cap, the spec's own or a runner's or fleet's override,
+    must allow at least one attempt."""
+    if max_attempts is not None and max_attempts < 1:
+        raise ConfigurationError(
+            f"max_attempts must be at least 1, got {max_attempts}")
 
 
 def _optional_number(value: Any) -> Optional[float]:

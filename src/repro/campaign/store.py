@@ -241,6 +241,12 @@ def _attempts(row: sqlite3.Row) -> List[Dict[str, Any]]:
     return history
 
 
+#: What sqlite3 raises on a damaged file: its own errors, and
+#: ``UnicodeDecodeError`` for text it cannot decode while it runs a
+#: statement.
+_DAMAGED = (sqlite3.Error, UnicodeDecodeError)
+
+
 def _is_locked(error: sqlite3.Error) -> bool:
     message = str(error).lower()
     return "locked" in message or "busy" in message
@@ -300,7 +306,7 @@ class ResultStore:
                 lambda: self._conn.execute("PRAGMA journal_mode=WAL"))
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._init_schema()
-        except sqlite3.Error as error:
+        except _DAMAGED as error:
             raise StoreError(
                 f"cannot open campaign store {self.path!r}: {error}"
             ) from None
@@ -308,16 +314,24 @@ class ResultStore:
     # -- lifecycle -----------------------------------------------------------
 
     def _read_version(self) -> Optional[str]:
-        """The file's ``schema_version`` text; ``None`` before the
-        schema exists."""
+        """The file's ``schema_version`` text; ``None`` for a file with
+        no tables yet.
+
+        The schema and its version row are written in one transaction,
+        so a file with tables but no version row is damaged, or not a
+        campaign store: it raises rather than being taken for a fresh
+        file and written into.
+        """
         if self._conn.execute(
-                "SELECT 1 FROM sqlite_master WHERE type='table' "
-                "AND name='campaign_meta'").fetchone() is None:
+                "SELECT 1 FROM sqlite_master LIMIT 1").fetchone() is None:
             return None
         row = self._conn.execute(
             "SELECT value FROM campaign_meta WHERE key='schema_version'"
         ).fetchone()
-        return None if row is None else row["value"]
+        if row is None:
+            raise StoreError(f"campaign store {self.path!r} has no "
+                             f"schema version")
+        return row["value"]
 
     def _init_schema(self) -> None:
         """Create the schema in a fresh file.  Creation and the version
@@ -383,7 +397,7 @@ class ResultStore:
         for attempt in range(self._LOCK_RETRIES + 1):
             try:
                 return body()
-            except sqlite3.Error as error:
+            except _DAMAGED as error:
                 if (isinstance(error, sqlite3.OperationalError)
                         and _is_locked(error)
                         and attempt < self._LOCK_RETRIES):
@@ -396,11 +410,21 @@ class ResultStore:
                     f"campaign store {self.path!r} failed: {error}"
                 ) from None
 
-    def _execute(self, sql: str, params: Sequence = ()) -> sqlite3.Cursor:
-        """One autocommit statement (reads, or single-statement writes)."""
+    def _read(self, sql: str, params: Sequence = (),
+              convert: Optional[Callable[[sqlite3.Row], Any]] = None
+              ) -> List[Any]:
+        """Every row of one read statement, each through ``convert``.
+
+        A damaged file shows at three points: running the statement,
+        decoding a fetched text column, and ``convert`` naming a column
+        that a damaged schema renamed (``IndexError``).  The fetch and
+        ``convert`` run inside the same guard, so all three raise
+        :class:`StoreError` naming the store.
+        """
         try:
-            return self._conn.execute(sql, params)
-        except sqlite3.Error as error:
+            rows = self._conn.execute(sql, params).fetchall()
+            return rows if convert is None else [convert(row) for row in rows]
+        except (*_DAMAGED, IndexError) as error:
             raise StoreError(
                 f"campaign store {self.path!r} failed: {error}") from None
 
@@ -799,12 +823,12 @@ class ResultStore:
             sql += " WHERE campaign=?"
             params.append(campaign)
         sql += " ORDER BY worker_id"
-        workers = []
-        for row in self._execute(sql, params).fetchall():
+
+        def worker(row: sqlite3.Row) -> WorkerStatus:
             ttl = row["lease_ttl_s"] or DEFAULT_LEASE_TTL_S
             alive = (row["retired_at"] is None
                      and now - row["last_heartbeat"] <= 2 * ttl)
-            workers.append(WorkerStatus(
+            return WorkerStatus(
                 worker_id=row["worker_id"], campaign=row["campaign"],
                 pid=row["pid"], host=row["host"],
                 lease_ttl_s=row["lease_ttl_s"],
@@ -813,15 +837,16 @@ class ResultStore:
                 retired_at=row["retired_at"],
                 current_run=row["current_run"],
                 runs_done=row["runs_done"], runs_failed=row["runs_failed"],
-                alive=alive))
-        return workers
+                alive=alive)
+
+        return self._read(sql, params, worker)
 
     # -- queries -------------------------------------------------------------
 
     def get(self, run_hash: str) -> Optional[StoredRun]:
-        row = self._execute(
-            "SELECT * FROM runs WHERE run_hash=?", (run_hash,)).fetchone()
-        return None if row is None else self._to_stored(row)
+        rows = self._read("SELECT * FROM runs WHERE run_hash=?",
+                          (run_hash,), self._to_stored)
+        return rows[0] if rows else None
 
     def runs(self, campaign: Optional[str] = None,
              status: Optional[str] = None) -> List[StoredRun]:
@@ -840,14 +865,12 @@ class ResultStore:
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY workload, setup, environment, objective, seed"
-        return [self._to_stored(row)
-                for row in self._execute(sql, params).fetchall()]
+        return self._read(sql, params, self._to_stored)
 
     def campaigns(self) -> List[str]:
-        rows = self._execute(
-            "SELECT DISTINCT campaign FROM runs ORDER BY campaign"
-        ).fetchall()
-        return [row["campaign"] for row in rows]
+        return self._read("SELECT DISTINCT campaign FROM runs "
+                          "ORDER BY campaign", (),
+                          lambda row: row["campaign"])
 
     def status_counts(self, campaign: Optional[str] = None) -> Dict[str, int]:
         """``{status: count}`` with every lifecycle state present."""
@@ -858,8 +881,8 @@ class ResultStore:
             params.append(campaign)
         sql += " GROUP BY status"
         counts = {status: 0 for status in _STATUSES}
-        for row in self._execute(sql, params).fetchall():
-            counts[row["status"]] = row["n"]
+        counts.update(self._read(sql, params,
+                                 lambda row: (row["status"], row["n"])))
         return counts
 
     def unfinished_count(self, campaign: Optional[str] = None) -> int:
@@ -869,7 +892,7 @@ class ResultStore:
         if campaign is not None:
             sql += " AND campaign=?"
             params.append(campaign)
-        return self._execute(sql, params).fetchone()["n"]
+        return self._read(sql, params, lambda row: row["n"])[0]
 
     # -- Pareto slices -------------------------------------------------------
 

@@ -8,7 +8,7 @@ cycles*, forcing all inter-tile data back through NVM.
 
 * :mod:`repro.dataflow.directives` — TemporalMap / SpatialMap /
   InterTempMap and the dataflow-style taxonomy (WS / OS / IS).
-* :mod:`repro.dataflow.tiling` — factor enumeration for tile sizes.
+* :mod:`repro.dataflow.tiling` — chunk counts and input halos of a tile.
 * :mod:`repro.dataflow.loopnest` — loop-nest rendering & trip counts.
 * :mod:`repro.dataflow.mapping` — a complete per-layer mapping scheme.
 * :mod:`repro.dataflow.cost_model` — the analytical reuse/energy/latency
@@ -26,7 +26,6 @@ from repro.dataflow.directives import (
 )
 from repro.dataflow.loopnest import LoopNest
 from repro.dataflow.mapping import LayerMapping
-from repro.dataflow.tiling import divisors, even_split, tile_candidates
 
 __all__ = [
     "DataflowCostModel",
@@ -40,7 +39,4 @@ __all__ = [
     "SpatialMap",
     "TemporalMap",
     "TileCost",
-    "divisors",
-    "even_split",
-    "tile_candidates",
 ]

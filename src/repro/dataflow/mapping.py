@@ -124,21 +124,6 @@ class LayerMapping:
 
     # -- derived geometry ----------------------------------------------------------
 
-    def validate_for(self, layer: Layer) -> None:
-        """Raise :class:`MappingError` if this mapping cannot serve ``layer``."""
-        dims = layer.dims()
-        if self.n_tiles > dims[self.tile_dim]:
-            raise MappingError(
-                f"n_tiles={self.n_tiles} exceeds {self.tile_dim}="
-                f"{dims[self.tile_dim]} on layer {layer.name!r}"
-            )
-        if (self.secondary_dim is not None
-                and self.n_tiles_2 > dims[self.secondary_dim]):
-            raise MappingError(
-                f"n_tiles_2={self.n_tiles_2} exceeds {self.secondary_dim}="
-                f"{dims[self.secondary_dim]} on layer {layer.name!r}"
-            )
-
     def tile_chunk(self, layer: Layer) -> int:
         """Iterations of ``tile_dim`` covered by one energy-cycle tile."""
         dims = layer.dims()

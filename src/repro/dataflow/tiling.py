@@ -1,73 +1,17 @@
-"""Tile-size enumeration helpers.
+"""Tile geometry helpers for the intermittent partition.
 
-The paper's Table IV design space defines tiling as "factors of each
-dimension"; these helpers enumerate those factors and split iteration
-spaces into (near-)even chunks for the intermittent partition.
+Chunk counts, input halos and the default ``InterTempMap`` dimension.
+The tile counts themselves are enumerated by the mapper's doubling
+ladder (:func:`repro.explore.mapper_search._ladder`), which walks
+``N_tile`` from 1 up to the tile dimension's extent.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping
+from typing import Mapping
 
 from repro.errors import MappingError
-
-
-def divisors(n: int) -> List[int]:
-    """All positive divisors of ``n``, ascending."""
-    if n <= 0:
-        raise MappingError(f"divisors() needs a positive integer, got {n}")
-    small, large = [], []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-    return small + large[::-1]
-
-
-def even_split(total: int, parts: int) -> List[int]:
-    """Split ``total`` iterations into ``parts`` near-even chunks.
-
-    Chunk sizes differ by at most one; the larger chunks come first.
-    ``parts`` may exceed ``total``, in which case the excess chunks are
-    dropped (a dimension of 3 cannot be split 5 ways).
-    """
-    if total <= 0:
-        raise MappingError(f"even_split total must be positive, got {total}")
-    if parts <= 0:
-        raise MappingError(f"even_split parts must be positive, got {parts}")
-    parts = min(parts, total)
-    base, extra = divmod(total, parts)
-    return [base + 1] * extra + [base] * (parts - extra)
-
-
-def tile_candidates(dim_size: int, max_candidates: int = 12) -> List[int]:
-    """Representative tile sizes for one dimension.
-
-    All divisors when there are few; otherwise a geometric subsample so
-    that search spaces stay tractable while still spanning the full
-    range (the smallest and largest divisors are always kept).
-    """
-    divs = divisors(dim_size)
-    if len(divs) <= max_candidates:
-        return divs
-    picked = {divs[0], divs[-1]}
-    for i in range(1, max_candidates - 1):
-        idx = round(i * (len(divs) - 1) / (max_candidates - 1))
-        picked.add(divs[idx])
-    return sorted(picked)
-
-
-def tile_space(dims: Dict[str, int],
-               dims_to_tile: Iterable[str]) -> Dict[str, List[int]]:
-    """Candidate tile sizes per requested dimension."""
-    space: Dict[str, List[int]] = {}
-    for name in dims_to_tile:
-        if name not in dims:
-            raise MappingError(f"unknown dimension {name!r} in tile_space")
-        space[name] = tile_candidates(dims[name])
-    return space
 
 
 def chunk_count(total: int, chunk: int) -> int:

@@ -14,7 +14,7 @@ lowers them onto the component models, and the explorer mutates them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from repro.dataflow.mapping import LayerMapping
@@ -142,11 +142,6 @@ class AuTDesign:
                 f"design has {len(self.mappings)} mappings but the network "
                 f"has {len(network)} layers"
             )
-
-    def replace_mapping(self, index: int, mapping: LayerMapping) -> "AuTDesign":
-        mappings = list(self.mappings)
-        mappings[index] = mapping
-        return replace(self, mappings=tuple(mappings))
 
     @property
     def footprint_cm2(self) -> float:

@@ -12,7 +12,9 @@ Charging under constant input power with voltage-dependent leakage obeys
 ``C·U·dU/dt = P_in − k_cap·C·U²``.  Substituting ``y = U²`` yields a
 linear ODE with the closed-form solution used by
 :meth:`Capacitor.time_to_reach`, which lets the simulator fast-forward
-through charging phases instead of stepping them.
+through charging phases instead of stepping them.  Charge moves only
+through :meth:`Capacitor.step`, which integrates that ODE exactly over
+a step of constant net power.
 """
 
 from __future__ import annotations
@@ -92,18 +94,6 @@ class Capacitor:
         u = self.voltage if voltage is None else voltage
         return self.leakage_current(u) * u
 
-    def equilibrium_voltage(self, input_power: float) -> float:
-        """Voltage at which leakage exactly consumes ``input_power``, V.
-
-        With no load, charging asymptotically approaches this voltage
-        (or the rated voltage, whichever is lower).
-        """
-        if input_power <= 0:
-            return 0.0
-        if self.k_cap == 0:
-            return self.rated_voltage
-        return math.sqrt(input_power / (self.k_cap * self.capacitance))
-
     # -- dynamics --------------------------------------------------------------
 
     def step(self, net_input_power: float, dt: float) -> float:
@@ -135,26 +125,13 @@ class Capacitor:
         self.voltage = math.sqrt(y)
         return self.voltage
 
-    def draw_energy(self, energy: float) -> bool:
-        """Instantaneously remove ``energy`` joules if available.
-
-        Returns ``True`` on success; leaves the state unchanged and
-        returns ``False`` if the capacitor does not hold that much.
-        """
-        if energy < 0:
-            raise ConfigurationError(f"energy must be non-negative, got {energy}")
-        stored = self.stored_energy()
-        if energy > stored:
-            return False
-        self.voltage = math.sqrt(2.0 * (stored - energy) / self.capacitance)
-        return True
-
     def time_to_reach(self, target_voltage: float, input_power: float) -> float:
         """Seconds of charging needed to reach ``target_voltage``.
 
         Uses the closed-form solution of the charging ODE.  Returns
-        ``math.inf`` when the target exceeds the equilibrium voltage (the
-        panel can never out-run leakage) and 0 when already there.
+        ``math.inf`` when the target lies above ``sqrt(P_in / (k_cap*C))``,
+        where leakage eats the whole input power (the panel can never
+        out-run leakage), and 0 when already there.
         """
         if target_voltage <= self.voltage:
             return 0.0

@@ -73,8 +73,10 @@ class TraceEnvironment:
     segment's coefficient applies, and the trace wraps at
     :attr:`period_s`.  The scalar :attr:`k_eh` property reports the
     time-weighted mean over one period so that every consumer of the
-    paper's per-inference-constant coefficient (analytical model, MPPT,
-    featurizer) keeps working unchanged on a trace.
+    paper's per-inference-constant coefficient (analytical model, MPPT)
+    keeps working unchanged on a trace.  :meth:`next_change_after`
+    answers in absolute time, counting whole periods, which is the one
+    segment lookup the step simulator's fast path needs.
     """
 
     name: str
@@ -126,11 +128,6 @@ class TraceEnvironment:
         """Coefficient at ``t`` seconds (right-continuous, periodic)."""
         _, index = self._locate(t)
         return self.segments[index].k_eh
-
-    def segment_index(self, t: float) -> int:
-        """Globally monotonic segment counter at ``t`` (never wraps)."""
-        cycles, index = self._locate(t)
-        return cycles * len(self.segments) + index
 
     def next_change_after(self, t: float) -> float:
         """Absolute time of the next segment boundary strictly after ``t``.

@@ -300,27 +300,6 @@ def environment_by_name(label: str) -> Tuple[Environment, ...]:
         f"from {sorted(SCENARIOS)}")
 
 
-def environment_to_dict(environment: Environment) -> Dict[str, Any]:
-    """Full value content of one resolved environment, as JSON data.
-
-    A trace environment contributes its complete segment list, never
-    just its label, so two different traces under the same name give
-    different dicts.
-    """
-    if isinstance(environment, TraceEnvironment):
-        return {"type": "trace", **environment.to_dict()}
-    return {
-        "type": "light",
-        "cloudiness": environment.cloudiness,
-        "panel_efficiency": environment.panel_efficiency,
-        "peak_elevation_deg": environment.peak_elevation_deg,
-        "deployment_factor": environment.deployment_factor,
-        "ambient_temp_c": environment.ambient_temp_c,
-        "temp_coefficient": environment.temp_coefficient,
-        "name": environment.name,
-    }
-
-
 # The builtin presets are ordinary registry entries; "paper" is the
 # brighter/darker pair every search in the paper averages over.
 for _preset in _PRESETS:
@@ -451,7 +430,6 @@ __all__ = [
     "ScenarioGenerator",
     "environment_by_name",
     "environment_spec",
-    "environment_to_dict",
     "register_environment",
     "registered_environments",
 ]

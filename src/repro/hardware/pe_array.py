@@ -67,17 +67,8 @@ class PEArray:
             raise ConfigurationError("macs_per_cycle_per_pe must be positive")
 
     @property
-    def peak_macs_per_second(self) -> float:
-        """Aggregate throughput with every PE busy, MACs/s."""
-        return self.n_pes * self.macs_per_cycle_per_pe * self.clock_hz
-
-    @property
     def macs_per_second_per_pe(self) -> float:
         return self.macs_per_cycle_per_pe * self.clock_hz
-
-    @property
-    def total_cache_bytes(self) -> int:
-        return self.n_pes * self.cache_bytes_per_pe
 
     @property
     def static_power(self) -> float:

@@ -225,11 +225,6 @@ class AnalyticalModel:
         """Harvested power, W (Eq. 1)."""
         return self.budget.p_eh
 
-    @property
-    def leak_power(self) -> float:
-        """Capacitor leakage power at the on-threshold, W (Eq. 2 x U)."""
-        return self.budget.leak
-
     def available_cycle_energy(self, execution_time: float = 0.0) -> float:
         """Rail-side energy available in one energy cycle, J (Eq. 3)."""
         return self.budget.available(execution_time)
@@ -329,15 +324,16 @@ class BatchAnalyticalModel:
             design.validate_against(self.network)
             if budget.net > 0.0:
                 groups.setdefault(design.inference, []).append(index)
-        for inference, indices in groups.items():
-            cost_model = _cost_model(inference, self.checkpoint)
-            for layer_index, layer in enumerate(self.network):
-                costs = cost_model.layer_cost_batch(
-                    layer,
-                    [designs[i].mappings[layer_index] for i in indices],
-                )
-                for index, cost in zip(indices, costs):
-                    plans[index].append(cost)
+        with span("cost.plan"):
+            for inference, indices in groups.items():
+                cost_model = _cost_model(inference, self.checkpoint)
+                for layer_index, layer in enumerate(self.network):
+                    costs = cost_model.layer_cost_batch(
+                        layer,
+                        [designs[i].mappings[layer_index] for i in indices],
+                    )
+                    for index, cost in zip(indices, costs):
+                        plans[index].append(cost)
         return plans
 
     # -- whole-inference evaluation (Eq. 7) -----------------------------------

@@ -95,15 +95,6 @@ class InferenceController:
             return 0.0
         return tile.energy_without_checkpoint / tile.latency
 
-    def remaining_tiles(self) -> int:
-        count = 0
-        for i in range(self.layer_index, len(self.plan)):
-            cost = self.plan[i]
-            count += cost.n_tiles
-        if not self.finished:
-            count -= self.tile_index
-        return count
-
     # -- checkpoint-round energies --------------------------------------------
 
     def checkpoint_round_energy(self) -> float:

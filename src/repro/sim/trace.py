@@ -120,10 +120,6 @@ class Trace:
         """Total events recorded, including evicted and bulk ones."""
         return self._total
 
-    def of_kind(self, kind: EventKind) -> List[Event]:
-        """Retained events of one kind (evicted events are gone)."""
-        return [e for e in self._events if e.kind is kind]
-
     def count(self, kind: EventKind) -> int:
         """Exact count of ``kind`` over the full history."""
         return self._counts.get(kind, 0)

@@ -81,13 +81,6 @@ class Network:
         """Bytes touched once over a whole inference (N_data in Eq. 5)."""
         return sum(layer.total_data_bytes for layer in self.layers)
 
-    @property
-    def peak_activation_bytes(self) -> int:
-        """Largest single activation tensor anywhere in the network."""
-        sizes = [layer.input_bytes for layer in self.layers]
-        sizes.extend(layer.output_bytes for layer in self.layers)
-        return max(sizes)
-
     def summary(self) -> str:
         """Human-readable per-layer table (name, kind, MACs, params)."""
         lines = [f"{self.name}  (input {self.input_shape})"]

@@ -29,7 +29,7 @@ class TestEnergyClosedForms:
         model = make_model(capacitance=mF(10))
         design = model.design.energy
         expected = design.k_cap * mF(10) * design.pmic.v_on**2
-        assert model.leak_power == pytest.approx(expected)
+        assert model.budget.leak == pytest.approx(expected)
 
     def test_cycle_energy_eq3_storage_term(self):
         model = make_model(capacitance=uF(470))

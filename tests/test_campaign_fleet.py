@@ -5,6 +5,7 @@ test here sleeps to make a lease expire, so the "a dead worker's runs
 re-queue within one TTL" bound is asserted exactly, not approximately.
 """
 
+import math
 import sqlite3
 import threading
 import time
@@ -91,6 +92,22 @@ class TestFleetConfig:
             FleetConfig(poll_s=-1.0)
         with pytest.raises(ConfigurationError):
             FleetConfig(lease_ttl_s=2.0, heartbeat_s=2.0)
+
+    @pytest.mark.parametrize("field", [
+        "lease_ttl_s", "heartbeat_s", "poll_s", "backoff_base_s",
+        "backoff_cap_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_seconds_that_are_not_positive_and_finite(self, field,
+                                                              value):
+        # claim(ttl_s=nan) wrote a NULL lease deadline, so a second
+        # worker claimed the live run at once.
+        with pytest.raises(ConfigurationError, match=field):
+            FleetConfig(**{field: value})
+
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_rejects_a_retry_cap_below_one(self, max_attempts):
+        with pytest.raises(ConfigurationError, match="max_attempts"):
+            FleetConfig(max_attempts=max_attempts)
 
     def test_attempts_cap_prefers_override(self):
         spec = make_spec(max_attempts=5)

@@ -16,7 +16,7 @@ from repro.campaign.store import (
     ResultStore,
 )
 from repro.core.chrysalis import Chrysalis
-from repro.errors import SearchError
+from repro.errors import ConfigurationError, SearchError
 from repro.explore.ga import GAConfig
 from repro.explore.objectives import Objective
 from repro.workloads import zoo
@@ -87,6 +87,18 @@ class TestRun:
                    on_progress=seen.append).run()
         assert len(seen) == 4
         assert all(o.status == STATUS_DONE for o in seen)
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("override", [
+        {"max_runs": -1}, {"max_attempts": 0}, {"max_attempts": -1}])
+    def test_rejects_overrides_that_run_nothing_sensible(self, store,
+                                                         override):
+        # max_runs=-1 used to run all but the last pending run
+        # (pending[:-1]); a cap below 1 allowed no attempt.
+        with pytest.raises(ConfigurationError, match=next(iter(override))):
+            CampaignRunner(make_spec(), store, **override)
+        assert store.campaigns() == []
 
 
 class TestResume:

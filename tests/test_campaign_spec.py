@@ -1,6 +1,7 @@
 """Tests for campaign specs, grid expansion, and RunKey hashing."""
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -173,6 +174,15 @@ class TestCampaignSpec:
     def test_unknown_setup_rejected(self):
         with pytest.raises(ConfigurationError, match="setup"):
             self._spec(setups=("quantum",))
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_candidate_budget_that_is_not_positive_and_finite(
+            self, budget):
+        # A zero budget timed out every candidate, so the run failed as
+        # "no feasible design".
+        with pytest.raises(ConfigurationError,
+                           match="candidate_time_budget_s"):
+            self._spec(candidate_time_budget_s=budget)
 
     def test_needs_objective_or_scenario(self):
         with pytest.raises(ConfigurationError, match="objective or scenario"):

@@ -3,9 +3,13 @@
 import json
 import multiprocessing
 import sqlite3
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign.spec import ObjectiveSpec, RunKey
 from repro.campaign.store import (
@@ -423,3 +427,99 @@ class TestCorruptRows:
             row = store._conn.execute(
                 "SELECT status, solution_json FROM runs").fetchone()
             assert tuple(row) == (STATUS_RUNNING, None)
+
+
+def _read_everything(store):
+    """Every read ``campaign status --runs`` and ``campaign report`` make."""
+    store.campaigns()
+    store.status_counts()
+    store.unfinished_count("camp")
+    store.workers_status("camp")
+    store.pareto_points("camp")
+    for run in store.runs("camp"):
+        store.get(run.run_hash)
+
+
+@pytest.fixture(scope="module")
+def pristine_store(tmp_path_factory):
+    """A closed 40-row store file with 15 done rows and one worker."""
+    path = tmp_path_factory.mktemp("pristine") / "camp.sqlite"
+    keys = [make_key(seed=seed) for seed in range(40)]
+    with ResultStore(path, clock=lambda: 1000.0) as store:
+        store.register("camp", keys)
+        store.register_worker("w1", "camp", pid=1, host="h")
+        for index, key in enumerate(keys[:15]):
+            store.record_success(
+                key, score=1.0 + index, panel_cm2=4.0 + index,
+                latency_s=0.5, solution=SOLUTION,
+                stats={"hw_evaluations": index}, failures=[],
+                campaign="camp", obs={"version": 1})
+    return path
+
+
+def _damage(data, draw):
+    """A truncation, 1-19 bit flips, or a run of up to 4 KiB overwritten."""
+    damaged = bytearray(data)
+    kind = draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+    if kind == "truncate":
+        return bytes(damaged[:draw(st.integers(0, len(data) - 1))])
+    if kind == "flip":
+        flips = draw(st.lists(st.tuples(st.integers(0, len(data) - 1),
+                                        st.integers(0, 7)),
+                              min_size=1, max_size=19))
+        for at, bit in flips:
+            damaged[at] ^= 1 << bit
+        return bytes(damaged)
+    at = draw(st.integers(0, len(data) - 1))
+    run = draw(st.binary(min_size=1, max_size=4096))[:len(data) - at]
+    damaged[at:at + len(run)] = run
+    return bytes(damaged)
+
+
+class TestCorruptFiles:
+    """A damaged store file raises StoreError from open or from any
+    reader, never sqlite3's or Python's own exceptions, and a refused
+    file keeps its bytes."""
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param("UPDATE runs SET solution_json = "
+                     "CAST(X'7BFF7D' AS TEXT)", id="text-column-not-utf8"),
+        pytest.param("UPDATE runs SET status = CAST(X'FF' AS TEXT)",
+                     id="status-not-utf8"),
+        pytest.param("ALTER TABLE runs RENAME COLUMN solution_json "
+                     "TO solution_jsox", id="column-renamed"),
+        pytest.param("UPDATE sqlite_master SET sql = sql || "
+                     "CAST(X'FF' AS TEXT) WHERE name='workers'",
+                     id="schema-text-not-utf8"),
+        pytest.param("DELETE FROM campaign_meta", id="version-row-lost"),
+    ])
+    def test_damaged_file_raises_store_error(self, tmp_path, damage):
+        path = tmp_path / "camp.sqlite"
+        with ResultStore(path) as store:
+            store.record_success(make_key(), score=1.0, panel_cm2=4.0,
+                                 latency_s=1.0, solution=SOLUTION,
+                                 campaign="camp")
+        conn = sqlite3.connect(path)
+        conn.execute("PRAGMA writable_schema=ON")
+        conn.execute(damage)
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        with pytest.raises(StoreError, match="camp.sqlite"):
+            with ResultStore(path) as store:
+                _read_everything(store)
+        assert path.read_bytes() == before
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=5000, derandomize=True)
+    def test_fuzzed_file_raises_only_store_error(self, pristine_store,
+                                                 data):
+        damaged = _damage(pristine_store.read_bytes(), data.draw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "camp.sqlite"
+            path.write_bytes(damaged)
+            try:
+                with ResultStore(path) as store:
+                    _read_everything(store)
+            except StoreError:
+                assert path.read_bytes() == damaged

@@ -47,13 +47,6 @@ class TestStaticProperties:
             cap.leakage_current() * 2.5
         )
 
-    def test_equilibrium_voltage(self):
-        cap = make_cap(capacitance=mF(1))
-        p_in = 1e-3
-        u_eq = cap.equilibrium_voltage(p_in)
-        # At equilibrium, leakage power equals input power.
-        assert cap.leakage_power(u_eq) == pytest.approx(p_in, rel=1e-9)
-
 
 class TestDynamics:
     def test_charging_increases_voltage(self):
@@ -85,14 +78,6 @@ class TestDynamics:
         cap = make_cap(capacitance=mF(10), voltage=3.0)
         cap.step(net_input_power=0.0, dt=100.0)
         assert 0.0 < cap.voltage < 3.0
-
-    def test_draw_energy_success_and_failure(self):
-        cap = make_cap(voltage=3.0)
-        stored = cap.stored_energy()
-        assert cap.draw_energy(stored / 2) is True
-        assert cap.stored_energy() == pytest.approx(stored / 2)
-        assert cap.draw_energy(stored) is False  # more than remains
-        assert cap.stored_energy() == pytest.approx(stored / 2)  # unchanged
 
     def test_zero_dt_is_identity(self):
         cap = make_cap(voltage=2.0)
@@ -152,7 +137,3 @@ class TestValidation:
     def test_negative_dt_rejected(self):
         with pytest.raises(ConfigurationError):
             make_cap().step(0.0, -1.0)
-
-    def test_negative_draw_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_cap().draw_energy(-1.0)

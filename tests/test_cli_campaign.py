@@ -1,10 +1,12 @@
 """Tests for the ``campaign`` CLI group and ``search --output``."""
 
 import json
+import re
 
 import pytest
 
 from repro.campaign.spec import CampaignSpec, ObjectiveSpec
+from repro.campaign.store import ResultStore
 from repro.cli import main
 from repro.serialize import solution_from_json
 
@@ -33,6 +35,18 @@ class TestCampaignRun:
 
         assert main(["campaign", "status", "--store", str(store)]) == 0
         assert "cli-camp: 2/2 complete" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", [
+        ["--max-runs", "-1"], ["--max-attempts", "0"]])
+    def test_bad_override_exits_2_and_runs_nothing(self, spec_path,
+                                                   tmp_path, capsys,
+                                                   option):
+        store = tmp_path / "camp.sqlite"
+        assert main(["campaign", "run", str(spec_path),
+                     "--store", str(store), *option]) == 2
+        assert "error:" in capsys.readouterr().err
+        with ResultStore(store) as opened:
+            assert opened.campaigns() == []
 
     def test_interrupted_run_resumes(self, spec_path, tmp_path, capsys):
         store = tmp_path / "camp.sqlite"
@@ -122,7 +136,13 @@ class TestObsCli:
         out = capsys.readouterr().out
         assert "reconstructed from 2 stored run blob(s)" in out
         assert "campaign.run                                 x2" in out
+        assert re.search(r"search\.run +x2", out)
+        assert re.search(r"ga\.generation +x", out)
         assert "ga.run" in out and "search.genome" in out
+        # The rest of CI's obs-smoke greps: the mapper's scan and the
+        # plan building of the every-environment rule both record.
+        assert "mapper.optimize" in out
+        assert "cost.plan" in out
 
     def test_obs_report_without_blobs_fails(self, spec_path, tmp_path,
                                             capsys):

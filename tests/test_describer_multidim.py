@@ -1,5 +1,7 @@
 """Describer/loop-nest coverage for multi-dimensional cpkt tiles."""
 
+from dataclasses import replace
+
 from repro.core.describer import describe_design
 from repro.dataflow.directives import DataflowStyle
 from repro.dataflow.loopnest import LoopNest
@@ -17,7 +19,9 @@ def design_with_2d_tile():
     two_dim = LayerMapping(style=DataflowStyle.WEIGHT_STATIONARY,
                            n_tiles=16, tile_dim="Y", spatial_dim="X",
                            secondary_dim="K", n_tiles_2=4)
-    return network, design.replace_mapping(1, two_dim)  # conv2
+    mappings = list(design.mappings)
+    mappings[1] = two_dim  # conv2
+    return network, replace(design, mappings=tuple(mappings))
 
 
 def test_describe_renders_both_intertempmaps():

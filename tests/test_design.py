@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dataflow.mapping import LayerMapping
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.errors import ConfigurationError
 from repro.hardware.accelerators import AcceleratorFamily
@@ -67,16 +66,6 @@ class TestAuTDesign:
             InferenceDesign.msp430(), net)
         with pytest.raises(ConfigurationError):
             design.validate_against(zoo.cifar10_cnn())
-
-    def test_replace_mapping_is_functional(self):
-        net = zoo.har_cnn()
-        design = AuTDesign.with_default_mappings(
-            EnergyDesign(panel_area_cm2=5.0, capacitance_f=uF(100)),
-            InferenceDesign.msp430(), net)
-        new_mapping = LayerMapping.default(net.layers[0], n_tiles=7)
-        updated = design.replace_mapping(0, new_mapping)
-        assert updated.mappings[0].n_tiles == 7
-        assert design.mappings[0].n_tiles == 1  # original untouched
 
     def test_footprint_is_panel_area(self):
         design = AuTDesign.with_default_mappings(

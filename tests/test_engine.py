@@ -36,14 +36,16 @@ class TestCompletion:
 
     def test_tiles_complete_in_order(self):
         result = simulate()
-        events = result.trace.of_kind(EventKind.TILE_COMPLETED)
-        times = [e.time for e in events]
+        times = [e.time for e in result.trace
+                 if e.kind is EventKind.TILE_COMPLETED]
         assert times == sorted(times)
 
     def test_cold_start_charging_precedes_first_tile(self):
         result = simulate(initial_voltage=0.0)
-        power_on = result.trace.of_kind(EventKind.POWER_ON)[0]
-        first_tile = result.trace.of_kind(EventKind.TILE_COMPLETED)[0]
+        power_on = next(e for e in result.trace
+                        if e.kind is EventKind.POWER_ON)
+        first_tile = next(e for e in result.trace
+                          if e.kind is EventKind.TILE_COMPLETED)
         assert 0.0 < power_on.time <= first_tile.time
 
     def test_cold_start_slower_than_warm_start(self):

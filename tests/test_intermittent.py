@@ -33,7 +33,6 @@ class TestProgress:
     def test_initial_state(self, plan):
         controller = make_controller(plan)
         assert not controller.finished
-        assert controller.remaining_tiles() == plan[0].n_tiles
         assert controller.tile_energy_demand() > 0
 
     def test_partial_delivery_no_completion(self, plan):

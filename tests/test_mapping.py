@@ -49,12 +49,6 @@ class TestGeometry:
                                n_tiles=100, tile_dim="Y")
         assert mapping.clamped(conv).n_tiles == 16
 
-    def test_validate_for_rejects_oversplit(self, conv):
-        mapping = LayerMapping(style=DataflowStyle.WEIGHT_STATIONARY,
-                               n_tiles=100, tile_dim="Y")
-        with pytest.raises(MappingError):
-            mapping.validate_for(conv)
-
     def test_tile_dims_only_changes_tile_dim(self, conv):
         mapping = LayerMapping(style=DataflowStyle.WEIGHT_STATIONARY,
                                n_tiles=4, tile_dim="Y")

@@ -45,10 +45,6 @@ class TestGeometry:
         assert clamped.n_tiles == 28
         assert clamped.n_tiles_2 == 128
 
-    def test_validate_for_catches_oversplit_secondary(self, conv):
-        with pytest.raises(MappingError):
-            mapping_2d(n_tiles=4, n_tiles_2=1000).validate_for(conv)
-
     def test_secondary_must_differ_from_primary(self):
         with pytest.raises(MappingError):
             LayerMapping(style=DataflowStyle.WEIGHT_STATIONARY, n_tiles=2,

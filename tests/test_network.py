@@ -44,10 +44,6 @@ class TestAggregates:
     def test_weight_layers_excludes_pools(self, tiny_net):
         assert tiny_net.num_weight_layers == 2
 
-    def test_peak_activation(self, tiny_net):
-        # Largest tensor is the conv output / pool input: 4*8*8 = 256 B.
-        assert tiny_net.peak_activation_bytes == 256
-
     def test_total_data_bytes_positive(self, tiny_net):
         assert tiny_net.total_data_bytes > 0
 

@@ -13,9 +13,6 @@ def array():
 
 
 class TestThroughput:
-    def test_peak_macs(self, array):
-        assert array.peak_macs_per_second == pytest.approx(16 * 200e6)
-
     def test_compute_time_all_pes(self, array):
         macs = 3.2e9
         assert array.compute_time(macs) == pytest.approx(1.0)
@@ -27,9 +24,6 @@ class TestThroughput:
 
     def test_compute_energy(self, array):
         assert array.compute_energy(1e9) == pytest.approx(2e-3)
-
-    def test_total_cache(self, array):
-        assert array.total_cache_bytes == 16 * 512
 
     def test_static_power_scales_with_pes(self):
         small = PEArray(n_pes=4, cache_bytes_per_pe=512, mac_energy=2e-12,

@@ -71,17 +71,6 @@ def test_charging_is_time_composable(c, v, k, split, p, dt):
         abs(one_shot.voltage - two_shot.voltage) < 1e-9
 
 
-@given(c=capacitances, v=st.floats(min_value=0.5, max_value=5.0),
-       fraction=st.floats(min_value=0.0, max_value=1.0))
-def test_draw_energy_conserves(c, v, fraction):
-    cap = make(c, v, 0.0)
-    before = cap.stored_energy()
-    amount = before * fraction
-    assert cap.draw_energy(amount)
-    assert cap.stored_energy() + amount == before or \
-        abs(cap.stored_energy() + amount - before) < 1e-15 + 1e-9 * before
-
-
 @given(c=capacitances, u_on=st.floats(min_value=1.0, max_value=5.0),
        delta=st.floats(min_value=0.01, max_value=0.99))
 def test_energy_between_positive_and_additive(c, u_on, delta):

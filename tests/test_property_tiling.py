@@ -7,38 +7,10 @@ from hypothesis import strategies as st
 
 from repro.dataflow.directives import DataflowStyle
 from repro.dataflow.mapping import LayerMapping
-from repro.dataflow.tiling import (
-    chunk_count,
-    divisors,
-    even_split,
-    halo_extent,
-    tile_candidates,
-)
+from repro.dataflow.tiling import chunk_count, halo_extent
 from repro.workloads.layers import Conv2D
 
 positive_ints = st.integers(min_value=1, max_value=10_000)
-
-
-@given(n=positive_ints)
-def test_divisors_divide_and_bracket(n):
-    divs = divisors(n)
-    assert divs[0] == 1 and divs[-1] == n
-    assert all(n % d == 0 for d in divs)
-    assert divs == sorted(divs)
-
-
-@given(total=positive_ints, parts=st.integers(min_value=1, max_value=200))
-def test_even_split_partitions_exactly(total, parts):
-    chunks = even_split(total, parts)
-    assert sum(chunks) == total
-    assert max(chunks) - min(chunks) <= 1
-    assert len(chunks) == min(parts, total)
-
-
-@given(n=positive_ints)
-def test_tile_candidates_are_valid_divisors(n):
-    for candidate in tile_candidates(n):
-        assert n % candidate == 0
 
 
 @given(total=positive_ints, chunk=st.integers(min_value=1, max_value=500))

@@ -48,7 +48,7 @@ class TestZooInvariants:
     def test_default_mapping_valid_for_every_layer(self, name):
         for layer in NETWORKS[name]:
             mapping = LayerMapping.default(layer)
-            mapping.validate_for(layer)
+            assert mapping.clamped(layer) == mapping
             directives = mapping.to_directives(layer, n_pes=8)
             assert directives.spatial is not None
 

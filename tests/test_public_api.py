@@ -132,17 +132,22 @@ REMOVED_IN_4 = [
 ]
 
 
+def _still_present(removed):
+    """The ``module.dotted`` names of ``removed`` that still resolve."""
+    present = []
+    for module, dotted in removed:
+        owner = importlib.import_module(module)
+        *parents, name = dotted.split(".")
+        for parent in parents:
+            owner = getattr(owner, parent)
+        if hasattr(owner, name):
+            present.append(f"{module}.{dotted}")
+    return present
+
+
 class TestRemovedIn4:
     def test_removed_names_are_gone(self):
-        present = []
-        for module, dotted in REMOVED_IN_4:
-            owner = importlib.import_module(module)
-            *parents, name = dotted.split(".")
-            for parent in parents:
-                owner = getattr(owner, parent)
-            if hasattr(owner, name):
-                present.append(f"{module}.{dotted}")
-        assert present == []
+        assert _still_present(REMOVED_IN_4) == []
 
     def test_evaluator_mode_keyword_is_gone(self):
         from repro.sim.evaluator import ChrysalisEvaluator
@@ -174,3 +179,32 @@ class TestRemovedIn5:
     def test_serve_keys_module_is_gone(self):
         with pytest.raises(ImportError):
             importlib.import_module("repro.serve.keys")
+
+
+#: ``(module, dotted name)`` of every name 6.0 removed (docs/API.md).
+REMOVED_IN_6 = [
+    ("repro.environments", "environment_to_dict"),
+    ("repro.dataflow", "divisors"),
+    ("repro.dataflow", "even_split"),
+    ("repro.dataflow", "tile_candidates"),
+    ("repro.dataflow.tiling", "divisors"),
+    ("repro.dataflow.tiling", "even_split"),
+    ("repro.dataflow.tiling", "tile_candidates"),
+    ("repro.dataflow.tiling", "tile_space"),
+    ("repro.dataflow.mapping", "LayerMapping.validate_for"),
+    ("repro.design", "AuTDesign.replace_mapping"),
+    ("repro.energy.capacitor", "Capacitor.equilibrium_voltage"),
+    ("repro.energy.capacitor", "Capacitor.draw_energy"),
+    ("repro.energy.traces", "TraceEnvironment.segment_index"),
+    ("repro.hardware.pe_array", "PEArray.peak_macs_per_second"),
+    ("repro.hardware.pe_array", "PEArray.total_cache_bytes"),
+    ("repro.sim.analytical", "AnalyticalModel.leak_power"),
+    ("repro.sim.intermittent", "InferenceController.remaining_tiles"),
+    ("repro.sim.trace", "Trace.of_kind"),
+    ("repro.workloads.network", "Network.peak_activation_bytes"),
+]
+
+
+class TestRemovedIn6:
+    def test_removed_names_are_gone(self):
+        assert _still_present(REMOVED_IN_6) == []

@@ -1,6 +1,7 @@
 """Tests for design/solution JSON serialization."""
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -48,7 +49,7 @@ def design():
     fancy = LayerMapping(style=DataflowStyle.OUTPUT_STATIONARY, n_tiles=4,
                          tile_dim="Y", spatial_dim="K",
                          secondary_dim="C", n_tiles_2=2)
-    return base.replace_mapping(0, fancy)
+    return replace(base, mappings=(fancy,) + base.mappings[1:])
 
 
 class TestRoundTrip:

@@ -1,69 +1,10 @@
-"""Tests for tile-size enumeration helpers."""
+"""Tests for the tile geometry helpers."""
 
 
 import pytest
 
-from repro.dataflow.tiling import (
-    chunk_count,
-    divisors,
-    even_split,
-    halo_extent,
-    pick_intermittent_dim,
-    tile_candidates,
-    tile_space,
-)
+from repro.dataflow.tiling import chunk_count, halo_extent, pick_intermittent_dim
 from repro.errors import MappingError
-
-
-class TestDivisors:
-    @pytest.mark.parametrize("n,expected", [
-        (1, [1]),
-        (12, [1, 2, 3, 4, 6, 12]),
-        (13, [1, 13]),
-        (36, [1, 2, 3, 4, 6, 9, 12, 18, 36]),
-    ])
-    def test_known_values(self, n, expected):
-        assert divisors(n) == expected
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(MappingError):
-            divisors(0)
-
-
-class TestEvenSplit:
-    def test_exact_division(self):
-        assert even_split(12, 3) == [4, 4, 4]
-
-    def test_remainder_spread(self):
-        assert even_split(13, 3) == [5, 4, 4]
-        assert sum(even_split(13, 3)) == 13
-
-    def test_more_parts_than_total(self):
-        assert even_split(3, 5) == [1, 1, 1]
-
-    def test_single_part(self):
-        assert even_split(7, 1) == [7]
-
-
-class TestTileCandidates:
-    def test_small_dims_return_all_divisors(self):
-        assert tile_candidates(12) == divisors(12)
-
-    def test_large_dims_subsampled(self):
-        candidates = tile_candidates(720, max_candidates=8)
-        assert len(candidates) <= 8
-        assert candidates[0] == 1
-        assert candidates[-1] == 720
-        assert all(720 % c == 0 for c in candidates)
-
-    def test_tile_space_unknown_dim(self):
-        with pytest.raises(MappingError):
-            tile_space({"K": 4}, ["Q"])
-
-    def test_tile_space_builds_per_dim(self):
-        space = tile_space({"K": 8, "Y": 6}, ["K", "Y"])
-        assert space["K"] == [1, 2, 4, 8]
-        assert space["Y"] == [1, 2, 3, 6]
 
 
 class TestChunkCount:

@@ -15,15 +15,6 @@ class TestTrace:
         assert trace.count(EventKind.POWER_ON) == 1
         assert trace.count(EventKind.POWER_OFF) == 0
 
-    def test_of_kind_filters(self):
-        trace = Trace()
-        for i in range(3):
-            trace.record(float(i), EventKind.TILE_COMPLETED, layer="l",
-                         tile=i)
-        trace.record(3.0, EventKind.INFERENCE_COMPLETED)
-        tiles = trace.of_kind(EventKind.TILE_COMPLETED)
-        assert [e.tile for e in tiles] == [0, 1, 2]
-
     def test_render_limit(self):
         trace = Trace()
         for i in range(10):

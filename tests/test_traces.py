@@ -91,10 +91,16 @@ class TestTraceEnvironment:
         assert tr.k_eh == 2e-5
 
     def test_segment_counter_never_wraps(self):
+        # Lookups several periods out count the whole periods elapsed:
+        # boundaries come back in absolute time, and the coefficient is
+        # the one of the segment the time falls in after the wrap.
         tr = TraceEnvironment("t", (TraceSegment(10.0, 1e-4),
                                     TraceSegment(20.0, 3e-4)))
-        indices = [tr.segment_index(t) for t in (0.0, 10.0, 30.0, 40.0, 60.0)]
-        assert indices == [0, 1, 2, 3, 4]
+        times = (0.0, 10.0, 30.0, 40.0, 60.0, 65.0, 95.0)
+        assert [tr.next_change_after(t) for t in times] == [
+            10.0, 30.0, 40.0, 60.0, 70.0, 70.0, 100.0]
+        assert [tr.k_eh_at_s(t) for t in times] == [
+            1e-4, 3e-4, 1e-4, 3e-4, 1e-4, 1e-4, 1e-4]
 
     def test_json_round_trip_preserves_hash(self):
         tr = make_trace()
