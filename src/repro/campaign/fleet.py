@@ -23,12 +23,13 @@ Protocol, per worker:
    (``pending``, retryable ``failed``, or expired-lease ``running``)
    and stamps it ``lease_deadline = now + ttl``.
 2. A daemon heartbeat thread extends the lease every ``ttl/4`` seconds
-   over its own store connection while the (blocking) search runs.
-3. The finished result is written through a lease-guarded upsert: if
-   the worker lost its lease mid-run (it stalled past the TTL and the
-   run was reclaimed), the write is dropped — results are
-   deterministic per run key, so the reclaimant's eventual write is
-   byte-identical anyway.
+   over its own store connection while the (blocking) search runs,
+   and stops however the run ends.
+3. The runner's attempt path records the result through a
+   lease-guarded upsert: if the worker lost its lease mid-run (it
+   stalled past the TTL and the run was reclaimed), the write is
+   dropped — results are deterministic per run key, so the
+   reclaimant's eventual write is byte-identical anyway.
 4. A failed run is re-queued with capped exponential backoff
    (deterministically jittered by run hash, so the schedule is
    reproducible) until it burns ``max_attempts`` attempts and becomes
@@ -45,8 +46,8 @@ bit-identical to a single-process :class:`CampaignRunner`.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import math
 import os
 import pathlib
 import socket
@@ -55,20 +56,26 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.campaign.runner import execute_search, success_payload
-from repro.campaign.spec import CampaignSpec, RunKey, _check_attempts
+from repro.campaign.runner import _attempt, execute_search
+from repro.campaign.spec import (
+    CampaignSpec,
+    RunKey,
+    _check_attempts,
+    _check_seconds,
+)
 from repro.campaign.store import (
     DEFAULT_LEASE_TTL_S,
+    OUTCOME_LOST,
     STATUS_DONE,
     STATUS_EXHAUSTED,
     ResultStore,
     StoredRun,
     WorkerStatus,
 )
-from repro.errors import ChrysalisError, ConfigurationError, StoreError
-from repro.obs.state import OBS, run_scope
+from repro.errors import ConfigurationError, StoreError
+from repro.obs.state import OBS
 
 #: Chaos/test hook: a positive float here makes every worker sleep that
 #: long inside each claimed run, widening the crash window the
@@ -97,15 +104,9 @@ class FleetConfig:
     max_attempts: Optional[int] = None
 
     def __post_init__(self) -> None:
-        # A NaN TTL would store a NULL lease deadline, which any other
-        # worker may claim at once.
         for name in ("lease_ttl_s", "heartbeat_s", "poll_s",
                      "backoff_base_s", "backoff_cap_s"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
-                raise ConfigurationError(
-                    f"{name} must be a positive, finite number of "
-                    f"seconds, got {value}")
+            _check_seconds(name, getattr(self, name))
         if self.heartbeat_s is not None \
                 and self.heartbeat_s >= self.lease_ttl_s:
             raise ConfigurationError(
@@ -137,48 +138,6 @@ def retry_delay_s(run_hash: str, attempt: int,
         f"{run_hash}:{attempt}".encode("utf-8")).hexdigest()
     jitter = 0.75 + 0.5 * (int(digest[:8], 16) / 0xFFFFFFFF)
     return raw * jitter
-
-
-class _LeaseHeartbeat(threading.Thread):
-    """Extends one run's lease on a timer, over its own connection.
-
-    The worker's main thread is inside a blocking search, so the lease
-    must be kept alive from a sidecar thread.  SQLite connections are
-    not shared across threads; the sidecar opens its own.
-    """
-
-    def __init__(self, store_path: str, worker_id: str, run_hash: str,
-                 *, ttl_s: float, interval_s: float) -> None:
-        super().__init__(daemon=True, name=f"lease-heartbeat-{worker_id}")
-        self.store_path = store_path
-        self.worker_id = worker_id
-        self.run_hash = run_hash
-        self.ttl_s = ttl_s
-        self.interval_s = interval_s
-        self.lease_lost = False
-        self._halt = threading.Event()
-
-    def run(self) -> None:
-        try:
-            store = ResultStore(self.store_path)
-        except StoreError:
-            return
-        try:
-            while not self._halt.wait(self.interval_s):
-                try:
-                    held = store.heartbeat(self.worker_id, self.run_hash,
-                                           ttl_s=self.ttl_s)
-                except StoreError:
-                    continue  # transient contention; the lease has slack
-                if not held:
-                    self.lease_lost = True
-                    return
-        finally:
-            store.close()
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join(timeout=max(1.0, 2 * self.interval_s))
 
 
 @dataclass
@@ -276,51 +235,56 @@ class CampaignWorker:
 
     def _run_claimed(self, store: ResultStore, row: StoredRun,
                      summary: WorkerSummary) -> None:
-        key = row.key
-        config = self.config
-        heartbeat = _LeaseHeartbeat(
-            self.store_path, self.worker_id, row.run_hash,
-            ttl_s=config.lease_ttl_s,
-            interval_s=config.heartbeat_interval_s)
-        heartbeat.start()
-        started = time.monotonic()
-        failure: Optional[ChrysalisError] = None
-        solution = result = None
-        with run_scope("campaign.run", run=key.run_hash[:12],
-                       workload=key.workload,
-                       worker=self.worker_id) as scope:
-            try:
-                solution, result = self._execute(key)
-            except ChrysalisError as error:
-                failure = error
-        obs_blob = scope.snapshot() if OBS.enabled else None
-        heartbeat.stop()
-        wall = time.monotonic() - started
-        if failure is not None:
-            recorded = store.record_failure(
-                key, error=f"{type(failure).__name__}: {failure}",
-                wall_seconds=wall, campaign=self.spec.name, obs=obs_blob,
-                worker_id=self.worker_id,
-                max_attempts=config.attempts_cap(self.spec),
-                retry_delay_s=retry_delay_s(row.run_hash, row.attempts,
-                                            config))
-            status = recorded or "lost"
-            if recorded is None:
-                summary.lease_lost += 1
-            else:
-                summary.failed += 1
+        def execute(key: RunKey) -> Tuple[Any, Any]:
+            with self._lease_heartbeat(row.run_hash):
+                return self._execute(key)
+
+        outcome = _attempt(
+            store, self.spec.name, row.key, execute,
+            worker_id=self.worker_id,
+            max_attempts=self.config.attempts_cap(self.spec),
+            retry_delay_s=retry_delay_s(row.run_hash, row.attempts,
+                                        self.config))
+        if outcome.status == STATUS_DONE:
+            summary.done += 1
+        elif outcome.status == OUTCOME_LOST:
+            summary.lease_lost += 1
         else:
-            written = store.record_success(
-                key, wall_seconds=wall, campaign=self.spec.name,
-                obs=obs_blob, worker_id=self.worker_id,
-                **success_payload(solution, result, key))
-            status = STATUS_DONE if written else "lost"
-            if written:
-                summary.done += 1
-            else:
-                summary.lease_lost += 1
+            summary.failed += 1
         if self.on_progress is not None:
-            self.on_progress(status, row)
+            self.on_progress(outcome.status, row)
+
+    @contextlib.contextmanager
+    def _lease_heartbeat(self, run_hash: str) -> Iterator[None]:
+        """Extend one run's lease on a timer while the body (a blocking
+        search) runs, from a sidecar thread on its own store connection.
+        The thread stops however the body exits, so a worker that dies
+        mid-run stops heartbeating."""
+        interval_s = self.config.heartbeat_interval_s
+        halt = threading.Event()
+
+        def beat() -> None:
+            try:
+                store = ResultStore(self.store_path)
+            except StoreError:
+                return
+            with store:
+                while not halt.wait(interval_s):
+                    try:
+                        if not store.heartbeat(self.worker_id, run_hash,
+                                               ttl_s=self.config.lease_ttl_s):
+                            return  # lost: the result write is dropped
+                    except StoreError:
+                        continue  # transient contention; the lease has slack
+
+        thread = threading.Thread(target=beat, daemon=True,
+                                  name=f"lease-heartbeat-{self.worker_id}")
+        thread.start()
+        try:
+            yield
+        finally:
+            halt.set()
+            thread.join(timeout=max(1.0, 2 * interval_s))
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +319,8 @@ class FleetProgress:
             f"({self.wall_seconds:.1f}s)",
         ]
         for worker in self.workers:
-            state = "alive" if worker.alive else (
-                "exited" if worker.retired_at is not None else "dead")
             lines.append(
-                f"  [{state:<6}] {worker.worker_id} "
+                f"  [{worker.state:<6}] {worker.worker_id} "
                 f"pid={worker.pid} done={worker.runs_done} "
                 f"failed={worker.runs_failed} "
                 f"({worker.throughput_per_min:.1f} runs/min)")

@@ -24,9 +24,10 @@ The runner is the crash-safety half of the subsystem.  Its contract:
 
 Each run's search evaluates its GA generations in-process.
 Multi-process execution of *whole runs* lives one level up in
-:mod:`repro.campaign.fleet`, which shares :func:`execute_search` with
-this runner — the fleet's claim/heartbeat protocol changes who runs
-what, never what a run computes.
+:mod:`repro.campaign.fleet`, whose workers record every run through
+this module's one attempt path (:func:`_attempt`, around
+:func:`execute_search`) — the fleet's claim/heartbeat protocol changes
+who runs what, never what a run computes or how it is stored.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.campaign.spec import (
     _check_attempts,
 )
 from repro.campaign.store import (
+    OUTCOME_LOST,
     STATUS_DONE,
     STATUS_EXHAUSTED,
     ResultStore,
@@ -156,10 +158,60 @@ class RunOutcome:
     """What happened to one executed run of this invocation."""
 
     key: RunKey
-    status: str  # "done" | "failed" | "exhausted"
+    status: str  # "done" | "failed" | "exhausted" | "lost" (fleet only)
     score: Optional[float] = None
     error: Optional[str] = None
     wall_seconds: float = 0.0
+
+
+def _attempt(store: ResultStore, campaign: str, key: RunKey,
+             execute: Callable[[RunKey], Tuple[Any, Any]], *,
+             worker_id: Optional[str] = None,
+             max_attempts: Optional[int] = None,
+             retry_delay_s: Optional[float] = None) -> RunOutcome:
+    """Execute one run and record it: the one attempt path of the runner
+    and the fleet's workers, so both write the same row for a key.
+
+    The run records into its own ``campaign.run`` observability scope,
+    whose snapshot is the blob the store keeps.  A ChrysalisError is
+    logged and recorded as a failure; any other error propagates.  A
+    write the lease guard drops reads ``"lost"``.
+    """
+    tags = {} if worker_id is None else {"worker": worker_id}
+    started = time.monotonic()
+    with run_scope("campaign.run", run=key.run_hash[:12],
+                   workload=key.workload, **tags) as scope:
+        try:
+            solution, result = execute(key)
+            failure = None
+        except ChrysalisError as error:
+            failure = error
+    obs = scope.snapshot() if OBS.enabled else None
+    wall = time.monotonic() - started
+    if failure is not None:
+        logger.warning("campaign %s: run %s failed: %s",
+                       campaign, key.describe(), failure)
+        error = f"{type(failure).__name__}: {failure}"
+        status = store.record_failure(
+            key, error=error, wall_seconds=wall, campaign=campaign, obs=obs,
+            worker_id=worker_id, max_attempts=max_attempts,
+            retry_delay_s=retry_delay_s)
+        return RunOutcome(key=key, status=status or OUTCOME_LOST,
+                          error=error, wall_seconds=wall)
+    written = store.record_success(
+        key, wall_seconds=wall, campaign=campaign, obs=obs,
+        worker_id=worker_id, **success_payload(solution, result, key))
+    return RunOutcome(key=key, status=STATUS_DONE if written else OUTCOME_LOST,
+                      score=solution.score, wall_seconds=wall)
+
+
+def _check_overrides(max_runs: Optional[int],
+                     max_attempts: Optional[int]) -> None:
+    """Reject a ``max_runs`` below 0 or a ``max_attempts`` below 1."""
+    if max_runs is not None and max_runs < 0:
+        raise ConfigurationError(
+            f"max_runs must be non-negative, got {max_runs}")
+    _check_attempts(max_attempts)
 
 
 @dataclass
@@ -234,10 +286,7 @@ class CampaignRunner:
                  max_attempts: Optional[int] = None,
                  on_progress: Optional[Callable[[RunOutcome], None]] = None,
                  ) -> None:
-        if max_runs is not None and max_runs < 0:
-            raise ConfigurationError(
-                f"max_runs must be non-negative, got {max_runs}")
-        _check_attempts(max_attempts)
+        _check_overrides(max_runs, max_attempts)
         self.spec = spec
         self.store = store
         self.max_runs = max_runs
@@ -293,43 +342,8 @@ class CampaignRunner:
 
     def _run_one(self, key: RunKey) -> RunOutcome:
         self.store.mark_running(key)
-        started = time.monotonic()
-        # Each run records into its own observability scope (a no-op
-        # when observability is off): the scope's snapshot is the per-run
-        # blob the store persists, while the enclosing campaign scope
-        # keeps aggregating everything on scope exit.
-        with run_scope("campaign.run", run=key.run_hash[:12],
-                       workload=key.workload) as scope:
-            try:
-                solution, result = self._execute_run(key)
-            except ChrysalisError as error:
-                solution = None
-                failure = error
-            else:
-                failure = None
-        obs_blob = scope.snapshot() if OBS.enabled else None
-        if failure is not None:
-            wall = time.monotonic() - started
-            logger.warning("campaign %s: run %s failed: %s",
-                           self.spec.name, key.describe(), failure)
-            recorded = self.store.record_failure(
-                key, error=f"{type(failure).__name__}: {failure}",
-                wall_seconds=wall, campaign=self.spec.name, obs=obs_blob,
-                max_attempts=self.max_attempts)
-            outcome = RunOutcome(key=key, status=recorded or "failed",
-                                 error=f"{type(failure).__name__}: {failure}",
-                                 wall_seconds=wall)
-        else:
-            wall = time.monotonic() - started
-            self.store.record_success(
-                key,
-                wall_seconds=wall,
-                campaign=self.spec.name,
-                obs=obs_blob,
-                **success_payload(solution, result, key),
-            )
-            outcome = RunOutcome(key=key, status=STATUS_DONE,
-                                 score=solution.score, wall_seconds=wall)
+        outcome = _attempt(self.store, self.spec.name, key,
+                           self._execute_run, max_attempts=self.max_attempts)
         if self.on_progress is not None:
             self.on_progress(outcome)
         return outcome

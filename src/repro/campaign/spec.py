@@ -275,11 +275,8 @@ class CampaignSpec:
         if self.generations < 1:
             raise ConfigurationError("generations must be at least 1")
         _check_attempts(self.max_attempts)
-        budget = self.candidate_time_budget_s
-        if budget is not None and not 0.0 < budget < math.inf:
-            raise ConfigurationError(
-                f"candidate_time_budget_s must be a positive, finite "
-                f"number of seconds, got {budget}")
+        _check_seconds("candidate_time_budget_s",
+                       self.candidate_time_budget_s)
         for setup in self.setups:
             if setup not in _SETUPS:
                 raise ConfigurationError(
@@ -448,6 +445,15 @@ def _check_attempts(max_attempts: Optional[int]) -> None:
     if max_attempts is not None and max_attempts < 1:
         raise ConfigurationError(
             f"max_attempts must be at least 1, got {max_attempts}")
+
+
+def _check_seconds(name: str, value: Optional[float]) -> None:
+    """A duration, when given, must be a positive, finite number of
+    seconds: a NaN lease TTL, say, would store a NULL lease deadline,
+    which any other worker may claim at once."""
+    if value is not None and not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be a positive, finite "
+                                 f"number of seconds, got {value}")
 
 
 def _optional_number(value: Any) -> Optional[float]:

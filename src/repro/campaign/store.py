@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.campaign.spec import RunKey
+from repro.campaign.spec import RunKey, _check_seconds
 from repro.errors import ConfigurationError, StoreError
 from repro.explore.pareto import ParetoPoint, pareto_front
 from repro.obs.state import OBS
@@ -201,6 +201,13 @@ class WorkerStatus:
     alive: bool
 
     @property
+    def state(self) -> str:
+        """``alive``, ``exited`` (announced a clean exit) or ``dead``."""
+        if self.alive:
+            return "alive"
+        return "exited" if self.retired_at is not None else "dead"
+
+    @property
     def throughput_per_min(self) -> float:
         horizon = max(self.last_heartbeat - self.started_at, 1e-9)
         return 60.0 * (self.runs_done + self.runs_failed) / horizon
@@ -231,13 +238,19 @@ def _run_key(row: sqlite3.Row) -> RunKey:
                          f"spec_json: {error}") from None
 
 
-def _attempts(row: sqlite3.Row) -> List[Dict[str, Any]]:
-    """A row's ``attempts_json`` audit trail, which must be a list."""
+def _attempts(row: sqlite3.Row,
+              lost_at: Optional[float] = None) -> List[Dict[str, Any]]:
+    """A row's ``attempts_json`` audit trail, which must be a list; with
+    ``lost_at``, plus the entry auditing its lease as lost then."""
     history = _decode(row, "attempts_json", [])
     if not isinstance(history, list):
         raise StoreError(f"run {row['run_hash']} has an unreadable "
                          f"attempts_json: expected a list, got "
                          f"{type(history).__name__}")
+    if lost_at is not None:
+        history.append({"attempt": row["attempts"],
+                        "worker": row["lease_owner"],
+                        "outcome": OUTCOME_LOST, "at": lost_at})
     return history
 
 
@@ -487,17 +500,10 @@ class ResultStore:
         dropped write never loses information.
         """
         return self._finish(
-            key, campaign=campaign, status=STATUS_DONE,
-            outcome=OUTCOME_DONE, score=score, panel_cm2=panel_cm2,
-            latency_s=latency_s, solution_json=json.dumps(solution),
-            stats_json=None if stats is None else json.dumps(stats),
-            failures_json=(None if failures is None
-                           else json.dumps(failures)),
-            error=None, wall_seconds=wall_seconds,
-            obs_json=None if obs is None else json.dumps(obs),
-            worker_id=worker_id,
-            front_json=None if front is None else json.dumps(front),
-            ) is not None
+            key, STATUS_DONE, campaign=campaign, score=score,
+            panel_cm2=panel_cm2, latency_s=latency_s, solution=solution,
+            stats=stats, failures=failures, wall_seconds=wall_seconds,
+            obs=obs, worker_id=worker_id, front=front) is not None
 
     def record_failure(self, key: RunKey, error: str,
                        failures: Optional[List[Dict[str, Any]]] = None,
@@ -516,24 +522,25 @@ class ResultStore:
         earliest re-claim (capped-backoff retries).
         """
         return self._finish(
-            key, campaign=campaign, status=STATUS_FAILED,
-            outcome=OUTCOME_FAILED, score=None, panel_cm2=None,
-            latency_s=None, solution_json=None, stats_json=None,
-            failures_json=(None if failures is None
-                           else json.dumps(failures)),
-            error=str(error), wall_seconds=wall_seconds,
-            obs_json=None if obs is None else json.dumps(obs),
+            key, STATUS_FAILED, campaign=campaign, error=str(error),
+            failures=failures, wall_seconds=wall_seconds, obs=obs,
             worker_id=worker_id, max_attempts=max_attempts,
             retry_delay_s=retry_delay_s)
 
-    def _finish(self, key: RunKey, *, campaign: str, status: str,
-                outcome: str, score, panel_cm2, latency_s, solution_json,
-                stats_json, failures_json, error, wall_seconds,
-                obs_json, worker_id: Optional[str],
+    def _finish(self, key: RunKey, status: str, *, campaign: str,
+                wall_seconds: float, worker_id: Optional[str],
+                error: Optional[str] = None,
                 max_attempts: Optional[int] = None,
                 retry_delay_s: Optional[float] = None,
-                front_json: Optional[str] = None) -> Optional[str]:
+                score=None, panel_cm2=None, latency_s=None, solution=None,
+                stats=None, failures=None, obs=None,
+                front=None) -> Optional[str]:
+        """Write one finished attempt; each of the five blobs (``solution``
+        to ``front``) is stored as its JSON text, or NULL for None."""
         now = self._now(None)
+        solution_json, stats_json, failures_json, obs_json, front_json = (
+            None if blob is None else json.dumps(blob)
+            for blob in (solution, stats, failures, obs, front))
 
         def body() -> Optional[str]:
             row = self._conn.execute(
@@ -553,16 +560,16 @@ class ResultStore:
                     return None
                 if row["status"] == STATUS_DONE:
                     return None  # a reclaimant already finished it
-            final_status, final_outcome, retry_at = status, outcome, None
+            final_status, retry_at = status, None
             if status == STATUS_FAILED:
                 if max_attempts is not None and attempts >= max_attempts:
                     final_status = STATUS_EXHAUSTED
-                    final_outcome = OUTCOME_EXHAUSTED
                 elif retry_delay_s is not None:
                     retry_at = now + retry_delay_s
+            # Each OUTCOME_* constant equals its status name.
             entry: Dict[str, Any] = {"attempt": attempts,
                                      "worker": worker_id,
-                                     "outcome": final_outcome,
+                                     "outcome": final_status,
                                      "wall_seconds": wall_seconds,
                                      "at": now}
             if error is not None:
@@ -633,6 +640,7 @@ class ResultStore:
         right now (which is *not* the same as the campaign being done —
         see :meth:`unfinished_count`).
         """
+        _check_seconds("ttl_s", ttl_s)
         now = self._now(now)
 
         def body() -> Optional[str]:
@@ -653,12 +661,9 @@ class ResultStore:
             if row is None:
                 return None
             _run_key(row)  # lease only a run its claimant can read back
-            history = _attempts(row)
-            if row["status"] == STATUS_RUNNING:
-                # Taking over an expired lease: audit the loss.
-                history.append({"attempt": row["attempts"],
-                                "worker": row["lease_owner"],
-                                "outcome": OUTCOME_LOST, "at": now})
+            # Taking over an expired lease audits the loss.
+            history = _attempts(row, lost_at=(
+                now if row["status"] == STATUS_RUNNING else None))
             self._conn.execute(
                 "UPDATE runs SET status=?, lease_owner=?, lease_deadline=?, "
                 "retry_at=NULL, attempts=attempts+1, attempts_json=?, "
@@ -687,6 +692,7 @@ class ResultStore:
         ``False`` if the lease was lost (expired and reclaimed), which
         tells the worker its in-flight result will be dropped.
         """
+        _check_seconds("ttl_s", ttl_s)
         now = self._now(now)
 
         def body() -> bool:
@@ -736,26 +742,19 @@ class ResultStore:
                 params.append(campaign)
             reaped = []
             for row in self._conn.execute(sql, params).fetchall():
-                history = _attempts(row)
-                history.append({"attempt": row["attempts"],
-                                "worker": row["lease_owner"],
-                                "outcome": OUTCOME_LOST, "at": now})
-                if (max_attempts is not None
-                        and row["attempts"] >= max_attempts):
-                    self._conn.execute(
-                        "UPDATE runs SET status=?, error=?, lease_owner=NULL,"
-                        " lease_deadline=NULL, retry_at=NULL, "
-                        "attempts_json=?, updated_at=? WHERE run_hash=?",
-                        (STATUS_EXHAUSTED,
-                         f"lease expired after {row['attempts']} attempt(s)",
-                         json.dumps(history), now, row["run_hash"]))
-                else:
-                    self._conn.execute(
-                        "UPDATE runs SET status=?, lease_owner=NULL, "
-                        "lease_deadline=NULL, retry_at=NULL, "
-                        "attempts_json=?, updated_at=? WHERE run_hash=?",
-                        (STATUS_PENDING, json.dumps(history), now,
-                         row["run_hash"]))
+                # A spent row is exhausted with the lease loss as its
+                # error; a re-queued one keeps the error it had.
+                spent = (max_attempts is not None
+                         and row["attempts"] >= max_attempts)
+                self._conn.execute(
+                    "UPDATE runs SET status=?, error=COALESCE(?, error), "
+                    "lease_owner=NULL, lease_deadline=NULL, retry_at=NULL, "
+                    "attempts_json=?, updated_at=? WHERE run_hash=?",
+                    (STATUS_EXHAUSTED if spent else STATUS_PENDING,
+                     f"lease expired after {row['attempts']} attempt(s)"
+                     if spent else None,
+                     json.dumps(_attempts(row, lost_at=now)), now,
+                     row["run_hash"]))
                 reaped.append(row["run_hash"])
             return reaped
 

@@ -62,6 +62,7 @@ from repro.campaign.fleet import (
     FleetConfig,
     FleetCoordinator,
 )
+from repro.campaign.runner import _check_overrides
 from repro.campaign.store import (
     STATUS_DONE,
     STATUS_EXHAUSTED,
@@ -71,7 +72,7 @@ from repro.core.chrysalis import Chrysalis
 from repro.core.describer import describe_design
 from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.environments import environment_by_name
-from repro.errors import ChrysalisError
+from repro.errors import ChrysalisError, StoreError
 from repro.explore.ga import GAConfig
 from repro.explore.mapper_search import MappingOptimizer
 from repro.explore.objectives import Objective
@@ -276,6 +277,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def _campaign_run(args: argparse.Namespace) -> int:
     spec = CampaignSpec.from_path(args.spec)
+    _check_overrides(args.max_runs, args.max_attempts)  # before the store
     obs_on = _obs_begin(args)
     with ResultStore(args.store) as store:
         runner = CampaignRunner(
@@ -336,8 +338,16 @@ def _campaign_worker(args: argparse.Namespace) -> int:
     return 0
 
 
+def _existing_store(path: str) -> ResultStore:
+    """Open the store a read-only command reads.  A missing file is a
+    mistyped path, not an empty store: refuse it rather than create it."""
+    if not pathlib.Path(path).exists():
+        raise StoreError(f"no campaign store at {path}")
+    return ResultStore(path)
+
+
 def _campaign_status(args: argparse.Namespace) -> int:
-    with ResultStore(args.store) as store:
+    with _existing_store(args.store) as store:
         campaigns = ([args.campaign] if args.campaign
                      else store.campaigns())
         if not campaigns:
@@ -353,9 +363,7 @@ def _campaign_status(args: argparse.Namespace) -> int:
                   f"{counts[STATUS_EXHAUSTED]} exhausted, "
                   f"{counts['pending'] + counts['running']} pending)")
             for worker in store.workers_status(name):
-                state = "alive" if worker.alive else (
-                    "exited" if worker.retired_at is not None else "dead")
-                print(f"  worker [{state:<6}] {worker.worker_id}: "
+                print(f"  worker [{worker.state:<6}] {worker.worker_id}: "
                       f"{worker.runs_done} done, "
                       f"{worker.runs_failed} failed "
                       f"({worker.throughput_per_min:.1f} runs/min)")
@@ -368,7 +376,7 @@ def _campaign_status(args: argparse.Namespace) -> int:
 
 
 def _campaign_report(args: argparse.Namespace) -> int:
-    with ResultStore(args.store) as store:
+    with _existing_store(args.store) as store:
         report = CampaignReport.from_store(store, campaign=args.campaign,
                                            hypervolume=args.hypervolume)
     print(report.render_markdown())
@@ -393,7 +401,7 @@ def _obs_report(args: argparse.Namespace) -> int:
     else:
         # Reconstruct purely from the store's per-run blobs — no live
         # process state involved.
-        with ResultStore(args.campaign) as store:
+        with _existing_store(args.campaign) as store:
             rows = [run for run in store.runs() if run.obs is not None]
         if args.run:
             rows = [run for run in rows

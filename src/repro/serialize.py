@@ -172,13 +172,9 @@ def breakdown_to_dict(breakdown: EnergyBreakdown) -> Dict[str, float]:
 
 
 def breakdown_from_dict(data: Dict[str, Any]) -> EnergyBreakdown:
-    try:
-        return EnergyBreakdown(**{field: float(data[field])
-                                  for field in breakdown_to_dict(
-                                      EnergyBreakdown())})
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"energy-breakdown record is missing field {missing}") from None
+    return EnergyBreakdown(**{
+        name: _config_field("energy-breakdown record", data, name, float)
+        for name in breakdown_to_dict(EnergyBreakdown())})
 
 
 def metrics_to_dict(metrics: InferenceMetrics) -> Dict[str, Any]:
@@ -198,22 +194,30 @@ def metrics_to_dict(metrics: InferenceMetrics) -> Dict[str, Any]:
 
 
 def metrics_from_dict(data: Dict[str, Any]) -> InferenceMetrics:
-    try:
-        return InferenceMetrics(
-            e2e_latency=float(data["e2e_latency"]),
-            busy_time=float(data["busy_time"]),
-            charge_time=float(data["charge_time"]),
-            energy=breakdown_from_dict(data["energy"]),
-            harvested_energy=float(data["harvested_energy"]),
-            power_cycles=int(data["power_cycles"]),
-            exceptions=int(data["exceptions"]),
-            feasible=bool(data["feasible"]),
-            infeasible_reason=str(data["infeasible_reason"]),
-            sustained_period=float(data["sustained_period"]),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"metrics record is missing field {missing}") from None
+    record = "metrics record"
+    return InferenceMetrics(
+        e2e_latency=_config_field(record, data, "e2e_latency", float),
+        busy_time=_config_field(record, data, "busy_time", float),
+        charge_time=_config_field(record, data, "charge_time", float),
+        energy=_config_field(record, data, "energy", breakdown_from_dict),
+        harvested_energy=_config_field(record, data, "harvested_energy",
+                                       float),
+        power_cycles=_config_field(record, data, "power_cycles", int),
+        exceptions=_config_field(record, data, "exceptions", int),
+        feasible=_config_field(record, data, "feasible", bool),
+        infeasible_reason=_config_field(record, data, "infeasible_reason",
+                                        str),
+        sustained_period=_config_field(record, data, "sustained_period",
+                                       float),
+    )
+
+
+def _metrics_by_env(data: Any) -> Dict[str, InferenceMetrics]:
+    """``{environment: metrics}`` from its JSON object form."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, got {type(data).__name__}")
+    return {name: metrics_from_dict(metrics)
+            for name, metrics in data.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -273,44 +277,41 @@ def solution_from_dict(data: Dict[str, Any]):
     """
     from repro.core.result import AuTSolution, LayerPlanRow
 
-    version = data.get("schema_version")
+    record = "solution record"
+    version = _config_field(record, data, "schema_version", default=None)
     if version != _SCHEMA_VERSION:
         raise ConfigurationError(
             f"unsupported solution schema version {version!r} "
             f"(expected {_SCHEMA_VERSION})"
         )
-    if "average_metrics" not in data:
-        raise ConfigurationError(
-            "solution record has no 'average_metrics' block (written by a "
-            "pre-campaign release?); re-evaluate the embedded design instead"
-        )
-    try:
-        plan = [
-            LayerPlanRow(
-                layer=str(row["layer"]),
-                dataflow=str(row["dataflow"]),
-                n_tiles=int(row["n_tiles"]),
-                tile_dim=str(row["tile_dim"]),
-                spatial_dim=str(row["spatial_dim"]),
-            )
-            for row in data["layer_plan"]
-        ]
-        return AuTSolution(
-            design=design_from_dict(data["design"]),
-            average_metrics=metrics_from_dict(data["average_metrics"]),
-            metrics_by_env={
-                name: metrics_from_dict(env_metrics)
-                for name, env_metrics in data["metrics_by_env"].items()
-            },
-            layer_plan=plan,
-            objective_label=str(data["objective"]),
-            score=float(data["score"]),
-            evaluations=int(data["evaluations"]),
-            absorbed_failures=int(data.get("absorbed_failures", 0)),
-        )
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"solution record is missing field {missing}") from None
+
+    def plan_row(row: Any) -> LayerPlanRow:
+        return LayerPlanRow(**{
+            name: _config_field("layer-plan row", row, name, convert)
+            for name, convert in (("layer", str), ("dataflow", str),
+                                  ("n_tiles", int), ("tile_dim", str),
+                                  ("spatial_dim", str))})
+
+    # The average metrics first: a record without them predates the
+    # campaign store, whatever else it holds.
+    average_metrics = _config_field(
+        record, data, "average_metrics", metrics_from_dict,
+        missing="solution record has no 'average_metrics' block (written "
+                "by a pre-campaign release?); re-evaluate the embedded "
+                "design instead")
+    return AuTSolution(
+        design=_config_field(record, data, "design", design_from_dict),
+        average_metrics=average_metrics,
+        metrics_by_env=_config_field(record, data, "metrics_by_env",
+                                     _metrics_by_env),
+        layer_plan=_config_field(record, data, "layer_plan",
+                                 lambda rows: [plan_row(row) for row in rows]),
+        objective_label=_config_field(record, data, "objective", str),
+        score=_config_field(record, data, "score", float),
+        evaluations=_config_field(record, data, "evaluations", int),
+        absorbed_failures=_config_field(record, data, "absorbed_failures",
+                                        int, default=0),
+    )
 
 
 def solution_to_json(solution, indent: int = 2) -> str:

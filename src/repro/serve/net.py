@@ -41,10 +41,15 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
 from repro import errors as errors_module
-from repro.errors import ChrysalisError, ServeError, ServiceClosedError
+from repro.errors import (
+    ChrysalisError,
+    ServeError,
+    ServiceClosedError,
+    _config_field,
+)
 from repro.sim.metrics import InferenceMetrics
 from repro.serialize import design_from_dict, design_to_dict, \
-    metrics_from_dict, metrics_to_dict
+    metrics_from_dict, metrics_to_dict, _metrics_by_env
 from repro.serve.service import EvaluationService
 
 
@@ -290,35 +295,48 @@ class ServeClient:
         self._writer.write(_encode(payload))
         await self._writer.drain()
         data = await future
+        record = "serve report"
         return RemoteReport(
-            workload=data["workload"],
-            fidelity=data["fidelity"],
-            feasible=data["feasible"],
-            metrics=metrics_from_dict(data["metrics"]),
-            by_environment={name: metrics_from_dict(metrics)
-                            for name, metrics in
-                            data["by_environment"].items()})
+            workload=_config_field(record, data, "workload"),
+            fidelity=_config_field(record, data, "fidelity"),
+            feasible=_config_field(record, data, "feasible"),
+            metrics=_config_field(record, data, "metrics", metrics_from_dict),
+            by_environment=_config_field(record, data, "by_environment",
+                                         _metrics_by_env))
 
     # -- wire handling --------------------------------------------------------
 
     async def _receive_loop(self) -> None:
+        """Resolve pending requests until the connection ends; EOF, a
+        lost connection or a line outside the protocol fails them all."""
         try:
             while True:
-                line = await self._reader.readline()
+                try:
+                    line = await self._reader.readline()
+                except ValueError as exc:  # longer than the reader's limit
+                    raise ServeError(
+                        f"malformed response line: {exc}") from None
                 if not line:
-                    self._fail_pending(
-                        ServiceClosedError("server closed the connection"))
-                    return
-                self._dispatch(json.loads(line))
+                    raise ServiceClosedError("server closed the connection")
+                self._dispatch(line)
+        except ServeError as exc:
+            self._fail_pending(exc)
         except (ConnectionError, OSError) as exc:
             self._fail_pending(ServiceClosedError(f"connection lost: {exc}"))
 
-    def _dispatch(self, response: Dict[str, Any]) -> None:
-        future = self._pending.pop(response.get("id"), None)
+    def _dispatch(self, line: bytes) -> None:
+        try:
+            response = json.loads(line)
+            future = self._pending.pop(response.get("id"), None)
+        except (ValueError, TypeError, AttributeError):
+            # Not a JSON object with a hashable id (a text banner, an
+            # array, ...): nothing after it can be trusted either.
+            raise ServeError(
+                f"malformed response line {line[:80]!r}") from None
         if future is None or future.done():
             return
         if response.get("ok"):
-            future.set_result(response["report"])
+            future.set_result(response.get("report"))
         else:
             future.set_exception(self._as_error(response))
 

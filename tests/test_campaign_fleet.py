@@ -5,6 +5,7 @@ test here sleeps to make a lease expire, so the "a dead worker's runs
 re-queue within one TTL" bound is asserted exactly, not approximately.
 """
 
+import json
 import math
 import sqlite3
 import threading
@@ -19,7 +20,7 @@ from repro.campaign.fleet import (
     FleetConfig,
     retry_delay_s,
 )
-from repro.campaign.runner import execute_search
+from repro.campaign.runner import CampaignRunner, execute_search
 from repro.campaign.spec import CampaignSpec, ObjectiveSpec, RunKey
 from repro.campaign.store import (
     STATUS_DONE,
@@ -28,7 +29,14 @@ from repro.campaign.store import (
     STATUS_RUNNING,
     ResultStore,
 )
-from repro.errors import ChrysalisError, ConfigurationError, StoreError
+from repro.dataflow.cost_model import clear_layer_cost_cache
+from repro.errors import (
+    ChrysalisError,
+    ConfigurationError,
+    SearchError,
+    StoreError,
+)
+from repro.explore.mapper_search import clear_mapper_memo
 
 
 def make_key(workload="har", seed=0, **overrides):
@@ -235,6 +243,26 @@ class TestHeartbeat:
         assert store.workers_status("camp")[0].alive
 
 
+class TestTtlValidation:
+    @pytest.mark.parametrize("ttl_s", [math.nan, math.inf, 0.0, -1.0])
+    def test_claim_and_heartbeat_refuse_before_writing(self, store, ttl_s):
+        # claim(ttl_s=nan) wrote a NULL lease deadline, so a second
+        # worker could claim the live run at once.
+        [key] = fill(store, seeds=(0,))
+        store.register_worker("w1", "camp", lease_ttl_s=TTL)
+        pending = store.get(key.run_hash)
+        with pytest.raises(ConfigurationError, match="ttl_s"):
+            store.claim("camp", "w1", ttl_s=ttl_s)
+        assert store.get(key.run_hash) == pending
+        store.claim("camp", "w1", ttl_s=TTL)
+        held = store.get(key.run_hash)
+        workers = store.workers_status("camp")
+        with pytest.raises(ConfigurationError, match="ttl_s"):
+            store.heartbeat("w1", key.run_hash, ttl_s=ttl_s)
+        assert store.get(key.run_hash) == held
+        assert store.workers_status("camp") == workers
+
+
 class TestReap:
     def test_reclaimed_within_exactly_one_ttl(self, store, clock):
         """The recovery bound: a dead worker's lease is reclaimable at
@@ -267,6 +295,24 @@ class TestReap:
         run = store.get(key.run_hash)
         assert run.status == STATUS_EXHAUSTED
         assert "lease expired" in run.error
+
+    def test_requeue_keeps_the_error_and_exhaustion_sets_it(self, store,
+                                                             clock):
+        [key] = fill(store, seeds=(0,))
+        store.claim("camp", "w1", ttl_s=TTL)
+        store.record_failure(key, "SearchError: first", worker_id="w1",
+                             max_attempts=3)
+        for expected in [(STATUS_PENDING, "SearchError: first"),
+                         (STATUS_EXHAUSTED,
+                          "lease expired after 3 attempt(s)")]:
+            store.claim("camp", "w1", ttl_s=TTL)
+            clock.advance(TTL)
+            assert store.reap_stale("camp", max_attempts=3) == [key.run_hash]
+            run = store.get(key.run_hash)
+            assert (run.status, run.error) == expected
+        assert [(entry["attempt"], entry["outcome"])
+                for entry in run.attempt_history] == [
+            (1, "failed"), (2, "lost"), (3, "lost")]
 
     def test_reap_is_idempotent(self, store, clock):
         fill(store, seeds=(0,))
@@ -431,6 +477,98 @@ class TestWorkerLoop:
             assert store.status_counts("flaky")[STATUS_DONE] == 1
             history = store.get(doomed).attempt_history
             assert [e["outcome"] for e in history] == ["failed", "exhausted"]
+
+
+class TestHeartbeatThread:
+    def test_worker_killed_by_a_bug_stops_heartbeating(self, tmp_path):
+        """A worker whose ``execute`` raises a programming error dies
+        with it; its heartbeat thread must stop too, or it keeps
+        extending the lease and no other worker can ever take the run."""
+        ttl = 0.5
+        spec = make_spec(runs=1, name="buggy")
+        path = tmp_path / "buggy.sqlite"
+        config = FleetConfig(lease_ttl_s=ttl, heartbeat_s=0.05, poll_s=0.02)
+
+        def execute(key):
+            time.sleep(0.2)  # a few beats while the run is held
+            raise TypeError("a bug, not a ChrysalisError")
+
+        raised = []
+
+        def run_worker():
+            try:
+                CampaignWorker(spec, path, worker_id="buggy-w0",
+                               config=config, execute=execute).run()
+            except TypeError as error:
+                raised.append(error)
+
+        thread = threading.Thread(target=run_worker)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive() and len(raised) == 1
+        assert "lease-heartbeat-buggy-w0" not in [
+            t.name for t in threading.enumerate()]
+        time.sleep(ttl)  # one TTL after the worker's last beat
+        with ResultStore(path) as store:
+            taken = store.claim("buggy", "buggy-w1", ttl_s=TTL)
+        assert taken is not None and taken.attempts == 2
+
+
+#: ``stats_json`` entries that are wall-clock measurements.
+WALL_CLOCK_STATS = ("eval_seconds", "search_seconds", "evals_per_second")
+
+
+def stored_row(path, run_hash):
+    """What must not depend on who ran a run: every result column, the
+    search stats but their wall-clock entries, and the attempt outcomes."""
+    connection = sqlite3.connect(path)
+    try:
+        (status, error, attempts, solution, stats, failures, front,
+         history) = connection.execute(
+            "SELECT status, error, attempts, solution_json, stats_json, "
+            "failures_json, front_json, attempts_json FROM runs "
+            "WHERE run_hash=?", (run_hash,)).fetchone()
+    finally:
+        connection.close()
+    if stats is not None:
+        stats = {name: value for name, value in json.loads(stats).items()
+                 if name not in WALL_CLOCK_STATS}
+    return (status, error, attempts, solution, stats, failures, front,
+            [entry["outcome"] for entry in json.loads(history)])
+
+
+class TestOneAttemptPath:
+    """The runner and a fleet worker store the same row for one key."""
+
+    @pytest.mark.parametrize("fails", [False, True],
+                             ids=["success", "failure"])
+    def test_runner_and_worker_store_the_same_row(self, tmp_path, fails):
+        spec = make_spec(runs=1, name="same", max_attempts=2)
+        [key] = spec.expand()
+
+        def execute(key):
+            if fails:
+                raise SearchError("stubbed: no feasible design")
+            # Cold caches for both, so their hit counts agree.
+            clear_layer_cost_cache()
+            clear_mapper_memo()
+            return execute_search(key)
+
+        class Runner(CampaignRunner):
+            def _execute_run(self, key):
+                return execute(key)
+
+        with ResultStore(tmp_path / "runner.sqlite") as store:
+            for _ in range(2 if fails else 1):  # one attempt per pass
+                Runner(spec, store).run()
+        CampaignWorker(spec, tmp_path / "worker.sqlite", worker_id="w0",
+                       config=FleetConfig(lease_ttl_s=TTL, heartbeat_s=0.05,
+                                          poll_s=0.02, backoff_base_s=0.01,
+                                          backoff_cap_s=0.02),
+                       execute=execute).run()
+        row = stored_row(tmp_path / "runner.sqlite", key.run_hash)
+        assert row == stored_row(tmp_path / "worker.sqlite", key.run_hash)
+        assert row[-1] == (["failed", "exhausted"] if fails else ["done"])
 
 
 OPS = st.lists(

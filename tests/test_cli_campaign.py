@@ -45,6 +45,7 @@ class TestCampaignRun:
         assert main(["campaign", "run", str(spec_path),
                      "--store", str(store), *option]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not store.exists()  # checked before the store opens
         with ResultStore(store) as opened:
             assert opened.campaigns() == []
 
@@ -69,9 +70,23 @@ class TestCampaignRun:
         assert "cannot read" in capsys.readouterr().err
 
     def test_status_of_empty_store(self, tmp_path, capsys):
+        ResultStore(tmp_path / "empty.sqlite").close()
         assert main(["campaign", "status",
                      "--store", str(tmp_path / "empty.sqlite")]) == 1
         assert "no campaigns" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["campaign", "status", "--store"],
+        ["campaign", "report", "--store"],
+        ["obs", "report", "--campaign"]])
+    def test_read_only_command_refuses_a_missing_store(self, tmp_path,
+                                                       capsys, command):
+        # A mistyped path used to create an empty store and report it.
+        store = tmp_path / "missing.sqlite"
+        assert main([*command, str(store)]) == 2
+        assert (f"error: no campaign store at {store}"
+                in capsys.readouterr().err)
+        assert not store.exists()
 
 
 class TestCampaignReport:

@@ -168,6 +168,59 @@ class TestSolutionRoundTrip:
             solution_from_json("{not json")
 
 
+#: Wrong-typed values in an otherwise valid solution record, each at a
+#: path of keys and list indexes, with what the error must say.  Every
+#: one escaped the read-back as a bare ``ValueError``, ``TypeError`` or
+#: ``AttributeError`` before it went through ``_config_field``.
+WRONG_TYPED = [
+    (("score",), "x", "'score'"),
+    (("evaluations",), "1.5", "'evaluations'"),
+    (("absorbed_failures",), [1], "'absorbed_failures'"),
+    (("layer_plan",), 5, "'layer_plan'"),
+    (("layer_plan", 0), 1, "layer-plan row must be an object"),
+    (("layer_plan", 0, "n_tiles"), "two", "'n_tiles'"),
+    (("metrics_by_env",), [1], "'metrics_by_env'"),
+    (("average_metrics",), None, "metrics record must be an object"),
+    (("average_metrics", "e2e_latency"), "x", "'e2e_latency'"),
+    (("average_metrics", "power_cycles"), [1], "'power_cycles'"),
+    (("average_metrics", "energy", "compute"), {}, "'compute'"),
+]
+
+
+class TestWrongTypedReadBack:
+    @pytest.mark.parametrize("path, value, message", WRONG_TYPED)
+    def test_raises_configuration_error(self, solution, path, value,
+                                        message):
+        data = solution_to_dict(solution)
+        parent = data
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigurationError, match=message):
+            solution_from_dict(data)
+        with pytest.raises(ConfigurationError, match=message):
+            solution_from_json(json.dumps(data))
+
+    def test_stored_run_with_a_wrong_typed_score(self, solution):
+        from repro.campaign.spec import ObjectiveSpec, RunKey
+        from repro.campaign.store import StoredRun
+
+        key = RunKey(workload="har", setup="existing", environment="paper",
+                     objective=ObjectiveSpec(kind="lat*sp"), seed=0,
+                     population=4, generations=2)
+        data = dict(solution_to_dict(solution), score="x")
+        run = StoredRun(run_hash=key.run_hash, campaign="c", key=key,
+                        status="done", solution=data)
+        with pytest.raises(ConfigurationError, match="'score'"):
+            run.load_solution()
+
+    def test_metrics_read_back_of_a_non_object(self):
+        with pytest.raises(ConfigurationError, match="must be an object"):
+            metrics_from_dict([1])
+        with pytest.raises(ConfigurationError, match="must be an object"):
+            breakdown_from_dict(None)
+
+
 # Hypothesis strategies for the metrics round-trip property tests.
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                    allow_infinity=False)

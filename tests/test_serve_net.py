@@ -16,7 +16,8 @@ from repro.design import AuTDesign, EnergyDesign, InferenceDesign
 from repro.environments import ScenarioGenerator
 from repro.errors import ConfigurationError, ServeError
 from repro.serve import EvaluationService, ServeClient, ServeServer
-from repro.serialize import design_to_dict
+from repro.serialize import design_from_dict, design_to_dict, \
+    metrics_to_dict
 from repro.units import uF
 from repro.workloads import zoo
 
@@ -199,6 +200,59 @@ def test_server_close_fails_pending_client_calls(designs):
     report = asyncio.run(main())
     assert report.metrics == evaluate(designs[0], "har",
                                       fidelity="analytical").metrics
+
+
+def _bad_report(line: bytes) -> bytes:
+    """An ``ok`` response to the request whose metric has the wrong type."""
+    request = json.loads(line)
+    metrics = dict(metrics_to_dict(evaluate(
+        design_from_dict(request["design"]), "har",
+        fidelity="analytical").metrics), e2e_latency="x")
+    return json.dumps({"id": request["id"], "ok": True, "report": {
+        "workload": "har", "fidelity": "analytical", "feasible": True,
+        "metrics": metrics, "by_environment": {}}}).encode() + b"\n"
+
+
+#: Peers that do not speak the protocol: what each sends on connect,
+#: how it answers each request line, and what the client must raise.
+FAKE_SERVERS = [
+    (b"", lambda line: b"garbage\n", ServeError),
+    (b"", lambda line: b"[1, 2]\n", ServeError),
+    (b"welcome to some other service\n", lambda line: b"", ServeError),
+    (b"", lambda line: b"x" * 70_000 + b"\n", ServeError),  # > 64 KiB
+    (b"", _bad_report, ConfigurationError),
+]
+
+
+@pytest.mark.parametrize("greeting, answer, error", FAKE_SERVERS,
+                         ids=["garbage", "array", "banner", "long-line",
+                              "bad-metric"])
+def test_client_fails_fast_against_a_fake_server(designs, greeting, answer,
+                                                 error):
+    """A response line that is not a JSON object fails every pending
+    call with ServeError, and a wrong-typed report raises too, instead
+    of leaving ``evaluate`` waiting forever."""
+
+    async def handle(reader, writer):
+        writer.write(greeting)
+        while line := await reader.readline():
+            writer.write(answer(line))
+            await writer.drain()
+        writer.close()
+
+    async def main():
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            async with await ServeClient.connect(host, port) as client:
+                with pytest.raises(error):
+                    await asyncio.wait_for(
+                        client.evaluate(designs[0], "har"), timeout=2.0)
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(main())
 
 
 #: Any value ``json.loads`` can return, non-finite floats included.
